@@ -125,17 +125,26 @@ pub fn mean_of(rows: &[OverheadRow], metric: impl Fn(&OverheadRow) -> f64) -> f6
     s.mean()
 }
 
-/// Reads one `kB`-denominated field of `/proc/self/status` into bytes.
+/// Reads `kB`-denominated fields of `/proc/self/status` into bytes, all
+/// from one read of the file — so fields the kernel reports consistently
+/// (`VmHWM >= VmRSS`) stay consistent with each other.
 #[cfg(target_os = "linux")]
-fn proc_status_bytes(key: &str) -> Option<u64> {
+fn proc_status_bytes<const N: usize>(keys: [&str; N]) -> Option<[u64; N]> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(key))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
+    let field = |key: &str| {
+        let line = status.lines().find(|l| l.starts_with(key))?;
+        let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+        Some(kib * 1024)
+    };
+    let mut out = [0; N];
+    for (slot, key) in out.iter_mut().zip(keys) {
+        *slot = field(key)?;
+    }
+    Some(out)
 }
 
 #[cfg(not(target_os = "linux"))]
-fn proc_status_bytes(_key: &str) -> Option<u64> {
+fn proc_status_bytes<const N: usize>(_keys: [&str; N]) -> Option<[u64; N]> {
     None
 }
 
@@ -144,12 +153,12 @@ fn proc_status_bytes(_key: &str) -> Option<u64> {
 /// regressions show up in the benchmark trajectory alongside time.
 /// `None` on platforms without `/proc/self/status`.
 pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM:")
+    proc_status_bytes(["VmHWM:"]).map(|[b]| b)
 }
 
 /// Current resident set size (`VmRSS`) of this process, in bytes.
 pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS:")
+    proc_status_bytes(["VmRSS:"]).map(|[b]| b)
 }
 
 /// Current *anonymous* resident set (`RssAnon`) of this process, in
@@ -158,7 +167,7 @@ pub fn current_rss_bytes() -> Option<u64> {
 /// shared read-only `mmap` show up in `VmRSS` but are reclaimable by the
 /// kernel at will, while anonymous pages are not. `None` off Linux.
 pub fn anon_rss_bytes() -> Option<u64> {
-    proc_status_bytes("RssAnon:")
+    proc_status_bytes(["RssAnon:"]).map(|[b]| b)
 }
 
 #[cfg(test)]
@@ -168,8 +177,11 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn rss_sampler_reports_plausible_numbers() {
-        let peak = peak_rss_bytes().expect("/proc/self/status has VmHWM");
-        let cur = current_rss_bytes().expect("/proc/self/status has VmRSS");
+        assert!(peak_rss_bytes().is_some() && current_rss_bytes().is_some());
+        // Both fields from one read: other test threads allocate between
+        // two separate reads, so only a single snapshot orders them.
+        let [peak, cur] =
+            proc_status_bytes(["VmHWM:", "VmRSS:"]).expect("/proc/self/status has VmHWM, VmRSS");
         assert!(peak >= cur, "peak {peak} < current {cur}");
         assert!(cur > 1 << 20, "a running test process holds more than 1 MiB resident");
     }

@@ -527,6 +527,11 @@ impl Argus {
     ///   parity check is provably silent and only the block-level checks
     ///   (static DCS, successor hand-off, out-of-range load parity) carry
     ///   information;
+    /// * no live fault on a checker site arms by the block's worst-case end
+    ///   (`gate.armed` holds no foreign site): the per-commit checks tap the
+    ///   checker's own sites on every op, which a batch cannot replay. A
+    ///   fault armed on a machine site is fine — the machine's gate already
+    ///   proved the block cannot tap it;
     /// * the plan is canonical (`argus_simple`: one CTI right before the
     ///   delay slot, or none) and store-free, so its execution is
     ///   guaranteed complete and the slot-parse order is static;
@@ -535,7 +540,7 @@ impl Argus {
     /// * the watchdog is idle and no single op can stall it to saturation;
     /// * the CFC sits exactly at a block boundary.
     pub fn block_ready(&self, gate: &BlockGate, inj: &FaultInjector) -> bool {
-        if inj.first_flip_cycle().is_some() {
+        if inj.first_flip_cycle().is_some() || gate.armed.has_foreign() {
             return false;
         }
         if !gate.argus_simple || gate.has_store || gate.len > self.cfg.max_block_len {

@@ -1040,16 +1040,18 @@ fn faulty_loop(
     loop {
         // Block-compiled fast path: retire a whole basic block per loop
         // iteration when every gate passes. `plan_block` refuses unless the
-        // block provably finishes inside both `window` and the injector's
-        // quiescent horizon (so no tap inside it could have fired), and the
-        // checker — while still live — additionally requires a block it can
-        // verify as one batch (`block_ready`: pristine run, simple
+        // block provably finishes inside `window` and cannot tap the site
+        // of any live fault armed by its end (the tap-set gate: no tap
+        // inside it could fire), and the checker — while still live —
+        // additionally requires a block it can verify as one batch
+        // (`block_ready`: pristine run, no armed checker-site fault, simple
         // store-free block, watchdog checker idle). Post-detection only
         // the machine-side gates apply, mirroring the skipped `on_commit`
         // below. `tick_many` settles the supervision-watchdog debt for the
-        // interpreter iterations the block replaced (quiescent execution
-        // never stalls, so retired ops == replaced iterations), keeping
-        // the hung/not-hung verdict bit-identical to the one-step loop.
+        // interpreter iterations the block replaced (a block never runs
+        // while a stall fault is armed — every op taps the stall site — so
+        // retired ops == replaced iterations), keeping the hung/not-hung
+        // verdict bit-identical to the one-step loop.
         if let Some(gate) = m.plan_block(inj, window) {
             if first.is_some() || argus.block_ready(&gate, inj) {
                 if let Some(commit) = m.exec_block(inj, &gate) {

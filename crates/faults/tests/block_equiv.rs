@@ -1,18 +1,26 @@
-//! Block-compiled execution equivalence (the tentpole's safety net).
+//! Block-compiled execution equivalence.
 //!
 //! The JIT-lite block engine is an optimisation, never a semantic change:
 //! machine trajectories, checker verdicts, and campaign classifications
 //! must be bit-identical with the plan cache on or off. These tests sweep
 //! the whole workload suite (plus the stress kernel) and real injection
-//! campaigns — faults arm at arbitrary cycles, including mid-block, which
-//! exercises the quiescent-horizon gate and the interpreter fallback.
+//! campaigns — faults arm at arbitrary cycles, including mid-block, and
+//! permanent faults stay armed to the end, which exercises the tap-set
+//! gate (blocks run while a fault is armed on a site they cannot tap) and
+//! the interpreter fallback.
 
 use argus_compiler::{compile, preplan, EmbedConfig, Mode, Program};
 use argus_core::{Argus, ArgusConfig};
-use argus_faults::campaign::{run_campaign, CampaignConfig};
+use argus_faults::campaign::{
+    prepare_campaign, run_injection_in, CampaignConfig, CampaignWorkspace, ExecStats,
+    InjectionResult,
+};
+use argus_isa::decode::decode;
 use argus_machine::{Machine, MachineConfig, SnapshotState, StepOutcome};
-use argus_sim::fault::{FaultInjector, FaultKind};
+use argus_mem::MemConfig;
+use argus_sim::fault::{Fault, FaultInjector, FaultKind, SiteFlavor};
 use argus_workloads::Workload;
+use std::collections::HashMap;
 
 const BOUND: u64 = 500_000_000;
 
@@ -144,18 +152,70 @@ fn batched_checking_matches_per_op_checking_on_every_suite_workload() {
     }
 }
 
-/// Full campaigns — transient and permanent faults, with and without
-/// snapshot forking — classify every injection identically with the block
-/// engine on or off. Arm cycles land anywhere in the golden window, so
-/// faults routinely arm mid-block and force the quiescent-horizon bail
-/// back to the interpreter.
+/// The tap-set gate is only as sound as `Machine::op_taps` is complete:
+/// for every machine site and every instruction of every suite workload, a
+/// permanent, fully sensitized fault armed at the first cycle may only
+/// flip during one `step` if the site is in that instruction's static tap
+/// set.
 #[test]
-fn campaigns_classify_identically_with_block_exec_on_and_off() {
-    let w = argus_workloads::stress();
+fn op_tap_sets_cover_every_tap_a_step_makes() {
+    let mut sites: Vec<&'static str> =
+        argus_machine::sites::core_sites().iter().map(|s| s.name).collect();
+    sites.sort_unstable();
+    sites.dedup();
+    let mut instrs: HashMap<argus_isa::instr::Instr, u32> = HashMap::new();
+    for w in &all_workloads() {
+        for &word in &build(w).code {
+            instrs.entry(decode(word)).or_insert(word);
+        }
+    }
+    assert!(instrs.len() > 100, "the suite decodes to a real instruction mix");
+    for argus_mode in [true, false] {
+        // One small-memory machine per instruction, cloned per site: loads
+        // and stores from the seeded registers stay simulable either way.
+        let cfg = MachineConfig {
+            argus_mode,
+            mem: MemConfig { mem_bytes: 4096, ..MemConfig::default() },
+            ..MachineConfig::default()
+        };
+        for (instr, &word) in &instrs {
+            let mut base = Machine::new(cfg);
+            base.load_code(0, &[word]);
+            for r in 1..32u8 {
+                base.set_reg(argus_isa::reg::Reg::new(r), 0x0101_0101u32.wrapping_mul(r as u32));
+            }
+            let taps = Machine::op_taps(instr, argus_mode);
+            for &site in &sites {
+                let mut m = base.clone();
+                let mut inj = FaultInjector::with_fault(Fault {
+                    site,
+                    bit: 2,
+                    kind: FaultKind::Permanent,
+                    arm_cycle: 0,
+                    flavor: SiteFlavor::Single,
+                    width: 32,
+                    sensitization: 1.0,
+                });
+                m.step(&mut inj);
+                assert!(
+                    inj.flip_count() == 0 || taps.contains(site),
+                    "{instr:?} (argus={argus_mode}) tapped {site} outside its static tap set"
+                );
+            }
+        }
+    }
+}
+
+/// Runs `w`'s campaign with the block engine on and off and requires
+/// identical per-injection classifications, for both fault kinds, with and
+/// without snapshot forking. Returns the plan hits taken while a fault was
+/// armed, summed over the block-on campaigns.
+fn assert_campaigns_identical(w: &Workload, injections: usize, snapshot_every: u64) -> u64 {
+    let mut armed_hits = 0;
     for kind in [FaultKind::Transient, FaultKind::Permanent] {
-        for snapshot_every in [None, Some(500)] {
+        for snapshot_every in [None, Some(snapshot_every)] {
             let base = CampaignConfig {
-                injections: 40,
+                injections,
                 kind,
                 seed: 0xB10CEC5,
                 snapshot_every,
@@ -166,18 +226,50 @@ fn campaigns_classify_identically_with_block_exec_on_and_off() {
             let mut off_cfg = base;
             off_cfg.mcfg.block_exec = false;
 
-            let on = run_campaign(&w, &on_cfg);
-            let off = run_campaign(&w, &off_cfg);
+            let (on, on_exec) = campaign(w, &on_cfg);
+            let (off, off_exec) = campaign(w, &off_cfg);
 
+            let ctx = format!("{} {kind:?}, snapshots {snapshot_every:?}", w.name);
+            assert_eq!(on.1, off.1, "golden trajectory diverged ({ctx})");
             assert_eq!(
-                on.golden_cycles, off.golden_cycles,
-                "golden trajectory diverged ({kind:?}, snapshots {snapshot_every:?})"
+                format!("{:?}", on.0),
+                format!("{:?}", off.0),
+                "classification diverged ({ctx})"
             );
-            assert_eq!(
-                format!("{:?}", on.results),
-                format!("{:?}", off.results),
-                "classification diverged ({kind:?}, snapshots {snapshot_every:?})"
-            );
+            assert_eq!(off_exec.plan_hits, 0, "plan cache leaked past the knob ({ctx})");
+            armed_hits += on_exec.armed_plan_hits;
         }
     }
+    armed_hits
+}
+
+/// `run_campaign`'s serial loop, also returning the workspace's
+/// plan-cache counters: `((results, golden cycles), exec stats)`.
+fn campaign(w: &Workload, cfg: &CampaignConfig) -> ((Vec<InjectionResult>, u64), ExecStats) {
+    let cfg = &cfg.sized_for(w);
+    let prep = prepare_campaign(w, cfg);
+    let mut ws = CampaignWorkspace::new();
+    let results =
+        (0..prep.injections()).map(|i| run_injection_in(&prep, cfg, i, &mut ws)).collect();
+    ((results, prep.golden_cycles()), ws.exec_stats())
+}
+
+/// Full campaigns — transient and permanent faults, with and without
+/// snapshot forking — classify every injection identically with the block
+/// engine on or off. Arm cycles land anywhere in the golden window, so
+/// faults routinely arm mid-block; permanent faults then stay armed for
+/// the rest of the run, where blocks keep executing whenever they cannot
+/// tap the fault's site.
+#[test]
+fn campaigns_classify_identically_with_block_exec_on_and_off() {
+    let armed = assert_campaigns_identical(&argus_workloads::stress(), 120, 500);
+    assert!(armed > 0, "stress campaigns never ran a block while a fault was armed");
+}
+
+/// The same identity on pegwit, the permanent-fault throughput workload:
+/// a longer golden run with a different instruction mix.
+#[test]
+fn pegwit_campaigns_classify_identically_with_block_exec_on_and_off() {
+    let armed = assert_campaigns_identical(&argus_workloads::pegwit::pegwit(), 40, 4000);
+    assert!(armed > 0, "pegwit campaigns never ran a block while a fault was armed");
 }

@@ -1,11 +1,12 @@
-//! Block-compiled golden execution (JIT-lite).
+//! Block-compiled execution (JIT-lite).
 //!
-//! The interpreter dispatches one instruction per [`Machine::step`] even on
-//! quiescent golden runs, where every fault tap is an identity function and
-//! every per-step fault hook is dead weight. This module lowers basic
-//! blocks — the unit the Argus checker already works in — into pre-decoded
-//! straight-line *plans* and executes a whole plan per dispatch whenever it
-//! is provably safe to do so.
+//! The interpreter dispatches one instruction per [`Machine::step`] and
+//! evaluates every fault tap on the way, even where no live fault can
+//! match one. This module lowers basic blocks — the unit the Argus checker
+//! already works in — into pre-decoded straight-line *plans* and executes
+//! a whole plan per dispatch whenever it is provably safe to do so: on
+//! golden runs, before a fault arms, and while a fault is armed on a site
+//! the block never taps.
 //!
 //! # Plans are a pure function of program bytes
 //!
@@ -16,21 +17,28 @@
 //! op records the raw word, its decode, its embedded signature bits, and —
 //! for linking jumps — the link-register value, which the interpreter
 //! derives from the live signature bit stream but a plan knows statically.
+//! The plan also records its *tap set*: the union of
+//! [`Machine::op_taps`] over its ops, i.e. every fault site the
+//! interpreter could tap while executing the block.
 //!
 //! Plans live in a direct-mapped [`PlanCache`] keyed on the entry address.
 //! Like the predecode memo, the cache is excluded from snapshots and
-//! fingerprints: a stale entry can never produce wrong execution because it
-//! is *validated against program bytes* before and during use:
+//! fingerprints, and it survives snapshot restores. A stale entry can
+//! never produce wrong execution because it is *validated against program
+//! bytes* before use:
 //!
-//! - on lookup, the entry's first word is compared against main memory; a
-//!   mismatch rebuilds the plan (entry-level staleness);
-//! - during execution, every op's fetched word is compared against the
-//!   plan's word; a mismatch — only possible when an earlier op of the same
-//!   block stored over upcoming code — executes the *freshly fetched* word
-//!   through the generic path and hands control back to the interpreter
-//!   (mid-block staleness, see [`BlockCommit::complete`]).
+//! - each plan is stamped with a fresh memory write generation when it is
+//!   built or validated; on lookup, if any page it spans was written since
+//!   (`MainMemory::page_dirty_since`) — by a store, a host write or a
+//!   snapshot restore — all of its words are re-checked against memory,
+//!   and a mismatch rebuilds it;
+//! - during execution, only the block's own stores can change memory; one
+//!   that rewrites an upcoming op of the same block ends the plan right
+//!   after the store and hands control back to the interpreter, which then
+//!   fetches the new word (mid-block staleness, see
+//!   [`BlockCommit::complete`]).
 //!
-//! # Fallback rules
+//! # The gate
 //!
 //! [`Machine::plan_block`] declines (and the caller falls back to the
 //! one-step interpreter) unless all of these hold:
@@ -41,26 +49,33 @@
 //!   boundary);
 //! - the current PC begins a plannable block (a terminator within the scan
 //!   cap, all words in range);
-//! - `cycle + plan.worst_cycles` stays within both the caller's cycle
-//!   bound and [`FaultInjector::quiescent_horizon`] — so every fault tap
-//!   the interpreter would have evaluated inside the block is provably an
-//!   identity function, and the run stops at the exact same cycle under
-//!   either engine.
+//! - `cycle + plan.worst_cycles` stays within the caller's cycle bound, so
+//!   the run stops at the exact same cycle under either engine;
+//! - every live fault that arms at or before that worst-case end targets a
+//!   site outside the plan's tap set (the *tap-set gate*). Past the
+//!   injector's [`FaultInjector::quiescent_horizon`] the gate resolves each
+//!   live fault's site to its [`TapSet`] bit, once per injector.
 //!
-//! Under those gates a complete plan execution is bit-identical to the
-//! interpreter by construction — same registers, parity, flag, memory,
-//! cache timing state, cycle count and PC — which the equivalence suite
-//! (`argus-faults/tests/block_equiv.rs`) checks property-style over every
-//! suite workload.
+//! Under those gates no tap inside the block can match a live fault, so
+//! every tap the interpreter would evaluate is an identity function that
+//! leaves the injector untouched (masking draws and transient expiry only
+//! advance on a matching tap). A complete plan execution is therefore
+//! bit-identical to the interpreter — same registers, parity, flag, memory,
+//! cache timing state, cycle count, PC and injector state — which the
+//! equivalence suite (`argus-faults/tests/block_equiv.rs`) checks over
+//! every suite workload, fault-free and under armed campaigns. Stalls come
+//! only from a fault on the stall-release site, which every op taps, so a
+//! block never replaces a stalled interpreter iteration.
 
 use crate::exec;
 use crate::machine::Machine;
+use crate::sites::TapSet;
 use argus_isa::decode::decode;
 use argus_isa::encode::embedded_bits_packed;
 use argus_isa::instr::{Instr, MemSize, MulDivOp};
 use argus_isa::reg::Reg;
 use argus_isa::{pack_indirect_target, split_indirect_target, INDIRECT_ADDR_MASK};
-use argus_mem::MemorySystem;
+use argus_mem::{MainMemory, MemorySystem, DIRTY_PAGE_WORDS};
 use argus_sim::bits::parity32;
 use argus_sim::bitstream::{BitStream, PackedBits};
 use argus_sim::fault::FaultInjector;
@@ -76,8 +91,8 @@ const PLAN_SLOTS: usize = 512;
 /// One pre-decoded instruction of a block plan.
 #[derive(Debug, Clone, Copy)]
 struct PlanOp {
-    /// The raw program word the decode came from (validated against every
-    /// fetch; see the module docs on mid-block staleness).
+    /// The raw program word the decode came from (re-checked against
+    /// memory whenever its page is written; see the module docs).
     word: u32,
     instr: Instr,
     /// Embedded signature bits of `word` (batched checking + bit-stream
@@ -92,20 +107,29 @@ struct PlanOp {
 /// A compiled straight-line plan for one basic block.
 ///
 /// Pure function of the machine configuration and the program words at
-/// `[addr, addr + 4 * len)`; holds no machine state.
+/// `[addr, addr + 4 * len)`; the only machine state it holds is the write
+/// generation it was last validated at.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
     addr: u32,
-    first_word: u32,
+    /// Words the build scanned from `addr` (the plan's length, or the
+    /// whole unsuccessful scan of a negative plan): the bytes it depends on.
+    span_words: u32,
+    /// Memory write generation at which the scanned words were last known
+    /// to match the plan: no page they live on may have been written at or
+    /// after it for the plan to be used unchecked.
+    stamp: u64,
     /// Empty for a *negative* plan: an address where no well-formed block
     /// terminator exists within the scan cap (cached so unplannable
     /// addresses don't rescan every visit).
     ops: Vec<PlanOp>,
+    /// Every fault site the interpreter could tap executing this block.
+    taps: TapSet,
     /// FNV-1a over the plan's words: checker-side memo key.
     words_hash: u64,
     /// Worst-case cycles a full execution can charge (every fetch and data
     /// access missing, dirty writebacks, div latency). Overestimates only:
-    /// used to gate against cycle bounds and the quiescent horizon.
+    /// used to gate against cycle bounds and fault arm cycles.
     worst_cycles: u64,
     /// Worst-case stall (cycles − 1) of any single op, for the checker's
     /// watchdog gate.
@@ -120,12 +144,12 @@ pub struct BlockPlan {
 }
 
 impl BlockPlan {
-    /// Scans program bytes forward from `addr` and compiles a plan.
-    /// Returns a negative (empty) plan when no terminator is found within
-    /// [`MAX_PLAN_OPS`] or the scan walks out of memory.
+    /// Scans program bytes forward from `addr` and compiles a plan (the
+    /// caller stamps it). Returns a negative (empty) plan when no
+    /// terminator is found within [`MAX_PLAN_OPS`] or the scan walks out
+    /// of memory.
     fn build(cfg: &crate::machine::MachineConfig, mem: &MemorySystem, addr: u32) -> BlockPlan {
         let addr = addr & !3;
-        let first_word = mem.memory().read(addr).map(|(w, _)| w).unwrap_or(0);
         let argus = cfg.argus_mode;
         // Worst-case latencies; `fetch` never writes back, data ops might.
         let fetch_worst = cfg.mem.hit_cycles + cfg.mem.miss_penalty;
@@ -141,6 +165,8 @@ impl BlockPlan {
         let mut cti_count = 0u32;
         let mut cti_at = None;
         let mut hash = crate::snapshot::Fnv64::new();
+        let mut taps = TapSet::EMPTY;
+        let mut span_words = 0u32;
         let mut complete = false;
 
         for k in 0..MAX_PLAN_OPS {
@@ -148,7 +174,9 @@ impl BlockPlan {
             let Ok((word, _tag)) = mem.memory().read(pc) else {
                 break;
             };
+            span_words += 1;
             let instr = decode(word);
+            taps = taps.union(Machine::op_taps(&instr, argus));
             let embedded = embedded_bits_packed(word);
             bits.push_packed(embedded);
             let in_delay = delay;
@@ -197,6 +225,7 @@ impl BlockPlan {
         }
         if !complete {
             ops.clear();
+            taps = TapSet::EMPTY;
             worst_cycles = 0;
             max_op_cycles = 0;
             has_store = false;
@@ -209,8 +238,10 @@ impl BlockPlan {
             };
         BlockPlan {
             addr,
-            first_word,
+            span_words,
+            stamp: 0,
             ops,
+            taps,
             words_hash: hash.finish(),
             worst_cycles,
             max_op_stall: max_op_cycles.saturating_sub(1),
@@ -280,6 +311,27 @@ impl BlockPlan {
     pub fn worst_cycles(&self) -> u64 {
         self.worst_cycles
     }
+
+    /// Whether no page the plan's words live on was written since its stamp.
+    fn pages_clean(&self, mem: &MainMemory) -> bool {
+        let first = (self.addr / 4) as usize;
+        let last = first + self.span_words.max(1) as usize - 1;
+        (first / DIRTY_PAGE_WORDS..=last / DIRTY_PAGE_WORDS)
+            .all(|page| !mem.page_dirty_since(page, self.stamp))
+    }
+
+    /// Whether memory still holds every word the plan was built from
+    /// (always false for a negative plan, which keeps none).
+    fn words_match(&self, mem: &MainMemory) -> bool {
+        !self.is_empty() && self.words_match_from(mem, 0)
+    }
+
+    /// Whether memory still holds the plan's words from op `from` on.
+    fn words_match_from(&self, mem: &MainMemory, from: usize) -> bool {
+        self.ops.iter().enumerate().skip(from).all(|(k, op)| {
+            mem.read(self.addr.wrapping_add(4 * k as u32)).is_ok_and(|(w, _)| w == op.word)
+        })
+    }
 }
 
 /// What the interpreter's link-value computation would produce given the
@@ -313,6 +365,11 @@ pub struct BlockGate {
     pub max_op_stall: u32,
     /// Checker-side memo key (with `addr`).
     pub words_hash: u64,
+    /// The sites of every live fault that arms at or before the block's
+    /// worst-case end (empty while the injector is quiescent throughout).
+    /// Never intersects the block's own tap set — that is the gate — but
+    /// may hold the foreign bit: a fault on a site only the checker taps.
+    pub armed: TapSet,
 }
 
 /// A load whose word address fell outside main memory during a block
@@ -340,8 +397,9 @@ pub struct BlockCommit {
     /// Instructions actually retired (== plan length when `complete`).
     pub executed: u32,
     /// Whether the whole plan ran. `false` means an in-block store rewrote
-    /// an upcoming word: the fresh word was executed generically and the
-    /// machine is mid-block — the caller must resume the interpreter.
+    /// an upcoming word: execution stopped right after the store and the
+    /// machine is mid-block — the caller must resume the interpreter,
+    /// which fetches the new word.
     pub complete: bool,
     /// PC of the last retired instruction.
     pub last_pc: u32,
@@ -372,6 +430,9 @@ pub struct ExecStats {
     pub predecode_misses: u64,
     /// Block plans executed to completion.
     pub plan_hits: u64,
+    /// Of `plan_hits`, those executed while a live fault was armed (on a
+    /// site the block cannot tap): how often the tap-set gate engages.
+    pub armed_plan_hits: u64,
     /// Block plans (re)built.
     pub plan_misses: u64,
     /// Plan cache slots whose previous occupant was replaced or dropped.
@@ -386,6 +447,7 @@ impl ExecStats {
         self.predecode_hits += other.predecode_hits;
         self.predecode_misses += other.predecode_misses;
         self.plan_hits += other.plan_hits;
+        self.armed_plan_hits += other.armed_plan_hits;
         self.plan_misses += other.plan_misses;
         self.plan_evictions += other.plan_evictions;
         self.plan_fallbacks += other.plan_fallbacks;
@@ -398,22 +460,31 @@ impl ExecStats {
 }
 
 /// Direct-mapped plan cache. Excluded from snapshots and fingerprints:
-/// entries are validated against program bytes before and during use, so a
-/// stale entry is rebuilt (or bailed out of), never wrong.
+/// entries are validated against program bytes before use, so a stale
+/// entry is rebuilt (or bailed out of), never wrong.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCache {
     slots: Box<[Option<Box<BlockPlan>>]>,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-    pub(crate) evictions: u64,
-    pub(crate) fallbacks: u64,
+    /// [`TapSet`] of each fault of the injector with id `sites_of`, in slot
+    /// order: the site-name lookup the tap-set gate needs, done once per
+    /// injector.
+    fault_sites: Vec<TapSet>,
+    sites_of: u64,
+    hits: u64,
+    armed_hits: u64,
+    misses: u64,
+    evictions: u64,
+    fallbacks: u64,
 }
 
 impl PlanCache {
     pub(crate) fn new() -> Self {
         Self {
             slots: vec![None; PLAN_SLOTS].into_boxed_slice(),
+            fault_sites: Vec::new(),
+            sites_of: 0,
             hits: 0,
+            armed_hits: 0,
             misses: 0,
             evictions: 0,
             fallbacks: 0,
@@ -427,25 +498,35 @@ impl PlanCache {
 }
 
 impl Machine {
-    /// Ensures the cache slot for `addr` holds a fresh plan (rebuilding on
-    /// entry-word mismatch). Returns the slot index if `addr` begins a
-    /// plannable block.
+    /// Ensures the cache slot for `addr` holds a plan that matches program
+    /// memory: a plan whose pages were written since its stamp has all its
+    /// words re-checked (and is restamped, or rebuilt on a mismatch).
+    /// Returns the slot index if `addr` begins a plannable block.
     fn ensure_plan(&mut self, addr: u32) -> Option<usize> {
         let addr = addr & !3;
+        self.mem.memory().read(addr).ok()?;
         let idx = PlanCache::index(addr);
-        let first = self.mem.memory().read(addr).ok()?.0;
-        let fresh = matches!(&self.plans.slots[idx],
-            Some(p) if p.addr == addr && p.first_word == first);
-        if !fresh {
-            let plan = BlockPlan::build(&self.cfg, &self.mem, addr);
-            if self.plans.slots[idx].is_some() {
-                self.plans.evictions += 1;
+        let mem = self.mem.memory();
+        match self.plans.slots[idx].as_deref() {
+            Some(p) if p.addr == addr && p.pages_clean(mem) => {
+                return (!p.is_empty()).then_some(idx);
             }
-            self.plans.misses += 1;
-            self.plans.slots[idx] = Some(Box::new(plan));
+            Some(p) if p.addr == addr && p.words_match(mem) => {}
+            occupant => {
+                if occupant.is_some() {
+                    self.plans.evictions += 1;
+                }
+                self.plans.misses += 1;
+                let plan = BlockPlan::build(&self.cfg, &self.mem, addr);
+                self.plans.slots[idx] = Some(Box::new(plan));
+            }
         }
-        let plannable = !self.plans.slots[idx].as_ref().expect("slot just filled").is_empty();
-        plannable.then_some(idx)
+        // Built or re-checked just now: stamp with a fresh generation, so
+        // any later write to the plan's pages is seen.
+        let stamp = self.mem.memory_mut().advance_generation();
+        let plan = self.plans.slots[idx].as_deref_mut().expect("slot just filled");
+        plan.stamp = stamp;
+        (!plan.is_empty()).then_some(idx)
     }
 
     /// Warms the plan cache for the block at `addr` (compiler lowering
@@ -462,10 +543,10 @@ impl Machine {
     }
 
     /// Decides whether the block at the current PC may run as one compiled
-    /// plan, applying every fallback rule in the module docs. `cycle_bound`
-    /// is the caller's stopping bound (e.g. `max_cycles`): the block is
-    /// declined unless it provably finishes within it, so both engines stop
-    /// at the identical cycle.
+    /// plan, applying every rule in the module docs. `cycle_bound` is the
+    /// caller's stopping bound (e.g. `max_cycles`): the block is declined
+    /// unless it provably finishes within it, so both engines stop at the
+    /// identical cycle.
     pub fn plan_block(&mut self, inj: &FaultInjector, cycle_bound: u64) -> Option<BlockGate> {
         if !self.cfg.block_exec
             || self.halted
@@ -478,10 +559,10 @@ impl Machine {
         let idx = self.ensure_plan(self.pc)?;
         let plan = self.plans.slots[idx].as_deref().expect("ensured");
         let end = self.cycle.checked_add(plan.worst_cycles)?;
-        if end > cycle_bound || end > inj.quiescent_horizon() {
+        if end > cycle_bound {
             return None;
         }
-        Some(BlockGate {
+        let mut gate = BlockGate {
             addr: plan.addr,
             len: plan.ops.len() as u32,
             has_store: plan.has_store,
@@ -489,13 +570,37 @@ impl Machine {
             argus_simple: plan.argus_simple,
             max_op_stall: plan.max_op_stall,
             words_hash: plan.words_hash,
-        })
+            armed: TapSet::EMPTY,
+        };
+        let taps = plan.taps;
+        if end >= inj.quiescent_horizon() {
+            gate.armed = self.armed_sites(inj, end);
+            if gate.armed.intersects(taps) {
+                return None;
+            }
+        }
+        Some(gate)
+    }
+
+    /// The sites of every live fault in `inj` that arms at or before `end`,
+    /// resolving fault sites to [`TapSet`] bits once per injector.
+    fn armed_sites(&mut self, inj: &FaultInjector, end: u64) -> TapSet {
+        let cache = &mut self.plans;
+        if cache.sites_of != inj.id() {
+            cache.fault_sites.clear();
+            cache.fault_sites.extend(inj.faults().map(|f| TapSet::site(f.site)));
+            cache.sites_of = inj.id();
+        }
+        inj.live_faults()
+            .filter(|(_, f)| f.arm_cycle <= end)
+            .fold(TapSet::EMPTY, |armed, (k, _)| armed.union(cache.fault_sites[k]))
     }
 
     /// Executes the plan approved by [`Machine::plan_block`]. Returns
-    /// `None` (machine untouched) if the machine moved since the gate was
-    /// issued; otherwise retires the block's instructions with semantics
-    /// bit-identical to the same number of interpreter steps.
+    /// `None` (machine untouched) if the machine or the plan's program
+    /// bytes moved since the gate was issued; otherwise retires the block's
+    /// instructions with semantics bit-identical to the same number of
+    /// interpreter steps.
     pub fn exec_block(&mut self, inj: &mut FaultInjector, gate: &BlockGate) -> Option<BlockCommit> {
         if self.halted || self.pc != gate.addr || self.delay_slot || self.pending_branch.is_some() {
             return None;
@@ -504,13 +609,16 @@ impl Machine {
         // Take the plan out of its slot so executing (which borrows the
         // machine mutably) cannot alias it.
         let plan = self.plans.slots[idx].take()?;
-        if plan.addr != gate.addr || plan.is_empty() {
+        if plan.addr != gate.addr || plan.is_empty() || !plan.pages_clean(self.mem.memory()) {
             self.plans.slots[idx] = Some(plan);
             return None;
         }
         let commit = self.exec_plan_ops(&plan);
         if commit.complete {
             self.plans.hits += 1;
+            if !gate.armed.is_empty() {
+                self.plans.armed_hits += 1;
+            }
             self.plans.slots[idx] = Some(plan);
         } else {
             // The block stored over its own upcoming words; drop the stale
@@ -541,6 +649,7 @@ impl Machine {
             predecode_hits,
             predecode_misses,
             plan_hits: std::mem::take(&mut self.plans.hits),
+            armed_plan_hits: std::mem::take(&mut self.plans.armed_hits),
             plan_misses: std::mem::take(&mut self.plans.misses),
             plan_evictions: std::mem::take(&mut self.plans.evictions),
             plan_fallbacks: std::mem::take(&mut self.plans.fallbacks),
@@ -548,8 +657,9 @@ impl Machine {
     }
 
     /// The straight-line executor: an unrolled, tap-free rendition of
-    /// [`Machine::step`]'s quiescent path. Every per-op fetch revalidates
-    /// the plan's word; see the module docs for the mid-block bail.
+    /// [`Machine::step`]. The plan matched memory at entry, so only an
+    /// in-block store can make an upcoming word stale; one that does ends
+    /// the plan early (see the module docs).
     fn exec_plan_ops(&mut self, plan: &BlockPlan) -> BlockCommit {
         let mut pc = self.pc;
         let mut last_pc = pc;
@@ -557,39 +667,14 @@ impl Machine {
         let mut indirect_dcs = None;
         let mut oob_loads: Vec<OobLoad> = Vec::new();
         for (k, op) in plan.ops.iter().enumerate() {
-            let (raw, fetch_cycles) = self.mem.fetch(pc);
-            if raw != op.word {
-                self.exec_stale_op(
-                    plan,
-                    k,
-                    pc,
-                    raw,
-                    fetch_cycles,
-                    &mut cti_flag,
-                    &mut indirect_dcs,
-                    &mut oob_loads,
-                );
-                return BlockCommit {
-                    addr: plan.addr,
-                    executed: k as u32 + 1,
-                    complete: false,
-                    last_pc: pc,
-                    end_cycle: self.cycle,
-                    ended_by_cti: false,
-                    cti_flag,
-                    indirect_dcs,
-                    halted: self.halted,
-                    flag_after: self.flag,
-                    oob_loads,
-                };
-            }
+            let (_, fetch_cycles) = self.mem.fetch(pc);
             let in_delay = self.delay_slot;
             self.delay_slot = false;
             let oob_before = oob_loads.len();
             let (mem_cycles, extra_cycles, new_pending) = self.exec_op_quiescent(
                 op.instr,
                 pc,
-                Some(op.link_value),
+                op.link_value,
                 &mut cti_flag,
                 &mut indirect_dcs,
                 &mut oob_loads,
@@ -606,6 +691,31 @@ impl Machine {
             self.retired += 1;
             for e in &mut oob_loads[oob_before..] {
                 e.end_cycle = self.cycle;
+            }
+            if matches!(op.instr, Instr::Store { .. })
+                && !plan.pages_clean(self.mem.memory())
+                && !plan.words_match_from(self.mem.memory(), k + 1)
+            {
+                // Mid-block staleness: stop exactly `k + 1` interpreter
+                // steps in, holding the signature bits the interpreter
+                // would, so it resumes by fetching the rewritten word.
+                for done in &plan.ops[..=k] {
+                    self.block_bits.push_packed(done.embedded);
+                }
+                self.pc = pc;
+                return BlockCommit {
+                    addr: plan.addr,
+                    executed: k as u32 + 1,
+                    complete: false,
+                    last_pc,
+                    end_cycle: self.cycle,
+                    ended_by_cti: false,
+                    cti_flag,
+                    indirect_dcs,
+                    halted: self.halted,
+                    flag_after: self.flag,
+                    oob_loads,
+                };
             }
         }
         self.pc = pc;
@@ -627,68 +737,17 @@ impl Machine {
         }
     }
 
-    /// Mid-block staleness: an earlier op of this very block stored over
-    /// the word the plan expected at `pc`. The fetch already happened (and
-    /// advanced cache state), so the freshly fetched word is executed here
-    /// through the generic quiescent path after reconstructing the
-    /// signature bit stream the interpreter would hold — leaving the
-    /// machine exactly where `k + 1` interpreter steps would.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_stale_op(
-        &mut self,
-        plan: &BlockPlan,
-        k: usize,
-        pc: u32,
-        raw: u32,
-        fetch_cycles: u32,
-        cti_flag: &mut Option<bool>,
-        indirect_dcs: &mut Option<u32>,
-        oob_loads: &mut Vec<OobLoad>,
-    ) {
-        for op in &plan.ops[..k] {
-            self.block_bits.push_packed(op.embedded);
-        }
-        let instr = decode(raw);
-        self.block_bits.push_packed(embedded_bits_packed(raw));
-        let in_delay = self.delay_slot;
-        self.delay_slot = false;
-        let mut block_end = in_delay;
-        if matches!(instr, Instr::Sig { eob: true, .. } | Instr::Halt) {
-            block_end = true;
-        }
-        let oob_before = oob_loads.len();
-        let (mem_cycles, extra_cycles, new_pending) =
-            self.exec_op_quiescent(instr, pc, None, cti_flag, indirect_dcs, oob_loads);
-        let seq = pc.wrapping_add(4);
-        let next = if in_delay { self.pending_branch.take().unwrap_or(seq) } else { seq };
-        if instr.is_cti() {
-            self.pending_branch = new_pending;
-            self.delay_slot = true;
-        }
-        self.pc = next & !3;
-        self.cycle += (fetch_cycles + mem_cycles + extra_cycles) as u64;
-        self.retired += 1;
-        for e in &mut oob_loads[oob_before..] {
-            e.end_cycle = self.cycle;
-        }
-        if block_end {
-            self.block_bits.clear();
-        }
-    }
-
-    /// Executes one decoded instruction with quiescent (identity-tap)
-    /// semantics: the exact state updates of [`Machine::step`] minus the
-    /// fault taps, commit-record plumbing and fetch (already done by the
-    /// caller). Returns `(mem_cycles, extra_cycles, new_pending_branch)`.
-    ///
-    /// `link_value`: `Some` uses the plan's precomputed value (the clean
-    /// path never materializes signature bits); `None` derives it from the
-    /// live bit stream (the stale-op path, where the bits are real).
+    /// Executes one decoded instruction with identity-tap semantics: the
+    /// exact state updates of [`Machine::step`] minus the fault taps,
+    /// commit-record plumbing and fetch (already done by the caller).
+    /// `link_value` is the plan's precomputed link-register value (the
+    /// plan path never materializes signature bits). Returns
+    /// `(mem_cycles, extra_cycles, new_pending_branch)`.
     fn exec_op_quiescent(
         &mut self,
         instr: Instr,
         pc: u32,
-        link_value: Option<u32>,
+        link_value: u32,
         cti_flag: &mut Option<bool>,
         indirect_dcs: &mut Option<u32>,
         oob_loads: &mut Vec<OobLoad>,
@@ -751,8 +810,7 @@ impl Machine {
             Instr::Jump { link, off } => {
                 new_pending = Some(pc.wrapping_add((off as u32) << 2));
                 if link {
-                    let v = link_value.unwrap_or_else(|| self.link_value_quiescent(pc, 1));
-                    self.set_reg(Reg::LR, v);
+                    self.set_reg(Reg::LR, link_value);
                 }
             }
             Instr::JumpReg { link, rb } => {
@@ -760,8 +818,7 @@ impl Machine {
                 let (addr, dcs) = if argus { split_indirect_target(v) } else { (v, 0) };
                 new_pending = Some(addr);
                 if link {
-                    let lv = link_value.unwrap_or_else(|| self.link_value_quiescent(pc, 0));
-                    self.set_reg(Reg::LR, lv);
+                    self.set_reg(Reg::LR, link_value);
                 }
                 *indirect_dcs = argus.then_some(dcs);
             }
@@ -814,18 +871,6 @@ impl Machine {
             }
         }
         (mem_cycles, extra_cycles, new_pending)
-    }
-
-    /// Quiescent rendition of the interpreter's link-value computation,
-    /// reading the live signature bit stream (stale-op path only).
-    fn link_value_quiescent(&self, pc: u32, slot: usize) -> u32 {
-        let ret = pc.wrapping_add(8);
-        if self.cfg.argus_mode {
-            let dcs = self.block_bits.extract(5 * slot, 5) & 31;
-            pack_indirect_target(ret & INDIRECT_ADDR_MASK, dcs)
-        } else {
-            ret
-        }
     }
 }
 
@@ -929,9 +974,9 @@ mod tests {
         assert!(stats.plan_fallbacks > 0, "the stale word must trigger a bail: {stats:?}");
     }
 
-    /// With a fault armed inside a block's cycle span, the plan must be
-    /// declined (quiescent horizon) and the armed path must match the
-    /// always-interpreted machine exactly.
+    /// With a fault armed inside a block's cycle span on a site every
+    /// block taps, the plan must be declined (tap-set gate) and the armed
+    /// path must match the always-interpreted machine exactly.
     #[test]
     fn armed_fault_mid_block_falls_back_identically() {
         use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
@@ -955,6 +1000,101 @@ mod tests {
             assert_eq!(ra, rb, "arm={arm_cycle}");
             assert_eq!(on.state_digest(), off.state_digest(), "arm={arm_cycle}");
             assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "arm={arm_cycle}");
+        }
+    }
+
+    /// A permanent fault stays armed to the end of the run. Blocks that
+    /// cannot tap its site keep running as plans (the tap-set gate); blocks
+    /// that can are interpreted — and either way the run, including every
+    /// flip, matches the always-interpreted machine.
+    #[test]
+    fn permanent_fault_runs_untapping_blocks_identically() {
+        use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
+        let words = demo_program();
+        let cells = crate::machine::RF_CELL_SITES;
+        for (site, untapped) in [
+            (crate::sites::DIV_Q, true),
+            (cells[7], true),
+            (crate::sites::MUL_LO, false),
+            (cells[3], false),
+            (crate::sites::EX_RESULT_BUS, false),
+        ] {
+            for arm_cycle in [0u64, 30] {
+                let fault = Fault {
+                    site,
+                    bit: 4,
+                    kind: FaultKind::Permanent,
+                    arm_cycle,
+                    flavor: SiteFlavor::Single,
+                    width: 32,
+                    sensitization: 1.0,
+                };
+                let mut on = machine(true, true, &words);
+                let mut off = machine(false, true, &words);
+                let mut inj_on = FaultInjector::with_fault(fault.clone());
+                let mut inj_off = FaultInjector::with_fault(fault);
+                let ra = on.run_to_halt(&mut inj_on, 100_000);
+                let rb = off.run_to_halt(&mut inj_off, 100_000);
+                assert_eq!(ra, rb, "{site} arm={arm_cycle}");
+                assert_eq!(on.state_digest(), off.state_digest(), "{site} arm={arm_cycle}");
+                assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "{site} arm={arm_cycle}");
+                let armed = on.take_exec_stats().armed_plan_hits;
+                if untapped {
+                    assert!(armed > 0, "{site}: no block ran while the fault was armed");
+                } else {
+                    assert!(inj_on.flip_count() > 0, "{site}: the program must exercise it");
+                }
+            }
+        }
+    }
+
+    /// The plan cache survives restores, so a rewrite of a *later* word of
+    /// a cached block (the first word is untouched) must be noticed in
+    /// both directions: a plan built from good bytes that were corrupted
+    /// and then restored stays usable, and a plan built from corrupted
+    /// bytes that a restore then repaired is rebuilt — either way the next
+    /// gated execution completes and keeps its plan. A corruption left in
+    /// place executes the new word, like the interpreter.
+    #[test]
+    fn plans_track_later_words_across_restores() {
+        use crate::snapshot::SnapshotState;
+        let words = demo_program();
+        let bad = encode(&Instr::Alu { op: AluOp::Sub, rd: r(4), ra: r(4), rb: r(3) });
+        for case in ["corrupt-then-restore", "built-corrupt-then-restore", "corrupt-kept"] {
+            let mut on = machine(true, true, &words);
+            let mut off = machine(false, true, &words);
+            // Word 1 of the block at 0: not the plan's first word.
+            let (good, tag) = on.mem().memory().read(4).unwrap();
+            let corrupt = |m: &mut Machine| m.mem_mut().memory_mut().write(4, bad, tag).unwrap();
+            let restore =
+                |m: &mut Machine| m.mem_mut().memory_mut().restore_words(1, &[good], &[tag]);
+            match case {
+                "corrupt-then-restore" => {
+                    assert!(on.prepare_plan(0));
+                    corrupt(&mut on);
+                    restore(&mut on);
+                }
+                "built-corrupt-then-restore" => {
+                    corrupt(&mut on);
+                    assert!(on.prepare_plan(0));
+                    restore(&mut on);
+                }
+                _ => {
+                    assert!(on.prepare_plan(0));
+                    corrupt(&mut on);
+                    corrupt(&mut off);
+                }
+            }
+            let mut inj = FaultInjector::none();
+            let gate = on.plan_block(&inj, u64::MAX).expect("the block at 0 plans");
+            let commit = on.exec_block(&mut inj, &gate).expect("gated");
+            assert!(commit.complete, "{case}: the block bailed on a stale word");
+            assert!(on.plan_at(0).is_some(), "{case}: a completed block keeps its plan");
+            on.run_to_halt(&mut inj, 100_000);
+            off.run_to_halt(&mut FaultInjector::none(), 100_000);
+            assert_eq!(on.state_digest(), off.state_digest(), "{case}");
+            assert_eq!(on.state_fingerprint(), off.state_fingerprint(), "{case}");
+            assert_eq!(on.take_exec_stats().plan_fallbacks, 0, "{case}");
         }
     }
 

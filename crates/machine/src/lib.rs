@@ -48,4 +48,5 @@ pub mod snapshot;
 pub use block::{BlockCommit, BlockGate, BlockPlan, ExecStats, OobLoad};
 pub use commit::{BranchInfo, CommitRecord, MemAccess, Operand, Operands};
 pub use machine::{Machine, MachineConfig, RunResult, StepOutcome};
+pub use sites::TapSet;
 pub use snapshot::{CoreState, MachineState, SnapshotState};

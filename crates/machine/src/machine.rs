@@ -4,7 +4,7 @@ use crate::alu;
 use crate::commit::{BranchInfo, CommitRecord, MemAccess, Operand};
 use crate::exec;
 use crate::muldiv;
-use crate::sites;
+use crate::sites::{self, TapSet};
 use argus_isa::decode::decode;
 use argus_isa::instr::Instr;
 use argus_isa::reg::Reg;
@@ -75,10 +75,10 @@ pub struct MachineConfig {
     /// [`crate::predecode::DEFAULT_ENTRIES`]). Purely a perf knob: the memo
     /// is bit-identical to direct decode at every size.
     pub predecode_entries: usize,
-    /// Execute whole pre-compiled blocks on the quiescent fast path (see
-    /// [`crate::block`]). Semantically inert like `predecode`: block plans
-    /// replay the interpreter bit for bit, and any armed fault falls back
-    /// to one-step interpretation before its arm cycle.
+    /// Execute whole pre-compiled blocks wherever no live fault can be
+    /// tapped inside them (see [`crate::block`]). Semantically inert like
+    /// `predecode`: block plans replay the interpreter bit for bit, and a
+    /// block that could tap an armed fault's site is interpreted instead.
     pub block_exec: bool,
 }
 
@@ -689,6 +689,93 @@ impl Machine {
         } else {
             ret
         }
+    }
+
+    /// The static set of fault sites one [`Machine::step`] of `instr` can
+    /// tap — a superset of the taps it actually makes (a branch's target
+    /// adder counts even when the branch falls through). Mirrors `step`
+    /// site by site; the equivalence suite holds the two together.
+    ///
+    /// - Every op taps stall release, fetch, the decode trunk and its three
+    ///   branches, and next-PC.
+    /// - Each source register taps its read-port address, its storage cell
+    ///   and its operand bus.
+    /// - The op class adds its unit: ALU sub-unit, multiplier/divider,
+    ///   compare, branch/flag, link-DCS assist, LSU, and the result and
+    ///   write-port sites of a writeback.
+    pub fn op_taps(instr: &Instr, argus_mode: bool) -> TapSet {
+        use argus_isa::instr::{AluOp, MemSize};
+        // Every set is a `const`: site names resolve at compile time, so
+        // building a plan's tap set costs a few ORs per op.
+        const fn set(names: &[&str]) -> TapSet {
+            let mut t = TapSet::EMPTY;
+            let mut i = 0;
+            while i < names.len() {
+                t = t.union(TapSet::site(names[i]));
+                i += 1;
+            }
+            t
+        }
+        const EVERY_OP: TapSet = set(&[
+            sites::CTL_STALL_RELEASE,
+            sites::IF_IBUS,
+            sites::ID_OPC_TRUNK,
+            sites::ID_OPC_FU,
+            sites::ID_OPC_SUBCHK,
+            sites::ID_OPC_SHS,
+            sites::IF_PC_NEXT,
+        ]);
+        const PORTS: [TapSet; 2] = [
+            set(&[sites::RF_RADDR_A, sites::EX_OPA_BUS]),
+            set(&[sites::RF_RADDR_B, sites::EX_OPB_BUS]),
+        ];
+        const WRITEBACK: TapSet = set(&[sites::EX_RESULT_BUS, sites::RF_WADDR]);
+        const ADDER: TapSet = set(&[sites::ALU_ADDER_OUT]);
+        const LOGIC: TapSet = set(&[sites::ALU_LOGIC_OUT]);
+        const SHIFT: TapSet = set(&[sites::ALU_SHIFT_OUT]);
+        const MUL: TapSet = set(&[sites::MUL_LO, sites::MUL_HI]);
+        const DIV: TapSet = set(&[sites::DIV_Q, sites::DIV_R]);
+        const COMPARE: TapSet = set(&[sites::CMP_FLAG_OUT]);
+        const BRANCH: TapSet = set(&[sites::FLAG_READ, sites::BR_TAKEN, sites::BR_TARGET]);
+        const JUMP: TapSet = set(&[sites::BR_TARGET]);
+        const LINK_DCS: TapSet = set(&[sites::LNK_DCS_MUX, sites::SIG_EXTRACT]);
+        const MEM_ADDR: TapSet =
+            set(&[sites::ALU_ADDER_OUT, sites::LSU_ADDR, sites::DMEM_ROW_ADDR]);
+        const ADDR_XOR: TapSet = set(&[sites::LSU_ADDR_XOR]);
+        const LOAD: TapSet = set(&[sites::LSU_ALIGN_OUT, sites::LSU_LD_BUS, sites::RF_WADDR]);
+        const STORE: TapSet = set(&[sites::LSU_ST_BUS]);
+        const SUBWORD_STORE: TapSet = set(&[sites::LSU_ST_BUS, sites::LSU_ST_MERGE]);
+
+        let alu_unit = |op: AluOp| match op {
+            AluOp::Add | AluOp::Sub => ADDER,
+            AluOp::And | AluOp::Or | AluOp::Xor => LOGIC,
+            AluOp::Sll | AluOp::Srl | AluOp::Sra => SHIFT,
+        };
+        let link = |link: bool| match (link, argus_mode) {
+            (false, _) => TapSet::EMPTY,
+            (true, false) => WRITEBACK,
+            (true, true) => WRITEBACK.union(LINK_DCS),
+        };
+        let mem_addr = if argus_mode { MEM_ADDR.union(ADDR_XOR) } else { MEM_ADDR };
+
+        let mut taps = EVERY_OP;
+        for (k, r) in instr.sources().iter().enumerate() {
+            taps = taps.union(PORTS[k.min(1)]).union(TapSet::cell(r.index()));
+        }
+        taps.union(match *instr {
+            Instr::Alu { op, .. } => alu_unit(op).union(WRITEBACK),
+            Instr::AluImm { op, .. } => alu_unit(exec::alu_imm_base(op)).union(WRITEBACK),
+            Instr::ShiftImm { .. } | Instr::Ext { .. } => SHIFT.union(WRITEBACK),
+            Instr::Movhi { .. } => WRITEBACK,
+            Instr::MulDiv { op, .. } => if op.is_div() { DIV } else { MUL }.union(WRITEBACK),
+            Instr::SetFlag { .. } | Instr::SetFlagImm { .. } => COMPARE,
+            Instr::Branch { .. } => BRANCH,
+            Instr::Jump { link: l, .. } | Instr::JumpReg { link: l, .. } => JUMP.union(link(l)),
+            Instr::Load { .. } => mem_addr.union(LOAD),
+            Instr::Store { size: MemSize::Word, .. } => mem_addr.union(STORE),
+            Instr::Store { .. } => mem_addr.union(SUBWORD_STORE),
+            Instr::Nop | Instr::Sig { .. } | Instr::Halt => TapSet::EMPTY,
+        })
     }
 
     /// Runs until `halt` or until `max_cycles` elapse, discarding commit

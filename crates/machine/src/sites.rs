@@ -100,6 +100,133 @@ pub const LNK_DCS_MUX: &str = "lnk_dcs_mux";
 /// Signature-extraction shift register collecting embedded DCS bits.
 pub const SIG_EXTRACT: &str = "sig_extract";
 
+/// Every machine site except the register-file cells, in [`TapSet`] bit
+/// order. The cells follow at bit [`CELL_BASE`] + register index.
+const SCALAR_SITES: [&str; 33] = [
+    IF_IBUS,
+    IF_PC_NEXT,
+    ID_OPC_TRUNK,
+    ID_OPC_FU,
+    ID_OPC_SUBCHK,
+    ID_OPC_SHS,
+    RF_RADDR_A,
+    RF_RADDR_B,
+    RF_WADDR,
+    EX_OPA_BUS,
+    EX_OPB_BUS,
+    ALU_ADDER_OUT,
+    ALU_LOGIC_OUT,
+    ALU_SHIFT_OUT,
+    EX_RESULT_BUS,
+    MUL_LO,
+    MUL_HI,
+    DIV_Q,
+    DIV_R,
+    LSU_ADDR,
+    LSU_ST_BUS,
+    LSU_ST_MERGE,
+    LSU_ALIGN_OUT,
+    LSU_LD_BUS,
+    CTL_STALL_RELEASE,
+    BR_TAKEN,
+    BR_TARGET,
+    CMP_FLAG_OUT,
+    FLAG_READ,
+    DMEM_ROW_ADDR,
+    LSU_ADDR_XOR,
+    LNK_DCS_MUX,
+    SIG_EXTRACT,
+];
+
+/// Bit of `rf_cell_r0`; register `r` owns bit `CELL_BASE + r`.
+const CELL_BASE: u32 = SCALAR_SITES.len() as u32;
+
+/// The bit every site outside the machine's inventory resolves to: the
+/// checker's own hardware, or any name the machine never taps.
+const FOREIGN_BIT: u32 = 127;
+
+/// A static set of fault sites, one bit per machine site, so a block's
+/// "which sites can my ops tap" question is answered with a mask test
+/// instead of string compares. Names resolve once ([`TapSet::site`]);
+/// sites the machine never taps all share one *foreign* bit, which no
+/// instruction's set ever contains.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct TapSet(u128);
+
+impl TapSet {
+    /// The empty set.
+    pub const EMPTY: TapSet = TapSet(0);
+
+    /// The set holding the site called `name` (the foreign bit when the
+    /// machine has no such site). `const`, so per-op sets fold at compile
+    /// time; at run time it is a linear scan — resolve once, not per use.
+    pub const fn site(name: &str) -> TapSet {
+        let mut i = 0;
+        while i < SCALAR_SITES.len() {
+            if str_eq(SCALAR_SITES[i], name) {
+                return TapSet(1 << i);
+            }
+            i += 1;
+        }
+        let mut r = 0;
+        while r < crate::machine::RF_CELL_SITES.len() {
+            if str_eq(crate::machine::RF_CELL_SITES[r], name) {
+                return TapSet::cell(r as u8);
+            }
+            r += 1;
+        }
+        TapSet(1 << FOREIGN_BIT)
+    }
+
+    /// The storage-cell site of register index `r` (0..32).
+    pub const fn cell(r: u8) -> TapSet {
+        TapSet(1 << (CELL_BASE + r as u32))
+    }
+
+    /// Set union.
+    pub const fn union(self, other: TapSet) -> TapSet {
+        TapSet(self.0 | other.0)
+    }
+
+    /// Whether the two sets share a site.
+    pub const fn intersects(self, other: TapSet) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// Whether the set holds no site.
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether the set holds a site outside the machine's inventory.
+    pub const fn has_foreign(self) -> bool {
+        self.0 >> FOREIGN_BIT != 0
+    }
+
+    /// Whether the set holds the machine site called `name` (never true
+    /// for a foreign name).
+    pub fn contains(self, name: &str) -> bool {
+        let s = TapSet::site(name);
+        !s.has_foreign() && self.intersects(s)
+    }
+}
+
+/// `&str` equality usable in `const fn`.
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
 /// The complete fault-site inventory of the core (excluding checker-internal
 /// sites owned by `argus-core`).
 pub fn core_sites() -> Vec<SiteDesc> {
@@ -195,6 +322,24 @@ mod tests {
                 .count();
             assert!(singles <= 1, "site {name} listed twice with Single flavor");
         }
+    }
+
+    /// Every inventory site owns its own tap bit, and nothing else does.
+    #[test]
+    fn tap_bits_cover_the_inventory_one_to_one() {
+        use std::collections::HashMap;
+        let mut owner: HashMap<TapSet, &str> = HashMap::new();
+        for s in core_sites() {
+            let bit = TapSet::site(s.name);
+            assert!(!bit.has_foreign(), "{} has no tap bit", s.name);
+            assert!(bit.contains(s.name));
+            let prev = owner.insert(bit, s.name);
+            assert!(prev.is_none_or(|p| p == s.name), "{} shares a bit with {prev:?}", s.name);
+        }
+        assert_eq!(owner.len(), SCALAR_SITES.len() + 32, "a tap bit without an inventory site");
+        let foreign = TapSet::site("wd_count");
+        assert!(foreign.has_foreign() && !foreign.contains("wd_count"));
+        assert_eq!(TapSet::site(crate::machine::RF_CELL_SITES[7]), TapSet::cell(7));
     }
 
     #[test]

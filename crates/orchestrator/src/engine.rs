@@ -90,6 +90,13 @@ pub struct OrchestratorConfig {
     pub flush_retries: u32,
     /// Base backoff between flush retries (grows linearly per attempt).
     pub flush_backoff: Duration,
+    /// Test hook: raise the stop flag once this many injections have
+    /// completed in this run, on the completion path itself. Interruption
+    /// tests use it to cut a campaign at a deterministic point, however
+    /// fast the host runs it; workers finish only the injections already
+    /// in flight, so a run stops within `shards - 1` of the mark.
+    #[doc(hidden)]
+    pub stop_after: Option<usize>,
 }
 
 impl Default for OrchestratorConfig {
@@ -104,6 +111,7 @@ impl Default for OrchestratorConfig {
             quarantine_limit: 64,
             flush_retries: 3,
             flush_backoff: Duration::from_millis(25),
+            stop_after: None,
         }
     }
 }
@@ -268,6 +276,7 @@ fn exec_json(e: &ExecStats) -> Json {
         .set("predecode_hits", e.predecode_hits)
         .set("predecode_misses", e.predecode_misses)
         .set("plan_hits", e.plan_hits)
+        .set("armed_plan_hits", e.armed_plan_hits)
         .set("plan_misses", e.plan_misses)
         .set("plan_evictions", e.plan_evictions)
         .set("plan_fallbacks", e.plan_fallbacks)
@@ -752,6 +761,7 @@ pub fn run_sharded(
         tally: initial.tally,
     });
     let live_workers = AtomicUsize::new(ocfg.shards);
+    let completed_here = AtomicUsize::new(0);
     let quarantined_total = AtomicUsize::new(resumed_quarantined);
     let quarantine_abort = AtomicBool::new(false);
     let flush_failures = AtomicU64::new(0);
@@ -793,6 +803,7 @@ pub fn run_sharded(
             let prep = &prep;
             let inv = &inv;
             let live_workers = &live_workers;
+            let completed_here = &completed_here;
             let quarantined_total = &quarantined_total;
             let quarantine_abort = &quarantine_abort;
             let strict_panic = &strict_panic;
@@ -893,6 +904,11 @@ pub fn run_sharded(
                                     quarantine_abort.store(true, Ordering::Release);
                                     stop.store(true, Ordering::Release);
                                 }
+                            }
+                        }
+                        if let Some(n) = ocfg.stop_after {
+                            if completed_here.fetch_add(1, Ordering::AcqRel) + 1 >= n {
+                                stop.store(true, Ordering::Release);
                             }
                         }
                     }

@@ -46,8 +46,8 @@ pub struct Progress {
     /// Microseconds workers have spent inside injections this run.
     busy_us: AtomicU64,
     /// Block-plan cache counters published by the workers:
-    /// `[hits, misses, evictions, fallbacks]`.
-    plan: [AtomicU64; 4],
+    /// `[hits, armed hits, misses, evictions, fallbacks]`.
+    plan: [AtomicU64; 5],
     /// Cumulative invariant violations observed by the campaign's
     /// invariant engine (published after each chunk; 0 on healthy runs).
     invariant_violations: AtomicU64,
@@ -78,7 +78,7 @@ impl Progress {
             leases: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             busy_us: AtomicU64::new(0),
-            plan: [const { AtomicU64::new(0) }; 4],
+            plan: [const { AtomicU64::new(0) }; 5],
             invariant_violations: AtomicU64::new(0),
             finished: AtomicBool::new(false),
         }
@@ -145,9 +145,9 @@ impl Progress {
 
     /// Publishes a worker's drained predecode/plan-cache counters.
     pub fn add_exec(&self, e: &ExecStats) {
-        for (slot, v) in
-            self.plan.iter().zip([e.plan_hits, e.plan_misses, e.plan_evictions, e.plan_fallbacks])
-        {
+        let counters =
+            [e.plan_hits, e.armed_plan_hits, e.plan_misses, e.plan_evictions, e.plan_fallbacks];
+        for (slot, v) in self.plan.iter().zip(counters) {
             if v > 0 {
                 slot.fetch_add(v, Ordering::Relaxed);
             }
@@ -278,8 +278,10 @@ pub struct ProgressSnapshot {
     /// percent.
     pub busy_pct: f64,
     /// Block-plan cache counters published by the workers:
-    /// `[hits, misses, evictions, fallbacks]`.
-    pub plan: [u64; 4],
+    /// `[hits, armed hits, misses, evictions, fallbacks]`; armed hits are
+    /// the hits taken while a fault was armed on a site the block cannot
+    /// tap.
+    pub plan: [u64; 5],
     /// Cumulative invariant violations observed so far (0 when healthy).
     pub invariant_violations: u64,
     /// Per-shard completed counts.
@@ -314,8 +316,8 @@ impl std::fmt::Display for ProgressSnapshot {
         if self.plan.iter().any(|&v| v > 0) {
             write!(
                 f,
-                " | plan hit {} miss {} evict {} fb {}",
-                self.plan[0], self.plan[1], self.plan[2], self.plan[3]
+                " | plan hit {} armed {} miss {} evict {} fb {}",
+                self.plan[0], self.plan[1], self.plan[2], self.plan[3], self.plan[4]
             )?;
         }
         if self.anomalies.iter().any(|&a| a > 0) {
@@ -405,6 +407,23 @@ mod tests {
         // begin() resets scheduler counters for the next run.
         p.begin(10, 0, [0; 4], [0; 2], &[0, 0]);
         assert_eq!(p.snapshot().leases, 0);
+    }
+
+    #[test]
+    fn plan_counters_render_with_armed_hits() {
+        let p = Progress::new(1);
+        p.begin(10, 0, [0; 4], [0; 2], &[0]);
+        assert!(!p.snapshot().to_string().contains("plan"), "no plan tail before any hit");
+        p.add_exec(&ExecStats {
+            plan_hits: 7,
+            armed_plan_hits: 3,
+            plan_misses: 2,
+            ..ExecStats::default()
+        });
+        let s = p.snapshot();
+        assert_eq!(s.plan, [7, 3, 2, 0, 0]);
+        let line = s.to_string();
+        assert!(line.contains("plan hit 7 armed 3 miss 2 evict 0 fb 0"), "{line}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use argus_orchestrator::{
 };
 use argus_sim::fault::FaultKind;
 use argus_sim::stats::{CounterSet, Histogram};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 const INJECTIONS: usize = 120;
 
@@ -124,20 +124,14 @@ fn checkpoint_resume_after_stop_matches_uninterrupted_run() {
         ..Default::default()
     };
 
-    // Phase 1: stop the campaign once ~a third of it has completed. The
-    // watcher polls the shared progress — exactly how the CLI's Ctrl-C
-    // handler flips the same flag.
+    // Phase 1: stop the campaign once a third of it has completed — the
+    // same stop flag the CLI's Ctrl-C handler flips, raised by the engine's
+    // completion hook so the cut never races the campaign's speed.
     let progress = Progress::new(shards);
     let stop = AtomicBool::new(false);
-    let interrupted = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while progress.done() < (INJECTIONS / 3) as u64 && !progress.finished() {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        run_sharded(&argus_workloads::stress(), &config(), &ocfg, &stop, &progress).unwrap()
-    });
+    let cut = OrchestratorConfig { stop_after: Some(INJECTIONS / 3), ..ocfg.clone() };
+    let interrupted =
+        run_sharded(&argus_workloads::stress(), &config(), &cut, &stop, &progress).unwrap();
     assert!(interrupted.interrupted, "stop flag must cut the campaign short");
     assert!(interrupted.completed < INJECTIONS, "some work must remain");
     assert!(interrupted.completed > 0, "some work must have finished");

@@ -22,7 +22,7 @@ use argus_orchestrator::{
 };
 use argus_sim::fault::FaultKind;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 const INJECTIONS: usize = 48;
 const PANIC_AT: [usize; 2] = [3, 17];
@@ -135,19 +135,13 @@ fn interrupted_run(path: &std::path::Path, shards: usize) -> ShardedReport {
     let ocfg = OrchestratorConfig {
         shards,
         checkpoint_path: Some(path.to_path_buf()),
+        stop_after: Some(INJECTIONS / 3),
         ..Default::default()
     };
     let progress = Progress::new(shards);
     let stop = AtomicBool::new(false);
-    let rep = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while progress.done() < (INJECTIONS / 3) as u64 && !progress.finished() {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        run_sharded(&argus_workloads::stress(), &base_config(), &ocfg, &stop, &progress).unwrap()
-    });
+    let rep =
+        run_sharded(&argus_workloads::stress(), &base_config(), &ocfg, &stop, &progress).unwrap();
     assert!(rep.interrupted);
     assert!(rep.completed > 0 && rep.completed < INJECTIONS);
     rep
@@ -265,20 +259,17 @@ fn quarantine_records_survive_checkpoint_resume() {
     let shards = 2usize;
     let cfg = chaos_config();
 
-    let ocfg =
-        OrchestratorConfig { shards, checkpoint_path: Some(path.clone()), ..Default::default() };
+    // Past index 17 in shard 0's slice and index 8's livelock.
+    let ocfg = OrchestratorConfig {
+        shards,
+        checkpoint_path: Some(path.clone()),
+        stop_after: Some(INJECTIONS * 2 / 3),
+        ..Default::default()
+    };
     let progress = Progress::new(shards);
     let stop = AtomicBool::new(false);
-    let first = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // Past index 17 in shard 0's slice and index 8's livelock.
-            while progress.done() < (INJECTIONS * 2 / 3) as u64 && !progress.finished() {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        run_sharded(&argus_workloads::stress(), &cfg, &ocfg, &stop, &progress).unwrap()
-    });
+    let first = run_sharded(&argus_workloads::stress(), &cfg, &ocfg, &stop, &progress).unwrap();
+    assert!(first.interrupted, "the completion hook must cut the campaign short");
 
     let resumed = run(
         &cfg,
@@ -323,19 +314,12 @@ fn resume_under_different_shards_and_chunk_conserves_ledger_and_tally() {
         shards: 3,
         chunk: 4,
         checkpoint_path: Some(path.clone()),
+        stop_after: Some(INJECTIONS / 2),
         ..Default::default()
     };
     let progress = Progress::new(3);
     let stop = AtomicBool::new(false);
-    let first = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while progress.done() < (INJECTIONS / 2) as u64 && !progress.finished() {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        run_sharded(&argus_workloads::stress(), &cfg, &ocfg, &stop, &progress).unwrap()
-    });
+    let first = run_sharded(&argus_workloads::stress(), &cfg, &ocfg, &stop, &progress).unwrap();
     assert!(first.interrupted);
     assert_eq!(first.invariants.violations, 0, "{:?}", first.invariants.examples);
 

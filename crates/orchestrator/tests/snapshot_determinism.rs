@@ -6,7 +6,7 @@
 use argus_faults::campaign::{CampaignConfig, ForkStrategy};
 use argus_faults::StoreKind;
 use argus_orchestrator::{run_sharded, Json, OrchestratorConfig, Progress, ShardedReport};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 fn run(cfg: &CampaignConfig, ocfg: OrchestratorConfig) -> ShardedReport {
     let stop = AtomicBool::new(false);
@@ -79,24 +79,12 @@ fn mapped_store_matches_ram_across_shard_counts_and_crash_resume() {
         OrchestratorConfig { shards: 2, checkpoint_path: Some(path.clone()), ..Default::default() };
     let stop = AtomicBool::new(false);
     let progress = Progress::new(2);
-    let rep = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while progress.done() < 16 && !progress.finished() {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        run_sharded(&argus_workloads::stress(), &mmap_cfg, &ocfg, &stop, &progress)
-            .expect("interruptible mmap campaign runs")
-    });
-    if rep.interrupted {
-        let resumed = run(&mmap_cfg, OrchestratorConfig { resume: true, ..ocfg });
-        assert_eq!(canonical_json(&resumed), reference, "resumed mmap JSON diverged from RAM");
-    } else {
-        // The interrupter lost the race on a fast machine; the completed
-        // run must still match.
-        assert_eq!(canonical_json(&rep), reference);
-    }
+    let cut = OrchestratorConfig { stop_after: Some(16), ..ocfg.clone() };
+    let rep = run_sharded(&argus_workloads::stress(), &mmap_cfg, &cut, &stop, &progress)
+        .expect("interruptible mmap campaign runs");
+    assert!(rep.interrupted, "the completion hook must cut the campaign short");
+    let resumed = run(&mmap_cfg, OrchestratorConfig { resume: true, ..ocfg });
+    assert_eq!(canonical_json(&resumed), reference, "resumed mmap JSON diverged from RAM");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -24,6 +24,7 @@
 //! data corruption.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which hardware unit a signal site belongs to. Used for weighting the
 /// sample population (approximating relative gate counts) and for reporting
@@ -210,7 +211,13 @@ pub struct FaultInjector {
     /// — golden runs, pre-arm execution, after every transient expired —
     /// `tap32`/`tap1`/`has_transient_on` are a single predictable branch.
     active: bool,
+    /// Identity of the fault list (see [`FaultInjector::id`]); 0 for an
+    /// injector built without faults.
+    id: u64,
 }
+
+/// Source of [`FaultInjector::id`] values (0 is reserved for `none()`).
+static NEXT_INJECTOR_ID: AtomicU64 = AtomicU64::new(1);
 
 impl FaultInjector {
     /// An injector with no fault: taps pass values through unchanged.
@@ -229,7 +236,8 @@ impl FaultInjector {
             faults.into_iter().map(|fault| Slot { fault, expired: false, exposures: 0 }).collect();
         let live = slots.len();
         let min_arm = slots.iter().map(|s| s.fault.arm_cycle).min().unwrap_or(u64::MAX);
-        let mut inj = Self { slots, live, min_arm, ..Self::default() };
+        let id = NEXT_INJECTOR_ID.fetch_add(1, Ordering::Relaxed);
+        let mut inj = Self { slots, live, min_arm, id, ..Self::default() };
         inj.recompute_active();
         inj
     }
@@ -261,10 +269,10 @@ impl FaultInjector {
     /// every slot has expired (or none exist), else the earliest arm cycle.
     /// Taps are guaranteed identity functions at every cycle strictly below
     /// the horizon, so a caller that will simulate cycles `[c, c+n)` without
-    /// tapping may do so exactly when `c + n <= quiescent_horizon()` — this
-    /// is the gate for block-compiled execution. Conservative in the same
-    /// direction as `min_arm`: expiry never moves the horizon later, so the
-    /// only error mode is declining a batch that would have been safe.
+    /// tapping may do so whenever `c + n < quiescent_horizon()`; past it,
+    /// [`Self::live_faults`] says which sites could fire. Conservative in
+    /// the same direction as `min_arm`: expiry never moves the horizon
+    /// later, so the only error mode is looking closer than necessary.
     #[inline]
     pub fn quiescent_horizon(&self) -> u64 {
         if self.live == 0 {
@@ -292,6 +300,28 @@ impl FaultInjector {
     /// The first fault carried by this injector, if any.
     pub fn fault(&self) -> Option<&Fault> {
         self.slots.first().map(|s| &s.fault)
+    }
+
+    /// Every fault carried, in slot order, expired or not.
+    pub fn faults(&self) -> impl Iterator<Item = &Fault> {
+        self.slots.iter().map(|s| &s.fault)
+    }
+
+    /// The live-fault view: every fault that has not expired, with its slot
+    /// index (its position in [`Self::faults`]). A fault outside this view
+    /// can never fire again; one inside it fires only on a tap of its site
+    /// at or after its arm cycle, and neither its masking draws nor its
+    /// expiry advance without such a tap.
+    pub fn live_faults(&self) -> impl Iterator<Item = (usize, &Fault)> {
+        self.slots.iter().enumerate().filter(|(_, s)| !s.expired).map(|(k, s)| (k, &s.fault))
+    }
+
+    /// Identity of this injector's fault list: unique per construction and
+    /// shared by clones, which carry the same (immutable) faults. Callers
+    /// key per-slot facts derived from [`Self::faults`] on it — e.g. a
+    /// site-name lookup done once per injector instead of once per use.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Per-exercise logical-masking draw (deterministic in cycle and
@@ -598,6 +628,31 @@ mod tests {
         assert!(!inj.is_quiescent(), "permanent slot still live");
         inj.set_cycle(20);
         assert_eq!(inj.tap32("test_bus", 0), 1 << 4);
+    }
+
+    #[test]
+    fn live_view_drops_expired_slots_and_keeps_indices() {
+        let mut inj = FaultInjector::with_faults(vec![
+            Fault { bit: 0, ..fault(FaultKind::Transient) },
+            Fault { site: "other", bit: 4, arm_cycle: 20, ..fault(FaultKind::Permanent) },
+        ]);
+        let live = |inj: &FaultInjector| inj.live_faults().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(live(&inj), [0, 1], "unarmed faults are live");
+        assert_eq!(inj.faults().count(), 2);
+        inj.set_cycle(10);
+        inj.tap32("test_bus", 0); // the transient fires and expires
+        assert_eq!(live(&inj), [1], "slot indices survive expiry");
+        assert_eq!(inj.live_faults().next().unwrap().1.site, "other");
+        assert_eq!(inj.faults().count(), 2, "expired faults stay listed");
+    }
+
+    #[test]
+    fn ids_are_unique_per_fault_list_and_shared_by_clones() {
+        let a = FaultInjector::with_fault(fault(FaultKind::Permanent));
+        let b = FaultInjector::with_fault(fault(FaultKind::Permanent));
+        assert_ne!(a.id(), b.id());
+        assert_eq!(a.clone().id(), a.id());
+        assert_eq!(FaultInjector::none().id(), 0);
     }
 
     #[test]
