@@ -11,8 +11,7 @@
 //!
 //! The sweep isolates where the win comes from, coldest to warmest:
 //!
-//! * `cold_boot` — snapshots ignored, every injection replays from cycle 0;
-//! * `full_fork` — fresh allocation + every-page copy per fork (PR 4);
+//! * `cold_boot` — no snapshots, every injection replays from cycle 0;
 //! * `delta_fork` — reused workspace, only pages dirtied since the last
 //!   fork rewritten;
 //! * `delta_fork+shortcut` — defaults: delta restore plus the inert-fault
@@ -20,15 +19,15 @@
 //!   provably identical to the golden run and is classified without
 //!   stepping).
 //!
-//! Every configuration must produce identical outcome tallies — fork
-//! strategy and the shortcut are perf knobs, never result knobs.
+//! Every configuration must produce identical outcome tallies — snapshots
+//! and the shortcut are perf knobs, never result knobs.
 //!
 //! Results land in `BENCH_fork.json` at the repo root.
 //! `ARGUS_BENCH_SMOKE=1` shrinks the campaign and skips the gate (CI smoke
 //! mode: proves the bench runs and emits valid JSON). `ARGUS_INJECTIONS`
 //! overrides the campaign size.
 
-use argus_faults::campaign::{run_campaign, CampaignConfig, ForkStrategy};
+use argus_faults::campaign::{run_campaign, CampaignConfig};
 use argus_faults::Outcome;
 use argus_orchestrator::Json;
 use std::time::Instant;
@@ -48,15 +47,14 @@ fn smoke() -> bool {
 
 struct Scenario {
     config: &'static str,
-    fork: ForkStrategy,
+    snapshots: bool,
     shortcut_inert: bool,
 }
 
 const SCENARIOS: &[Scenario] = &[
-    Scenario { config: "cold_boot", fork: ForkStrategy::Cold, shortcut_inert: false },
-    Scenario { config: "full_fork", fork: ForkStrategy::Full, shortcut_inert: false },
-    Scenario { config: "delta_fork", fork: ForkStrategy::Delta, shortcut_inert: false },
-    Scenario { config: "delta_fork+shortcut", fork: ForkStrategy::Delta, shortcut_inert: true },
+    Scenario { config: "cold_boot", snapshots: false, shortcut_inert: false },
+    Scenario { config: "delta_fork", snapshots: true, shortcut_inert: false },
+    Scenario { config: "delta_fork+shortcut", snapshots: true, shortcut_inert: true },
 ];
 
 struct Row {
@@ -83,8 +81,7 @@ fn main() {
     for sc in SCENARIOS {
         let cfg = CampaignConfig {
             injections,
-            snapshot_every: Some(1_000),
-            fork: sc.fork,
+            snapshot_every: sc.snapshots.then_some(1_000),
             shortcut_inert: sc.shortcut_inert,
             ..Default::default()
         };
@@ -95,7 +92,7 @@ fn main() {
         if reference.is_empty() {
             reference = counts;
         } else {
-            assert_eq!(counts, reference, "{}: fork strategy changed campaign results", sc.config);
+            assert_eq!(counts, reference, "{}: forking changed campaign results", sc.config);
         }
         let rate = injections as f64 / secs;
         let peak_rss = argus_bench::peak_rss_bytes().unwrap_or(0);

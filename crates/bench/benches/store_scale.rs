@@ -24,7 +24,6 @@
 //! `ARGUS_INJECTIONS` / `ARGUS_SHARDS` override the campaign shape.
 
 use argus_faults::campaign::CampaignConfig;
-use argus_faults::StoreKind;
 use argus_orchestrator::{run_sharded, Json, OrchestratorConfig, Progress};
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
@@ -71,10 +70,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .filter(|&v| v >= 1)
         .unwrap_or(8_000);
-    let store = match std::env::var("ARGUS_STORE").ok().as_deref() {
-        Some(s) => StoreKind::parse(s).expect("ARGUS_STORE must be ram or mmap"),
-        None => StoreKind::Mapped,
-    };
 
     let w = argus_workloads::stress_xl();
     let working_set = u64::from(w.min_mem_bytes);
@@ -83,7 +78,6 @@ fn main() {
         injections,
         seed: 0x5CA1E,
         snapshot_every: Some(snapshot_every),
-        store,
         ..Default::default()
     };
     // Large leases let the arm-cycle sort group many injections per
@@ -149,7 +143,6 @@ fn main() {
         .set("bench", "store_scale")
         .set("smoke", smoke())
         .set("workload", "stress_xl")
-        .set("store", store.label())
         .set("injections", injections as u64)
         .set("shards", shards as u64)
         .set("snapshot_every", snapshot_every)

@@ -7,11 +7,11 @@
 //! argus run <file.s> [--baseline] [--two-way] [--regs r3,r4]
 //! argus inject <file.s> --site S --bit N [--permanent] [--arm C]
 //! argus campaign [-n N] [--permanent] [--snapshot-every N] [--shards N]
-//!                [--store ram|mmap] [--checkpoint PATH]
+//!                [--checkpoint PATH]
 //!                [--checkpoint-interval-ms MS] [--resume]
 //!                [--inj-cycle-factor F] [--quarantine-limit N] [--strict]
 //!                [--json] [--quiet]
-//! argus snapshot save|pack|info|restore  standalone state files
+//! argus snapshot save|pack|info|restore  standalone ARGSTORE files
 //! argus sites                            list the fault-site inventory
 //! ```
 //!
@@ -30,12 +30,13 @@
 use argus_compiler::{asm, compile, EmbedConfig, Mode};
 use argus_core::{Argus, ArgusConfig};
 use argus_faults::campaign::{run_campaign, CampaignConfig, ChaosConfig};
-use argus_faults::{Outcome, StoreKind};
+use argus_faults::Outcome;
 use argus_invariants::InvariantMode;
 use argus_machine::{Machine, MachineConfig, StepOutcome};
 use argus_mem::MemConfig;
 use argus_orchestrator::{run_sharded, OrchestratorConfig, Progress, ShardedReport};
 use argus_sim::fault::{Fault, FaultInjector, FaultKind};
+use argus_snapshot::{combined_fingerprint, MappedStore, MappedStoreWriter, PageCache};
 use std::fmt::Write as _;
 
 // Signal wiring (SIGINT + SIGTERM -> one stop flag) lives in
@@ -408,13 +409,6 @@ pub fn cmd_campaign(mut args: Args) -> Result<String, CliError> {
         ),
         None => None,
     };
-    let store: StoreKind = match args.opt("--store") {
-        Some(s) => StoreKind::parse(&s).ok_or_else(|| usage("bad --store (want ram|mmap)"))?,
-        // Out-of-core by default: snapshot pages live in a mapped file,
-        // so campaign RSS stays bounded at any machine size. Reports
-        // are bit-identical either way.
-        None => StoreKind::Mapped,
-    };
     let strict = args.flag("--strict");
     let invariants: Option<InvariantMode> = match args.opt("--invariants") {
         Some(s) => Some(
@@ -448,8 +442,7 @@ pub fn cmd_campaign(mut args: Args) -> Result<String, CliError> {
     let quiet = args.flag("--quiet");
     args.finish()?;
 
-    let mut cfg =
-        CampaignConfig { injections: n, kind, snapshot_every, store, ..Default::default() };
+    let mut cfg = CampaignConfig { injections: n, kind, snapshot_every, ..Default::default() };
     if let Some(s) = seed {
         cfg.seed = s;
     }
@@ -810,8 +803,9 @@ fn run_checked(m: &mut Machine, checker: &mut Argus, stop_at: u64) {
     }
 }
 
-/// `argus snapshot`: standalone state files — capture a program at a
-/// cycle, inspect a file, or restore one and resume execution.
+/// `argus snapshot`: standalone ARGSTORE files — capture a program at a
+/// cycle (`save`, one snapshot) or on an interval (`pack`), inspect a
+/// file, or restore a one-snapshot file and resume execution.
 pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
     const SNAP_USAGE: &str = "usage: argus snapshot <save|pack|info|restore>
   argus snapshot save <file.s> --out PATH [--at-cycle C] [--two-way]
@@ -840,17 +834,17 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
             checker.expect_entry(prog.entry_dcs.unwrap_or(0));
             run_checked(&mut m, &mut checker, at_cycle);
 
-            let mut pool = argus_snapshot::PageStore::new();
-            let snap = argus_snapshot::Snapshot::capture(&m, &checker, &mut pool);
-            let mut f = std::fs::File::create(&out_path)
+            let mut writer = MappedStoreWriter::create(out_path.as_ref(), 1)
                 .map_err(|e| fail(format!("cannot create `{out_path}`: {e}")))?;
-            argus_snapshot::io::write_snapshot(&mut f, &snap)
+            writer
+                .capture_now(&m, &checker)
+                .and_then(|()| writer.finish())
                 .map_err(|e| fail(format!("writing `{out_path}`: {e}")))?;
             Ok(format!(
                 "saved snapshot: cycle {} retired {} fingerprint {:#018x} -> {}\n",
-                snap.cycle(),
+                m.cycle(),
                 m.retired(),
-                snap.fingerprint(),
+                combined_fingerprint(&m, &checker),
                 out_path
             ))
         }
@@ -879,9 +873,8 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
             let mut checker = Argus::new(ArgusConfig::default());
             checker.expect_entry(prog.entry_dcs.unwrap_or(0));
 
-            let mut writer =
-                argus_snapshot::mapped::MappedStoreWriter::create(out_path.as_ref(), every)
-                    .map_err(|e| fail(format!("cannot create `{out_path}`: {e}")))?;
+            let mut writer = MappedStoreWriter::create(out_path.as_ref(), every)
+                .map_err(|e| fail(format!("cannot create `{out_path}`: {e}")))?;
             let pack_err = |e: std::io::Error| fail(format!("writing `{out_path}`: {e}"));
             // Seed cycle 0 like the campaign golden run, then capture on
             // the interval until the program halts.
@@ -913,32 +906,7 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
         "info" => {
             let path = args.positional().ok_or_else(|| usage(SNAP_USAGE))?;
             args.finish()?;
-            if file_has_magic(&path, b"ARGSTORE") {
-                return store_info(&path);
-            }
-            let (m, checker) = read_snapshot_file(&path)?;
-            let mut out = String::new();
-            let _ = writeln!(out, "snapshot {path}");
-            let _ = writeln!(
-                out,
-                "  cycle {} retired {} pc {:#06x} halted {}",
-                m.cycle(),
-                m.retired(),
-                m.pc(),
-                m.halted()
-            );
-            let _ = writeln!(
-                out,
-                "  fingerprint {:#018x}",
-                argus_snapshot::combined_fingerprint(&m, &checker)
-            );
-            let _ = writeln!(
-                out,
-                "  memory {} words, detections so far {}",
-                m.mem().memory().words().len(),
-                checker.events().len()
-            );
-            Ok(out)
+            store_info(&path)
         }
         "restore" => {
             let path = args.positional().ok_or_else(|| usage(SNAP_USAGE))?;
@@ -958,7 +926,17 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
                 None => vec![],
             };
             args.finish()?;
-            let (mut m, mut checker) = read_snapshot_file(&path)?;
+            let store = open_store(&path)?;
+            if store.len() != 1 {
+                return Err(fail(format!(
+                    "`{path}` holds {} snapshots; restore resumes one-snapshot files \
+                     (write one with `argus snapshot save`)",
+                    store.len()
+                )));
+            }
+            let (mut m, mut checker) = store
+                .try_restore_fresh(0, &mut PageCache::default())
+                .map_err(|e| fail(format!("{path}: {e}")))?;
             let mut out = String::new();
             let _ = writeln!(out, "restored at cycle {} (pc {:#06x})", m.cycle(), m.pc());
             if run {
@@ -981,26 +959,14 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
     }
 }
 
-fn read_snapshot_file(path: &str) -> Result<(Machine, Argus), CliError> {
-    let mut f =
-        std::fs::File::open(path).map_err(|e| fail(format!("cannot open `{path}`: {e}")))?;
-    argus_snapshot::io::read_snapshot(&mut f).map_err(|e| fail(format!("{path}: {e}")))
+fn open_store(path: &str) -> Result<MappedStore, CliError> {
+    MappedStore::open(path.as_ref()).map_err(|e| fail(format!("{path}: {e}")))
 }
 
-/// Whether the file starts with the given magic — how `snapshot info`
-/// tells a packed ARGSTORE from a single-snapshot ARGSNAP file, so a
-/// corrupt store reports a store error rather than a bad-magic one.
-fn file_has_magic(path: &str, magic: &[u8]) -> bool {
-    use std::io::Read as _;
-    let mut head = vec![0u8; magic.len()];
-    std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut head)).is_ok() && head == magic
-}
-
-/// `argus snapshot info` on an ARGSTORE file: open (verifying the
-/// whole-file CRC envelope) and report the dedup accounting.
+/// `argus snapshot info`: open (verifying the whole-file CRC envelope),
+/// report the dedup accounting, and describe the last snapshot.
 fn store_info(path: &str) -> Result<String, CliError> {
-    let store = argus_snapshot::mapped::MappedStore::open(path.as_ref())
-        .map_err(|e| fail(format!("{path}: {e}")))?;
+    let store = open_store(path)?;
     let stats = store.stats();
     let first = store.cycle(0).unwrap_or(0);
     let last = store.len().checked_sub(1).and_then(|i| store.cycle(i)).unwrap_or(first);
@@ -1023,6 +989,27 @@ fn store_info(path: &str) -> Result<String, CliError> {
         store.file_bytes().len(),
         store.materialized_bytes(),
     );
+    if let Some(i) = store.len().checked_sub(1) {
+        let (m, checker) = store
+            .try_restore_fresh(i, &mut PageCache::default())
+            .map_err(|e| fail(format!("{path}: {e}")))?;
+        let _ = writeln!(out, "last snapshot:");
+        let _ = writeln!(
+            out,
+            "  cycle {} retired {} pc {:#06x} halted {}",
+            m.cycle(),
+            m.retired(),
+            m.pc(),
+            m.halted()
+        );
+        let _ = writeln!(out, "  fingerprint {:#018x}", combined_fingerprint(&m, &checker));
+        let _ = writeln!(
+            out,
+            "  memory {} words, detections so far {}",
+            m.mem().memory().words().len(),
+            checker.events().len()
+        );
+    }
     Ok(out)
 }
 
@@ -1102,7 +1089,7 @@ pub const USAGE: &str =
   argus inject <file.s> --site S --bit N [--permanent] [--arm C]
   argus verify <file.s>
   argus campaign [-n N] [--permanent] [--seed S] [--snapshot-every N]
-                 [--store ram|mmap] [--shards N] [--chunk N]
+                 [--shards N] [--chunk N]
                  [--checkpoint PATH] [--checkpoint-interval-ms MS] [--resume]
                  [--inj-cycle-factor F] [--quarantine-limit N]
                  [--invariants off|sampled|full] [--chaos-panic-at I,J,...]
@@ -1128,13 +1115,13 @@ Ctrl-C flushes a checkpoint, --resume continues it — even under a different
 scheduler lease size (default 32); leases shrink toward 1 at the tail.
 --snapshot-every N checkpoints the golden run every N cycles and forks each
 injection from the nearest checkpoint at or before its arm cycle — identical
-results, fewer replayed cycles.
---store picks where those checkpoints live: mmap (default) streams deduped
-pages to a memory-mapped scratch file so campaign RSS stays bounded at any
-machine size; ram keeps them in the heap. Reports are bit-identical.
-snapshot pack writes the same out-of-core format standalone (inspect it
-with snapshot info); worker --cache-dir caches fetched job artifacts by
-content address so reconnects skip re-fetching and golden-run rebuilds.
+results, fewer replayed cycles. The checkpoints stream as deduped pages into
+an ARGSTORE scratch file that is memory-mapped, so campaign RSS stays bounded
+at any machine size (in memory, with a warning, if the file cannot be made).
+snapshot save and pack write the same ARGSTORE format standalone (one
+snapshot, or one per interval; inspect either with snapshot info, restore a
+saved one); worker --cache-dir caches fetched job artifacts by content
+address so reconnects skip re-fetching and golden-run rebuilds.
 --invariants selects how densely the always-on invariant registry audits
 the run (off, sampled [default], full); violations land in the report
 (JSON: run.invariants) and, with --strict, abort the campaign naming the
@@ -1432,6 +1419,13 @@ mod tests {
         let garbage = write_temp("garbage.bin", "not a snapshot");
         let e = cmd_snapshot(args(&["info", garbage.as_str()])).unwrap_err();
         assert!(e.to_string().contains("bad magic"), "{e}");
+        // A packed multi-snapshot store has no single point to resume from.
+        let p = write_temp("pack.s", PROG);
+        let packed = write_temp("pack.store", "");
+        cmd_snapshot(args(&["pack", p.as_str(), "--out", packed.as_str(), "--every", "10"]))
+            .unwrap();
+        let e = cmd_snapshot(args(&["restore", packed.as_str()])).unwrap_err();
+        assert!(e.to_string().contains("restore resumes one-snapshot files"), "{e}");
     }
 
     #[test]

@@ -13,12 +13,13 @@ use argus_sim::rng::SplitMix64;
 use argus_sim::stats::CounterSet;
 use argus_sim::supervise::{catch_supervised, HangCause, InjectionWatchdog, WatchdogConfig};
 use argus_snapshot::{
-    combined_fingerprint, MappedStore, MappedStoreWriter, PageCache, Snapshot, SnapshotBuilder,
-    SnapshotStore, StoreStats, Workspace, WorkspaceStats, PAGE_WORDS,
+    combined_fingerprint, MappedStore, MappedStoreWriter, PageCache, Workspace, WorkspaceStats,
+    PAGE_WORDS,
 };
 use argus_workloads::Workload;
 use std::fmt;
 use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -49,12 +50,12 @@ pub struct CampaignConfig {
     /// signature width and block-length bound; ablations sweep both
     /// together).
     pub ecfg: EmbedConfig,
-    /// Checkpoint the golden run every this many cycles and fork each
-    /// injection from the nearest snapshot at or before its arm cycle,
-    /// instead of cold-booting and replaying the whole deterministic
-    /// prefix. `None` (the default) keeps the cold-boot path. Results are
-    /// bit-identical either way — this only trades golden-run memory for
-    /// injection throughput.
+    /// Checkpoint the golden run every this many cycles into an ARGSTORE
+    /// snapshot store and delta-fork each injection from the nearest
+    /// snapshot at or before its arm cycle, instead of cold-booting and
+    /// replaying the whole deterministic prefix. `None` (the default)
+    /// keeps the cold-boot path. Results are bit-identical either way —
+    /// this only trades a golden-run capture for injection throughput.
     pub snapshot_every: Option<u64>,
     /// Watchdog cycle budget for one injection, as a multiple of the
     /// golden run length (plus `hang_slack`). The budget counts step-loop
@@ -73,11 +74,6 @@ pub struct CampaignConfig {
     /// `None` (always, outside resilience tests) leaves every injection
     /// untouched.
     pub chaos: Option<ChaosConfig>,
-    /// How a snapshot-enabled injection obtains its machine/checker pair.
-    /// Purely a performance knob: results are bit-identical across
-    /// strategies (the equivalence suite pins this), so it is excluded
-    /// from checkpoint fingerprints and resume stays legal across it.
-    pub fork: ForkStrategy,
     /// Short-circuit structurally masked injections (`sensitization == 0`):
     /// such a fault provably never fires (`FaultInjector::fire_mask`
     /// draws against a zero sensitization), and an armed-but-never-firing
@@ -94,204 +90,21 @@ pub struct CampaignConfig {
     /// `Sampled` (the default) strides the hooks so the overhead stays
     /// inside the bench gates, `Full` checks every hook.
     pub invariants: InvariantMode,
-    /// Which backend holds the golden-run snapshot store when
-    /// `snapshot_every` is set. Purely a memory/IO knob: forked state is
-    /// bit-identical across backends (the equivalence suite pins this), so
-    /// like [`ForkStrategy`] it is excluded from checkpoint fingerprints.
+    /// Set only by the frozen `perf/` benchmark; there is one store.
+    /// Delete with the next benchmark change.
+    #[doc(hidden)]
     pub store: StoreKind,
 }
 
-/// Which backend holds the golden-run snapshot store.
+/// A one-value enum kept only so the frozen `perf/` benchmark, which sets
+/// `CampaignConfig { store: StoreKind::Mapped, .. }`, still builds; delete
+/// with the next benchmark change.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
-    /// In-RAM content-addressed page pool ([`SnapshotStore`]): every
-    /// distinct page resident for the campaign's lifetime. The library
-    /// default (no filesystem dependency); the CLI defaults to `Mapped`.
+    /// The ARGSTORE snapshot store every campaign uses.
     #[default]
-    Ram,
-    /// Out-of-core memory-mapped ARGSTORE file ([`MappedStore`]): page
-    /// bodies live on disk behind one shared read-only map, workers keep
-    /// only a small decoded-page cache resident, so peak RSS stays bounded
-    /// however many checkpoints the golden run takes. Falls back to `Ram`
-    /// (with a warning) when the store file cannot be written.
     Mapped,
-}
-
-impl StoreKind {
-    /// Stable label (JSON reports, `--store` flag values).
-    pub fn label(self) -> &'static str {
-        match self {
-            StoreKind::Ram => "ram",
-            StoreKind::Mapped => "mmap",
-        }
-    }
-
-    /// Parses a `--store` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ram" => Some(StoreKind::Ram),
-            "mmap" => Some(StoreKind::Mapped),
-            _ => None,
-        }
-    }
-}
-
-/// The golden-run snapshot store, whichever backend holds it. Shards and
-/// remote-serving coordinators only need the common surface (length,
-/// seek-by-cycle, stats); forking dispatches internally.
-pub enum CampaignStore {
-    /// In-RAM page pool.
-    Ram(Arc<SnapshotStore>),
-    /// Memory-mapped on-disk ARGSTORE.
-    Mapped(Arc<MappedStore>),
-}
-
-impl CampaignStore {
-    /// Which backend this is.
-    pub fn kind(&self) -> StoreKind {
-        match self {
-            CampaignStore::Ram(_) => StoreKind::Ram,
-            CampaignStore::Mapped(_) => StoreKind::Mapped,
-        }
-    }
-
-    /// The mapped store, when that backend holds it (artifact serving).
-    pub fn mapped(&self) -> Option<&Arc<MappedStore>> {
-        match self {
-            CampaignStore::Mapped(s) => Some(s),
-            CampaignStore::Ram(_) => None,
-        }
-    }
-
-    /// Number of checkpoints.
-    pub fn len(&self) -> usize {
-        match self {
-            CampaignStore::Ram(s) => s.len(),
-            CampaignStore::Mapped(s) => s.len(),
-        }
-    }
-
-    /// Whether the store holds no checkpoints.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Page-sharing statistics.
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            CampaignStore::Ram(s) => s.stats(),
-            CampaignStore::Mapped(s) => s.stats(),
-        }
-    }
-
-    /// Bytes a store without page sharing would have used.
-    pub fn materialized_bytes(&self) -> u64 {
-        match self {
-            CampaignStore::Ram(s) => s.materialized_bytes(),
-            CampaignStore::Mapped(s) => s.materialized_bytes(),
-        }
-    }
-
-    /// The latest snapshot index at or before `cycle`, if any.
-    pub fn nearest_index_at_or_before(&self, cycle: u64) -> Option<usize> {
-        match self {
-            CampaignStore::Ram(s) => s.nearest_index_at_or_before(cycle),
-            CampaignStore::Mapped(s) => s.nearest_index_at_or_before(cycle),
-        }
-    }
-
-    /// Cycle stamp of snapshot `i`.
-    pub fn cycle(&self, i: usize) -> Option<u64> {
-        match self {
-            CampaignStore::Ram(s) => s.get(i).map(Snapshot::cycle),
-            CampaignStore::Mapped(s) => s.cycle(i),
-        }
-    }
-
-    /// Capture-time fingerprint of snapshot `i`.
-    pub fn fingerprint(&self, i: usize) -> Option<u64> {
-        match self {
-            CampaignStore::Ram(s) => s.get(i).map(Snapshot::fingerprint),
-            CampaignStore::Mapped(s) => s.fingerprint(i),
-        }
-    }
-
-    /// Plain-data observation for the `StoreOpen` invariant hook.
-    fn view(&self) -> StoreView {
-        match self {
-            CampaignStore::Ram(s) => {
-                let st = s.stats();
-                StoreView {
-                    backend: "ram".into(),
-                    snapshots: s.len(),
-                    pages_distinct: st.pages_distinct,
-                    pages_total: st.pages_total,
-                    table_lens: s.snapshots().iter().map(Snapshot::page_slots).collect(),
-                    expected_lens: s
-                        .snapshots()
-                        .iter()
-                        .map(|x| x.mem_words().div_ceil(PAGE_WORDS))
-                        .collect(),
-                    cycles: s.snapshots().iter().map(Snapshot::cycle).collect(),
-                    max_page_id: None,
-                    crc_checks: Vec::new(),
-                }
-            }
-            CampaignStore::Mapped(s) => {
-                let st = s.stats();
-                let n = s.len();
-                // Deterministic spot sample: up to 8 stored pages, evenly
-                // strided, re-CRCed against the on-disk index.
-                let pages = s.page_count();
-                let step = (pages / 8).max(1);
-                let crc_checks = (0..pages)
-                    .step_by(step)
-                    .take(8)
-                    .filter_map(|id| s.check_page_crc(id as u32).map(|ok| (id as u32, ok)))
-                    .collect();
-                StoreView {
-                    backend: "mmap".into(),
-                    snapshots: n,
-                    pages_distinct: st.pages_distinct,
-                    pages_total: st.pages_total,
-                    table_lens: (0..n).map(|i| s.page_ids(i).map_or(0, <[u32]>::len)).collect(),
-                    expected_lens: (0..n)
-                        .map(|i| s.mem_words(i).unwrap_or(0).div_ceil(PAGE_WORDS))
-                        .collect(),
-                    cycles: (0..n).filter_map(|i| s.cycle(i)).collect(),
-                    max_page_id: (0..n).filter_map(|i| s.page_ids(i)).flatten().copied().max(),
-                    crc_checks,
-                }
-            }
-        }
-    }
-}
-
-/// How an injection whose campaign has snapshots forks its run state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForkStrategy {
-    /// Delta-restore into the worker's reusable [`CampaignWorkspace`]:
-    /// one allocation and one warm predecode memo per worker, only
-    /// touched pages rewritten. The default.
-    #[default]
-    Delta,
-    /// Build a fresh machine + checker pair per injection and copy every
-    /// page (the pre-workspace behaviour; kept for A/B measurement).
-    Full,
-    /// Ignore snapshots entirely and replay from cold boot (what a
-    /// campaign without `snapshot_every` always does).
-    Cold,
-}
-
-impl ForkStrategy {
-    /// Stable label (JSON reports, bench output).
-    pub fn label(self) -> &'static str {
-        match self {
-            ForkStrategy::Delta => "delta",
-            ForkStrategy::Full => "full",
-            ForkStrategy::Cold => "cold",
-        }
-    }
 }
 
 /// Deliberate campaign-machinery faults for resilience testing: the listed
@@ -320,7 +133,6 @@ impl Default for CampaignConfig {
             inj_cycle_factor: 4.0,
             inj_wall_limit: Some(Duration::from_secs(60)),
             chaos: None,
-            fork: ForkStrategy::default(),
             shortcut_inert: true,
             invariants: InvariantMode::default(),
             store: StoreKind::default(),
@@ -533,9 +345,9 @@ pub struct PreparedCampaign {
     window: u64,
     points: Vec<SamplePoint>,
     /// Golden-run checkpoints when `snapshot_every` is set; shards share
-    /// the read-only store (an `Arc`'d RAM pool, or one mmap of the
-    /// ARGSTORE file) and fork injections from it.
-    snapshots: Option<CampaignStore>,
+    /// the read-only store (one mmap of the ARGSTORE file, or its
+    /// in-memory image) and fork injections from it.
+    snapshots: Option<Arc<MappedStore>>,
     /// Per-snapshot "restored once and matched its fingerprint" flags.
     /// Full-state verification is too expensive per fork, so each snapshot
     /// is verified the first time any worker forks from it and trusted
@@ -584,13 +396,13 @@ struct InertTemplate {
 #[derive(Debug, Default)]
 pub struct CampaignWorkspace {
     ws: Workspace,
-    /// Resident decoded-page cache for mapped-store restores. This — not
-    /// the store — is what bounds a worker's peak RSS: page bodies stay on
+    /// Resident decoded-page cache for store restores. This — not the
+    /// store — is what bounds a worker's peak RSS: page bodies stay on
     /// disk behind the shared map and only the entries here are
-    /// materialized. Unused by the RAM backend.
+    /// materialized.
     cache: PageCache,
     /// Predecode/plan-cache counters accumulated over every injection run
-    /// through this workspace, whatever fork strategy each one took.
+    /// through this workspace, forked or cold-booted.
     exec: ExecStats,
 }
 
@@ -605,7 +417,7 @@ impl CampaignWorkspace {
         self.ws.stats()
     }
 
-    /// The mapped-store page cache (hit/miss/residency observability).
+    /// The store's page cache (hit/miss/residency observability).
     pub fn page_cache(&self) -> &PageCache {
         &self.cache
     }
@@ -653,8 +465,8 @@ impl PreparedCampaign {
     }
 
     /// The golden-run snapshot store, when the campaign was prepared with
-    /// `snapshot_every` (whichever backend holds it).
-    pub fn snapshot_store(&self) -> Option<&CampaignStore> {
+    /// `snapshot_every`.
+    pub fn snapshot_store(&self) -> Option<&Arc<MappedStore>> {
         self.snapshots.as_ref()
     }
 
@@ -726,58 +538,12 @@ impl PreparedCampaign {
             .push(format!("snapshot {i} failed verification, cold-booting: {why}"));
     }
 
-    /// Forks a machine/checker pair from the nearest snapshot at or before
-    /// `arm_cycle`, verifying the snapshot's fingerprint on first use.
-    /// Returns `None` when no snapshot applies or the applicable one is
-    /// corrupt — the caller cold-boots, which yields bit-identical results.
-    fn fork_at(&self, arm_cycle: u64, cache: &mut PageCache) -> Option<(Machine, Argus)> {
-        let store = self.snapshots.as_ref()?;
-        let i = store.nearest_index_at_or_before(arm_cycle)?;
-        if self.snapshot_poisoned[i].load(Ordering::Relaxed) {
-            self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let verified = self.snapshot_verified[i].load(Ordering::Relaxed);
-        // The RAM path is infallible once verified; the mapped path stays
-        // fallible on every fork (a page body can fail its CRC on first
-        // decode), so both arms surface a Result and share the
-        // poison-and-fall-back handling below.
-        let restored = match store {
-            CampaignStore::Ram(s) => {
-                let snap = s.get(i)?;
-                if verified {
-                    Ok(snap.restore_fresh())
-                } else {
-                    snap.try_restore_fresh()
-                }
-            }
-            CampaignStore::Mapped(s) => {
-                if verified {
-                    s.restore_fresh(i, cache)
-                } else {
-                    s.try_restore_fresh(i, cache)
-                }
-            }
-        };
-        match restored {
-            Ok(pair) => {
-                self.snapshot_verified[i].store(true, Ordering::Relaxed);
-                self.check_snapshot_identity(i, &pair.0, &pair.1);
-                Some(pair)
-            }
-            Err(why) => {
-                self.poison_snapshot(i, &why);
-                None
-            }
-        }
-    }
-
     /// Delta-forks into `ws` from the nearest snapshot at or before
     /// `arm_cycle`, verifying the snapshot's fingerprint on first use
-    /// (with the `try_restore_into` full-restore fallback of whichever
-    /// backend holds the store). Returns whether `ws` now holds the forked
-    /// pair; `false` means no snapshot applies or the applicable one is
-    /// corrupt, and the caller cold-boots — bit-identical, just slower.
+    /// (with the `try_restore_into` full-restore fallback). Returns
+    /// whether `ws` now holds the forked pair; `false` means no snapshot
+    /// applies or the applicable one is corrupt, and the caller cold-boots
+    /// — bit-identical, just slower.
     fn fork_into(&self, arm_cycle: u64, ws: &mut Workspace, cache: &mut PageCache) -> bool {
         let Some(store) = self.snapshots.as_ref() else { return false };
         let Some(i) = store.nearest_index_at_or_before(arm_cycle) else { return false };
@@ -785,26 +551,10 @@ impl PreparedCampaign {
             self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let verified = self.snapshot_verified[i].load(Ordering::Relaxed);
-        let restored = match store {
-            CampaignStore::Ram(s) => match s.get(i) {
-                None => return false,
-                Some(snap) => {
-                    if verified {
-                        snap.restore_into(ws);
-                        Ok(())
-                    } else {
-                        snap.try_restore_into(ws).map(|_| ())
-                    }
-                }
-            },
-            CampaignStore::Mapped(s) => {
-                if verified {
-                    s.restore_into(i, ws, cache)
-                } else {
-                    s.try_restore_into(i, ws, cache).map(|_| ())
-                }
-            }
+        let restored = if self.snapshot_verified[i].load(Ordering::Relaxed) {
+            store.restore_into(i, ws, cache)
+        } else {
+            store.try_restore_into(i, ws, cache).map(|_| ())
         };
         match restored {
             Ok(()) => {
@@ -852,22 +602,17 @@ impl PreparedCampaign {
         })
     }
 
-    /// Test-only: flips one bit in the `index`-th snapshot's memory image
-    /// so resilience tests can exercise the verification fallback. Returns
-    /// `false` when the campaign has no snapshots, the index is out of
-    /// range, or the store is already shared.
+    /// Test-only: corrupts a page of the `index`-th snapshot (in a private
+    /// copy of the store image) so resilience tests can exercise the
+    /// poison → cold-boot fallback. Returns `false` when the campaign has
+    /// no snapshots, the index is out of range, or the store is already
+    /// shared.
     #[doc(hidden)]
     pub fn corrupt_snapshot_for_test(&mut self, index: usize) -> bool {
-        match self.snapshots.as_mut() {
-            // The mapped file is sealed and mapped read-only; its
-            // corruption paths are exercised by the snapshot crate's own
-            // post-map mutation tests and the adversarial IO suite.
-            Some(CampaignStore::Ram(store)) => match Arc::get_mut(store) {
-                Some(store) => store.corrupt_page_for_test(index),
-                None => false,
-            },
-            _ => false,
-        }
+        self.snapshots
+            .as_mut()
+            .and_then(Arc::get_mut)
+            .is_some_and(|store| store.corrupt_page_for_test(index))
     }
 }
 
@@ -888,38 +633,8 @@ fn golden_run(prog: &Program, mcfg: MachineConfig) -> GoldenRun {
     GoldenRun { digest: m.state_digest(), cycles: res.cycles, exec: m.take_exec_stats() }
 }
 
-/// The golden run's checkpoint sink, whichever backend the campaign
-/// selected. The RAM builder cannot fail; the mapped writer surfaces IO
-/// errors, which [`prepare_campaign`] degrades to the RAM backend.
-enum CaptureSink {
-    Ram(SnapshotBuilder),
-    Mapped(MappedStoreWriter),
-}
-
-impl CaptureSink {
-    fn capture_now(&mut self, m: &Machine, argus: &Argus) -> io::Result<()> {
-        match self {
-            CaptureSink::Ram(b) => {
-                b.capture_now(m, argus);
-                Ok(())
-            }
-            CaptureSink::Mapped(w) => w.capture_now(m, argus),
-        }
-    }
-
-    fn maybe_capture(&mut self, m: &Machine, argus: &Argus) -> io::Result<()> {
-        match self {
-            CaptureSink::Ram(b) => {
-                b.maybe_capture(m, argus);
-                Ok(())
-            }
-            CaptureSink::Mapped(w) => w.maybe_capture(m, argus).map(|_| ()),
-        }
-    }
-}
-
 /// The golden run again, but stepping the checker in lockstep and
-/// checkpointing every `every` cycles into `sink`. The checker runs
+/// checkpointing into `sink` on its interval. The checker runs
 /// because its state (signature file, CFC expectation, watchdog) evolves
 /// over the fault-free prefix and a forked injection must resume it
 /// mid-flight; it never mutates the machine, so the trajectory — and the
@@ -927,12 +642,12 @@ impl CaptureSink {
 ///
 /// Cycle 0 (image loaded, entry DCS armed, nothing executed) is always
 /// captured, so every arm cycle has a snapshot at or before it. `Err` can
-/// only come from a mapped sink's IO.
+/// only come from a file sink's IO.
 fn golden_run_with_snapshots(
     prog: &Program,
     mcfg: MachineConfig,
     acfg: ArgusConfig,
-    sink: &mut CaptureSink,
+    sink: &mut MappedStoreWriter,
 ) -> io::Result<GoldenRun> {
     let mut m = Machine::new(mcfg);
     prog.load(&mut m);
@@ -976,25 +691,62 @@ fn golden_run_with_snapshots(
     Ok(GoldenRun { digest: m.state_digest(), cycles: m.cycle(), exec: m.take_exec_stats() })
 }
 
-/// The mapped-backend golden capture: stream checkpoints into a temp
-/// ARGSTORE file, seal and map it, then unlink the path — the map keeps
-/// the bytes alive, nothing stays in the directory listing, and the
-/// kernel reclaims the space when the campaign drops the store.
-fn mapped_golden_capture(
+/// The golden capture: stream checkpoints into a temp ARGSTORE file,
+/// seal and map it, then unlink the path — the map keeps the bytes alive,
+/// nothing stays in the directory listing, and the kernel reclaims the
+/// space when the campaign drops the store. When the file cannot be
+/// written the capture reruns into an in-memory image instead (same
+/// format, same forks, the whole store resident) and says so in
+/// `warnings`.
+fn capture_store(
     prog: &Program,
     cfg: &CampaignConfig,
     every: u64,
-) -> io::Result<(GoldenRun, MappedStore)> {
-    let writer = MappedStoreWriter::create_temp(every)?;
-    let tmp = writer.path().to_path_buf();
-    let mut sink = CaptureSink::Mapped(writer);
-    let sealed = (|| {
+    warnings: &mut Vec<String>,
+) -> (GoldenRun, MappedStore) {
+    let capture = |mut sink: MappedStoreWriter| -> io::Result<(GoldenRun, MappedStore)> {
         let golden = golden_run_with_snapshots(prog, cfg.mcfg, cfg.acfg, &mut sink)?;
-        let CaptureSink::Mapped(writer) = sink else { unreachable!() };
-        Ok((golden, writer.finish()?))
-    })();
-    let _ = std::fs::remove_file(&tmp);
-    sealed
+        Ok((golden, sink.finish()?))
+    };
+    let on_disk = MappedStoreWriter::create_temp(every).and_then(|sink| {
+        let tmp = sink.path().map(Path::to_path_buf);
+        let sealed = capture(sink);
+        if let Some(tmp) = tmp {
+            let _ = std::fs::remove_file(tmp);
+        }
+        sealed
+    });
+    on_disk.unwrap_or_else(|e| {
+        warnings.push(format!(
+            "snapshot store file unavailable ({e}); campaign keeps its store in memory"
+        ));
+        capture(MappedStoreWriter::in_memory(every)).expect("an in-memory store cannot fail")
+    })
+}
+
+/// The `StoreOpen` invariant's plain-data view of a freshly sealed store.
+fn store_view(s: &MappedStore) -> StoreView {
+    let st = s.stats();
+    let n = s.len();
+    // Deterministic spot sample: up to 8 stored pages, evenly strided,
+    // re-CRCed against the stored index.
+    let pages = s.page_count();
+    let step = (pages / 8).max(1);
+    let crc_checks = (0..pages)
+        .step_by(step)
+        .take(8)
+        .filter_map(|id| s.check_page_crc(id as u32).map(|ok| (id as u32, ok)))
+        .collect();
+    StoreView {
+        snapshots: n,
+        pages_distinct: st.pages_distinct,
+        pages_total: st.pages_total,
+        table_lens: (0..n).map(|i| s.page_ids(i).map_or(0, <[u32]>::len)).collect(),
+        expected_lens: (0..n).map(|i| s.mem_words(i).unwrap_or(0).div_ceil(PAGE_WORDS)).collect(),
+        cycles: (0..n).filter_map(|i| s.cycle(i)).collect(),
+        max_page_id: (0..n).filter_map(|i| s.page_ids(i)).flatten().copied().max().unwrap_or(0),
+        crc_checks,
+    }
 }
 
 /// What one faulty run produced, before classification.
@@ -1207,28 +959,6 @@ fn faulty_run(
     faulty_loop(&mut m, &mut argus, &mut inj, window, prog.data_base, wd, inv, None)
 }
 
-/// One faulty run forked from a golden-run snapshot instead of cold boot.
-///
-/// Bit-identical to [`faulty_run`] because the fault is inert before its
-/// arm cycle: `FaultInjector` passes every tap through unchanged (and
-/// keeps no internal state) until `cycle >= arm_cycle`, snapshots are
-/// taken at step boundaries, and the snapshot's cycle stamp is at or
-/// before the arm cycle — so everything skipped was identical anyway and
-/// a fresh injector is indistinguishable from one that sat through it.
-fn faulty_run_forked(
-    pair: (Machine, Argus),
-    fault: argus_sim::fault::Fault,
-    window: u64,
-    data_base: u32,
-    wd: &mut InjectionWatchdog,
-    inv: &InvariantEngine,
-) -> FaultyOutcome {
-    let (mut m, mut argus) = pair;
-    debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
-    let mut inj = FaultInjector::with_fault(fault);
-    faulty_loop(&mut m, &mut argus, &mut inj, window, data_base, wd, inv, None)
-}
-
 /// Compiles the workload, takes the golden run, and samples the injection
 /// points — the one-time setup shared by the serial and sharded engines.
 ///
@@ -1254,41 +984,20 @@ pub fn prepare_campaign(w: &Workload, cfg: &CampaignConfig) -> PreparedCampaign 
     let mut startup_warnings: Vec<String> = Vec::new();
     let (golden, snapshots) = match cfg.snapshot_every {
         Some(every) => {
-            let mapped = if cfg.store == StoreKind::Mapped {
-                match mapped_golden_capture(&prog, cfg, every) {
-                    Ok(ok) => Some(ok),
-                    Err(e) => {
-                        startup_warnings.push(format!(
-                            "mmap snapshot store unavailable ({e}); campaign degraded to the RAM store"
-                        ));
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            match mapped {
-                Some((golden, store)) => (golden, Some(CampaignStore::Mapped(Arc::new(store)))),
-                None => {
-                    let mut sink = CaptureSink::Ram(SnapshotBuilder::new(every));
-                    let golden = golden_run_with_snapshots(&prog, cfg.mcfg, cfg.acfg, &mut sink)
-                        .expect("the RAM snapshot builder cannot fail");
-                    let CaptureSink::Ram(builder) = sink else { unreachable!() };
-                    (golden, Some(CampaignStore::Ram(Arc::new(builder.finish()))))
-                }
-            }
+            let (golden, store) = capture_store(&prog, cfg, every, &mut startup_warnings);
+            (golden, Some(Arc::new(store)))
         }
         None => (golden_run(&prog, cfg.mcfg), None),
     };
     let window = golden.cycles * 2 + cfg.hang_slack;
     let inventory = full_inventory();
     let points = sample_points(&inventory, cfg.injections, cfg.seed);
-    let nsnaps = snapshots.as_ref().map_or(0, CampaignStore::len);
+    let nsnaps = snapshots.as_ref().map_or(0, |s| s.len());
     let invariants = Arc::new(InvariantEngine::new(cfg.invariants));
     invariants.set_entry_armed(prog.entry_dcs.is_some());
     if invariants.enabled() {
         if let Some(store) = &snapshots {
-            invariants.run_hook(Hook::StoreOpen, &InvariantCtx::Store(store.view()));
+            invariants.run_hook(Hook::StoreOpen, &InvariantCtx::Store(store_view(store)));
         }
     }
     PreparedCampaign {
@@ -1379,13 +1088,13 @@ pub fn prepare_campaign_with_store(
     let window = golden.cycles * 2 + cfg.hang_slack;
     let inventory = full_inventory();
     let points = sample_points(&inventory, cfg.injections, cfg.seed);
-    let snapshots = Some(CampaignStore::Mapped(store));
-    let nsnaps = snapshots.as_ref().map_or(0, CampaignStore::len);
+    let snapshots = Some(store);
+    let nsnaps = snapshots.as_ref().map_or(0, |s| s.len());
     let invariants = Arc::new(InvariantEngine::new(cfg.invariants));
     invariants.set_entry_armed(prog.entry_dcs.is_some());
     if invariants.enabled() {
         if let Some(store) = &snapshots {
-            invariants.run_hook(Hook::StoreOpen, &InvariantCtx::Store(store.view()));
+            invariants.run_hook(Hook::StoreOpen, &InvariantCtx::Store(store_view(store)));
         }
     }
     Ok(PreparedCampaign {
@@ -1425,9 +1134,9 @@ pub fn run_injection(
 }
 
 /// [`run_injection`] routed through a worker's reusable
-/// [`CampaignWorkspace`]: under [`ForkStrategy::Delta`] consecutive calls
-/// on one workspace share a single machine allocation (and its warm
-/// predecode memo) and rewrite only touched pages. Results are identical
+/// [`CampaignWorkspace`]: in a snapshot campaign consecutive calls on one
+/// workspace share a single machine allocation (and its warm predecode
+/// memo) and rewrite only touched pages. Results are identical
 /// to [`run_injection`] — the workspace is a pure performance carrier.
 pub fn run_injection_in(
     prep: &PreparedCampaign,
@@ -1472,36 +1181,30 @@ fn run_injection_watched(
     }
     let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
     let inv = prep.invariants.as_ref();
-    let out = match cfg.fork {
-        ForkStrategy::Cold => faulty_run(&prep.prog, cfg, fault, prep.window, &mut wd, inv),
-        ForkStrategy::Full => match prep.fork_at(arm_cycle, &mut ws.cache) {
-            Some(pair) => {
-                faulty_run_forked(pair, fault, prep.window, prep.prog.data_base, &mut wd, inv)
-            }
-            None => faulty_run(&prep.prog, cfg, fault, prep.window, &mut wd, inv),
-        },
-        ForkStrategy::Delta => {
-            if prep.fork_into(arm_cycle, &mut ws.ws, &mut ws.cache) {
-                // Pages clean since this generation still hold golden-run
-                // content; the end-of-run scrub may skip them.
-                let fork_gen = ws.ws.clean_generation();
-                let (m, argus) = ws.ws.pair_mut().expect("fork_into populated the workspace");
-                debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
-                let mut inj = FaultInjector::with_fault(fault);
-                faulty_loop(
-                    m,
-                    argus,
-                    &mut inj,
-                    prep.window,
-                    prep.prog.data_base,
-                    &mut wd,
-                    inv,
-                    Some(fork_gen),
-                )
-            } else {
-                faulty_run(&prep.prog, cfg, fault, prep.window, &mut wd, inv)
-            }
-        }
+    let out = if prep.fork_into(arm_cycle, &mut ws.ws, &mut ws.cache) {
+        // Bit-identical to a cold boot because the fault is inert before
+        // its arm cycle: `FaultInjector` passes every tap through
+        // unchanged (and keeps no internal state) until `cycle >=
+        // arm_cycle`, snapshots are taken at step boundaries, and the
+        // snapshot's cycle stamp is at or before the arm cycle. Pages clean
+        // since the fork generation still hold golden-run content; the
+        // end-of-run scrub may skip them.
+        let fork_gen = ws.ws.clean_generation();
+        let (m, argus) = ws.ws.pair_mut().expect("fork_into populated the workspace");
+        debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
+        let mut inj = FaultInjector::with_fault(fault);
+        faulty_loop(
+            m,
+            argus,
+            &mut inj,
+            prep.window,
+            prep.prog.data_base,
+            &mut wd,
+            inv,
+            Some(fork_gen),
+        )
+    } else {
+        faulty_run(&prep.prog, cfg, fault, prep.window, &mut wd, inv)
     };
     ws.exec.merge(&out.exec);
     if let Some(cause) = out.hung {
@@ -1735,39 +1438,31 @@ mod tests {
         assert!(store.materialized_bytes() > stats.unique_bytes, "dedup saved nothing");
     }
 
+    /// One store, two byte sources: a campaign forking from the
+    /// file-mapped store and one forking from the same image held in RAM
+    /// (an owned buffer, as a campaign without a writable temp directory
+    /// keeps it) classify every injection identically.
     #[test]
     fn mapped_store_campaign_is_bit_identical_to_ram() {
         let w = argus_workloads::stress();
-        let base = CampaignConfig {
+        let cfg = CampaignConfig {
             injections: 40,
             seed: 0xF0_0D,
             snapshot_every: Some(500),
             ..Default::default()
         };
-        let ram = prepare_campaign(&w, &CampaignConfig { store: StoreKind::Ram, ..base.clone() });
-        let mapped =
-            prepare_campaign(&w, &CampaignConfig { store: StoreKind::Mapped, ..base.clone() });
-        assert_eq!(ram.golden_cycles(), mapped.golden_cycles());
-        let ram_store = ram.snapshot_store().unwrap();
+        let mapped = prepare_campaign(&w, &cfg);
         let map_store = mapped.snapshot_store().unwrap();
-        assert_eq!(ram_store.kind(), StoreKind::Ram);
-        assert_eq!(map_store.kind(), StoreKind::Mapped);
-        assert_eq!(ram_store.len(), map_store.len(), "backends captured different checkpoints");
-        for i in 0..ram_store.len() {
-            assert_eq!(ram_store.cycle(i), map_store.cycle(i), "snapshot {i} cycle");
-            assert_eq!(
-                ram_store.fingerprint(i),
-                map_store.fingerprint(i),
-                "snapshot {i} fingerprint"
-            );
-        }
-        let ram_cfg = CampaignConfig { store: StoreKind::Ram, ..base.clone() };
-        let map_cfg = CampaignConfig { store: StoreKind::Mapped, ..base.clone() };
+        assert!(map_store.path().is_some(), "the default store is file-backed");
+        let image = MappedStore::from_bytes(map_store.file_bytes().to_vec()).unwrap();
+        assert_eq!(image.path(), None);
+        let ram = prepare_campaign_with_store(&w, &cfg, Arc::new(image)).unwrap();
+        assert_eq!(ram.golden_cycles(), mapped.golden_cycles());
         let mut ram_ws = CampaignWorkspace::new();
         let mut map_ws = CampaignWorkspace::new();
         for index in 0..ram.injections() {
-            let a = run_injection_in(&ram, &ram_cfg, index, &mut ram_ws);
-            let b = run_injection_in(&mapped, &map_cfg, index, &mut map_ws);
+            let a = run_injection_in(&ram, &cfg, index, &mut ram_ws);
+            let b = run_injection_in(&mapped, &cfg, index, &mut map_ws);
             assert_eq!(
                 format!("{a:?}"),
                 format!("{b:?}"),
@@ -1775,6 +1470,7 @@ mod tests {
             );
         }
         assert_eq!(mapped.snapshot_fallbacks(), 0, "{:?}", mapped.take_snapshot_warnings());
+        assert_eq!(ram.snapshot_fallbacks(), 0, "{:?}", ram.take_snapshot_warnings());
     }
 
     #[test]
@@ -1784,11 +1480,10 @@ mod tests {
             injections: 25,
             seed: 0xF0_0D,
             snapshot_every: Some(500),
-            store: StoreKind::Mapped,
             ..Default::default()
         };
         let fresh = prepare_campaign(&w, &cfg);
-        let store = fresh.snapshot_store().unwrap().mapped().unwrap().clone();
+        let store = fresh.snapshot_store().unwrap().clone();
         let adopted = prepare_campaign_with_store(&w, &cfg, store)
             .expect("a store from the same binary and config must adopt cleanly");
         assert_eq!(fresh.golden_cycles(), adopted.golden_cycles());
@@ -1809,7 +1504,7 @@ mod tests {
         // up front: a narrower signature width changes the embedded image,
         // so the cycle-0 fingerprints cannot match.
         let other = prepare_campaign(&w, &cfg);
-        let store = other.snapshot_store().unwrap().mapped().unwrap().clone();
+        let store = other.snapshot_store().unwrap().clone();
         let bad_cfg = CampaignConfig {
             acfg: ArgusConfig { sig_width: 4, ..Default::default() },
             ecfg: EmbedConfig { sig_width: 4, ..Default::default() },
@@ -1820,32 +1515,10 @@ mod tests {
     }
 
     #[test]
-    fn mapped_store_fork_strategies_are_bit_identical() {
-        let w = argus_workloads::stress();
-        let base = CampaignConfig {
-            injections: 30,
-            seed: 0xF0_0D,
-            snapshot_every: Some(500),
-            shortcut_inert: false,
-            store: StoreKind::Mapped,
-            ..Default::default()
-        };
-        let delta = run_campaign(&w, &CampaignConfig { fork: ForkStrategy::Delta, ..base.clone() });
-        let full = run_campaign(&w, &CampaignConfig { fork: ForkStrategy::Full, ..base.clone() });
-        let cold = run_campaign(&w, &CampaignConfig { fork: ForkStrategy::Cold, ..base.clone() });
-        assert_eq!(format!("{:?}", delta.results), format!("{:?}", full.results));
-        assert_eq!(format!("{:?}", delta.results), format!("{:?}", cold.results));
-    }
-
-    #[test]
     fn mapped_store_dedups_and_stays_out_of_core() {
         let w = argus_workloads::stress();
-        let cfg = CampaignConfig {
-            injections: 1,
-            snapshot_every: Some(1_000),
-            store: StoreKind::Mapped,
-            ..Default::default()
-        };
+        let cfg =
+            CampaignConfig { injections: 1, snapshot_every: Some(1_000), ..Default::default() };
         let prep = prepare_campaign(&w, &cfg);
         let store = prep.snapshot_store().unwrap();
         let stats = store.stats();
@@ -1853,19 +1526,10 @@ mod tests {
         assert!(stats.bytes_saved > 0, "{stats:?}");
         assert!(store.materialized_bytes() > 4096 * stats.pages_distinct);
         // The backing temp file is unlinked once mapped.
-        let mapped = store.mapped().unwrap();
-        assert!(!mapped.path().exists(), "campaign store file was not unlinked");
+        let path = store.path().expect("the store is file-backed");
+        assert!(!path.exists(), "campaign store file was not unlinked");
         // StoreOpen invariants ran clean over the fresh store.
         assert_eq!(prep.invariants().violations(), 0);
-    }
-
-    #[test]
-    fn store_kind_labels_roundtrip() {
-        for k in [StoreKind::Ram, StoreKind::Mapped] {
-            assert_eq!(StoreKind::parse(k.label()), Some(k));
-        }
-        assert_eq!(StoreKind::parse("bogus"), None);
-        assert_eq!(StoreKind::default(), StoreKind::Ram);
     }
 
     #[test]
@@ -1975,21 +1639,42 @@ mod tests {
         assert!(snap.take_snapshot_warnings().is_empty(), "warnings drain once");
     }
 
+    /// Forking is a pure perf knob: a delta-forked campaign classifies
+    /// every injection exactly as the same campaign without snapshots,
+    /// with the inert shortcut off so every injection really runs.
     #[test]
     fn fork_strategies_are_bit_identical() {
         let w = argus_workloads::stress();
-        let base = CampaignConfig {
+        let cold_cfg = CampaignConfig {
             injections: 40,
+            seed: 0xF0_0D,
+            shortcut_inert: false,
+            ..Default::default()
+        };
+        let snap_cfg = CampaignConfig { snapshot_every: Some(500), ..cold_cfg.clone() };
+        let delta = run_campaign(&w, &snap_cfg);
+        let cold = run_campaign(&w, &cold_cfg);
+        assert_eq!(format!("{:?}", delta.results), format!("{:?}", cold.results));
+    }
+
+    /// Both ways to fork from the mapped store agree: delta restores into
+    /// one warm workspace (`run_campaign`) and full restores into a fresh
+    /// workspace per injection (`run_injection`).
+    #[test]
+    fn mapped_store_fork_strategies_are_bit_identical() {
+        let w = argus_workloads::stress();
+        let cfg = CampaignConfig {
+            injections: 30,
             seed: 0xF0_0D,
             snapshot_every: Some(500),
             shortcut_inert: false,
             ..Default::default()
-        };
-        let delta = run_campaign(&w, &CampaignConfig { fork: ForkStrategy::Delta, ..base.clone() });
-        let full = run_campaign(&w, &CampaignConfig { fork: ForkStrategy::Full, ..base.clone() });
-        let cold = run_campaign(&w, &CampaignConfig { fork: ForkStrategy::Cold, ..base.clone() });
-        assert_eq!(format!("{:?}", delta.results), format!("{:?}", full.results));
-        assert_eq!(format!("{:?}", delta.results), format!("{:?}", cold.results));
+        }
+        .sized_for(&w);
+        let delta = run_campaign(&w, &cfg);
+        let prep = prepare_campaign(&w, &cfg);
+        let full: Vec<_> = (0..prep.injections()).map(|i| run_injection(&prep, &cfg, i)).collect();
+        assert_eq!(format!("{:?}", delta.results), format!("{full:?}"));
     }
 
     #[test]

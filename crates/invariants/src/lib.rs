@@ -175,7 +175,7 @@ pub struct ExecView<'a> {
 /// machine + checker.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotView {
-    /// Fingerprint stored in the snapshot (ARGSNAP).
+    /// Fingerprint recorded in the snapshot at capture time.
     pub expected: u64,
     /// `combined_fingerprint` over the freshly restored state.
     pub reconstructed: u64,
@@ -210,14 +210,11 @@ impl LedgerView {
     }
 }
 
-/// A plain-data observation of a freshly opened snapshot store
-/// (RAM-built or memory-mapped), taken before any fork reads from it.
-/// Neutral (no snapshot-crate types) so the dependency arrow stays
-/// faults → invariants.
+/// A plain-data observation of a freshly sealed snapshot store, taken
+/// before any fork reads from it. Neutral (no snapshot-crate types) so the
+/// dependency arrow stays faults → invariants.
 #[derive(Debug, Clone, Default)]
 pub struct StoreView {
-    /// Backend label ("ram" / "mmap").
-    pub backend: String,
     /// Snapshots in the store.
     pub snapshots: usize,
     /// Distinct pages stored.
@@ -230,9 +227,9 @@ pub struct StoreView {
     pub expected_lens: Vec<usize>,
     /// Per-snapshot capture cycles (must be strictly increasing).
     pub cycles: Vec<u64>,
-    /// Largest page id referenced by any snapshot (mapped backend only).
-    pub max_page_id: Option<u32>,
-    /// Page-body CRC spot checks as (page id, ok) (mapped backend only).
+    /// Largest page id referenced by any snapshot.
+    pub max_page_id: u32,
+    /// Page-body CRC spot checks as (page id, ok).
     pub crc_checks: Vec<(u32, bool)>,
 }
 
@@ -663,7 +660,7 @@ invariant!(
     Severity::Critical,
     &[Hook::SnapshotRestore],
     "A snapshot restore that reconstructs different state than was captured \
-     (ARGSNAP fingerprint vs. recomputed digest) — e.g. a generation-stamp \
+     (recorded fingerprint vs. recomputed digest) — e.g. a generation-stamp \
      or dirty-page bug in the delta-restore path.",
     |_s, ctx| {
         let InvariantCtx::Snapshot(v) = ctx else { return InvariantResult::Skip };
@@ -862,13 +859,11 @@ invariant!(
                 ));
             }
         }
-        if let Some(max) = v.max_page_id {
-            if u64::from(max) >= v.pages_distinct {
-                return violation(format!(
-                    "page id {max} referenced but only {} pages stored",
-                    v.pages_distinct
-                ));
-            }
+        if u64::from(v.max_page_id) >= v.pages_distinct {
+            return violation(format!(
+                "page id {} referenced but only {} pages stored",
+                v.max_page_id, v.pages_distinct
+            ));
         }
         let refs: u64 = v.table_lens.iter().map(|&n| n as u64).sum();
         pass_if(v.pages_total == refs, || {
@@ -882,15 +877,13 @@ invariant!(
     "store-page-crc-spot-check",
     Severity::Critical,
     &[Hook::StoreOpen],
-    "Bit rot or post-write tampering in a memory-mapped store's page \
-     bodies: a deterministic sample of stored pages is re-CRCed against \
-     the on-disk index at open; a mismatch means the mapped file no longer \
-     holds the bytes the golden run wrote.",
+    "Bit rot or post-write tampering in a snapshot store's page bodies: \
+     a deterministic sample of stored pages is re-CRCed against the \
+     store's page index at open; a mismatch means the store (a mapped \
+     file, or its in-memory image) no longer holds the bytes the golden \
+     run wrote.",
     |_s, ctx| {
         let InvariantCtx::Store(v) = ctx else { return InvariantResult::Skip };
-        if v.crc_checks.is_empty() {
-            return InvariantResult::Skip;
-        }
         for &(id, ok) in &v.crc_checks {
             if !ok {
                 return violation(format!("stored page {id} fails its index CRC"));
@@ -1298,14 +1291,13 @@ mod tests {
 
     fn store_view() -> StoreView {
         StoreView {
-            backend: "mmap".into(),
             snapshots: 2,
             pages_distinct: 5,
             pages_total: 8,
             table_lens: vec![4, 4],
             expected_lens: vec![4, 4],
             cycles: vec![100, 200],
-            max_page_id: Some(4),
+            max_page_id: 4,
             crc_checks: vec![(0, true), (4, true)],
         }
     }
@@ -1326,7 +1318,7 @@ mod tests {
                 "store-page-index-canonical",
             ),
             (Box::new(|v: &mut StoreView| v.cycles = vec![200, 100]), "store-page-index-canonical"),
-            (Box::new(|v: &mut StoreView| v.max_page_id = Some(5)), "store-page-index-canonical"),
+            (Box::new(|v: &mut StoreView| v.max_page_id = 5), "store-page-index-canonical"),
             (Box::new(|v: &mut StoreView| v.pages_total = 9), "store-page-index-canonical"),
             (
                 Box::new(|v: &mut StoreView| v.crc_checks[1] = (4, false)),
@@ -1340,19 +1332,6 @@ mod tests {
             let first = eng.first_violation().expect("violation expected");
             assert!(first.starts_with(want), "wanted {want}, got {first}");
         }
-    }
-
-    #[test]
-    fn ram_store_without_crc_checks_skips_spot_check() {
-        let eng = InvariantEngine::new(InvariantMode::Full);
-        let v = StoreView {
-            backend: "ram".into(),
-            max_page_id: None,
-            crc_checks: Vec::new(),
-            ..store_view()
-        };
-        eng.run_hook(Hook::StoreOpen, &InvariantCtx::Store(v));
-        assert_eq!(eng.violations(), 0, "{:?}", eng.stats().examples);
     }
 
     #[test]

@@ -184,7 +184,7 @@ pub struct ShardedReport {
     /// failed verification (0 unless a snapshot was corrupted in memory).
     pub snapshot_fallbacks: u64,
     /// Predecode/plan-cache counters summed over this run's local workers.
-    /// Volatile — cache warmth depends on scheduling and fork strategy —
+    /// Volatile — cache warmth depends on scheduling and snapshot forking —
     /// so it serializes under the report's `"run"` key.
     pub exec: ExecStats,
     /// Predecode/plan-cache counters from the campaign's golden run (after
@@ -330,7 +330,7 @@ impl ShardedReport {
     /// The final structured report rendered by `argus campaign --json`.
     ///
     /// The top-level keys are the *deterministic* payload: byte-identical
-    /// for any worker count, chunk size, fork strategy, or clean-vs-resumed
+    /// for any worker count, chunk size, snapshot interval, or clean-vs-resumed
     /// run of the same campaign. Everything run-shaped (wall clock,
     /// scheduler utilization, recovery metadata) lives under the single
     /// volatile `"run"` key, so consumers can diff reports by dropping one

@@ -1,10 +1,9 @@
 //! Snapshot-enabled campaigns must be bit-identical to cold-boot ones:
 //! same seed, same injections, same JSON report, for every worker count,
-//! chunk size, and fork strategy — forking and scheduling buy throughput,
-//! never different results.
+//! chunk size, and crash-resume schedule — forking and scheduling buy
+//! throughput, never different results.
 
-use argus_faults::campaign::{CampaignConfig, ForkStrategy};
-use argus_faults::StoreKind;
+use argus_faults::campaign::CampaignConfig;
 use argus_orchestrator::{run_sharded, Json, OrchestratorConfig, Progress, ShardedReport};
 use std::sync::atomic::AtomicBool;
 
@@ -45,55 +44,51 @@ fn snapshot_campaigns_match_cold_boot_across_shard_counts() {
     }
 }
 
-/// The out-of-core store is a pure perf knob: campaigns forking from the
-/// mapped file render the same JSON as RAM-store campaigns at every shard
-/// count, and a crash-resume cycle under mmap stitches back to the same
-/// report (the checkpoint fingerprint deliberately excludes the store
-/// kind, so a RAM checkpoint even resumes under mmap).
+/// Forking is a pure perf knob all the way through a crash: campaigns
+/// forking from the snapshot store render the cold-boot JSON at every
+/// shard count, and a crash-resume cycle of a forked campaign stitches
+/// back to the same report (the checkpoint fingerprint deliberately
+/// excludes `snapshot_every`, so the cold-boot half could even resume it).
 #[test]
-fn mapped_store_matches_ram_across_shard_counts_and_crash_resume() {
-    let ram_cfg = CampaignConfig {
-        injections: 48,
-        seed: 0xABBA,
-        snapshot_every: Some(500),
-        store: StoreKind::Ram,
-        ..Default::default()
-    };
-    let mmap_cfg = CampaignConfig { store: StoreKind::Mapped, ..ram_cfg.clone() };
+fn forked_campaigns_match_cold_boot_across_shard_counts_and_crash_resume() {
+    let cold_cfg = CampaignConfig { injections: 48, seed: 0xABBA, ..Default::default() };
+    let snap_cfg = CampaignConfig { snapshot_every: Some(500), ..cold_cfg.clone() };
 
     let reference =
-        canonical_json(&run(&ram_cfg, OrchestratorConfig { shards: 1, ..Default::default() }));
+        canonical_json(&run(&cold_cfg, OrchestratorConfig { shards: 1, ..Default::default() }));
     for shards in [1usize, 2, 8] {
-        let rep = run(&mmap_cfg, OrchestratorConfig { shards, ..Default::default() });
+        let rep = run(&snap_cfg, OrchestratorConfig { shards, ..Default::default() });
         assert!(rep.snapshots > 1, "expected checkpoints, got {}", rep.snapshots);
         assert_eq!(
             canonical_json(&rep),
             reference,
-            "mmap JSON diverged from RAM at {shards} shards"
+            "forked JSON diverged from cold boot at {shards} shards"
         );
     }
 
-    let path = std::env::temp_dir().join("argus-snapdet-mmap-resume.ckpt.json");
+    let path =
+        std::env::temp_dir().join(format!("argus-snapdet-resume-{}.ckpt.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let ocfg =
         OrchestratorConfig { shards: 2, checkpoint_path: Some(path.clone()), ..Default::default() };
     let stop = AtomicBool::new(false);
     let progress = Progress::new(2);
     let cut = OrchestratorConfig { stop_after: Some(16), ..ocfg.clone() };
-    let rep = run_sharded(&argus_workloads::stress(), &mmap_cfg, &cut, &stop, &progress)
-        .expect("interruptible mmap campaign runs");
+    let rep = run_sharded(&argus_workloads::stress(), &snap_cfg, &cut, &stop, &progress)
+        .expect("interruptible forked campaign runs");
     assert!(rep.interrupted, "the completion hook must cut the campaign short");
-    let resumed = run(&mmap_cfg, OrchestratorConfig { resume: true, ..ocfg });
-    assert_eq!(canonical_json(&resumed), reference, "resumed mmap JSON diverged from RAM");
+    let resumed = run(&snap_cfg, OrchestratorConfig { resume: true, ..ocfg });
+    assert_eq!(canonical_json(&resumed), reference, "resumed forked JSON diverged from cold boot");
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("bak"));
 }
 
 #[test]
 fn fork_strategy_chunk_and_worker_count_never_change_the_report() {
-    // Disable the inert shortcut so the delta/full/cold paths all do real
-    // work for every injection, then sweep the perf knobs: every cell of
-    // the (strategy × workers × chunk) grid must render the same
-    // deterministic JSON payload.
+    // Disable the inert shortcut so the forked and cold-boot paths both do
+    // real work for every injection, then sweep the perf knobs: every
+    // cell of the (snapshots on/off × workers × chunk) grid must render
+    // the same deterministic JSON payload.
     let base = CampaignConfig {
         injections: 48,
         seed: 0xF0CA,
@@ -102,21 +97,19 @@ fn fork_strategy_chunk_and_worker_count_never_change_the_report() {
         ..Default::default()
     };
 
-    let reference = canonical_json(&run(
-        &CampaignConfig { fork: ForkStrategy::Delta, ..base.clone() },
-        OrchestratorConfig { shards: 1, ..Default::default() },
-    ));
-    for fork in [ForkStrategy::Delta, ForkStrategy::Full, ForkStrategy::Cold] {
+    let reference =
+        canonical_json(&run(&base, OrchestratorConfig { shards: 1, ..Default::default() }));
+    for snapshot_every in [Some(500), None] {
         for (shards, chunk) in [(1usize, 1usize), (2, 4), (8, 32)] {
             let rep = run(
-                &CampaignConfig { fork, ..base.clone() },
+                &CampaignConfig { snapshot_every, ..base.clone() },
                 OrchestratorConfig { shards, chunk, ..Default::default() },
             );
             assert_eq!(rep.completed, base.injections);
             assert_eq!(
                 canonical_json(&rep),
                 reference,
-                "JSON diverged: fork={fork:?} shards={shards} chunk={chunk}"
+                "JSON diverged: snapshot_every={snapshot_every:?} shards={shards} chunk={chunk}"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! A minimal, binary-safe HTTP/1.1 client (std only).
 //!
 //! The daemon's own test client reads replies as UTF-8 text, which is
-//! fine for JSON but corrupts ARGSNAP artifact bodies. This one treats
+//! fine for JSON but corrupts binary ARGSTORE artifact bodies. This one treats
 //! every body as bytes and trusts `Content-Length` when present (the
 //! daemon always sends it), falling back to read-to-EOF under
 //! `Connection: close`.

@@ -28,7 +28,7 @@ use argus_orchestrator::{
 };
 use argus_sim::crc::crc32;
 use argus_sim::supervise::Anomaly;
-use argus_snapshot::io::snapshot_to_vec;
+use argus_snapshot::MappedStoreWriter;
 use argus_workloads::Workload;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -141,24 +141,30 @@ pub fn run_distributed(
         );
     }
 
-    // The golden-entry artifact: cycle 0, image loaded, entry DCS armed.
-    // A cold-starting worker rebuilds the same state from the manifest
-    // and fingerprint-checks it against this — catching binary or
-    // config skew before a single injection runs on the wrong campaign.
+    // The golden-entry artifact, a one-snapshot in-memory ARGSTORE: cycle
+    // 0, image loaded, entry DCS armed. A cold-starting worker rebuilds
+    // the same state from the manifest and fingerprint-checks it against
+    // this — catching binary or config skew before a single injection
+    // runs on the wrong campaign.
     let entry_bytes = {
         let (m, argus) = prep.entry_state(cfg);
-        snapshot_to_vec(&m, &argus)
+        let mut writer = MappedStoreWriter::in_memory(1);
+        writer
+            .capture_now(&m, &argus)
+            .and_then(|()| writer.finish())
             .map_err(|e| OrchestratorError::Config(format!("cannot build entry artifact: {e}")))?
+            .file_bytes()
+            .to_vec()
     };
     let entry_crc = crc32(&entry_bytes);
     let mut artifact_refs =
         vec![ArtifactRef { name: "entry".into(), crc32: entry_crc, len: entry_bytes.len() }];
     let mut artifact_bodies = vec![(entry_crc, entry_bytes)];
-    // A mapped snapshot store is served straight from the sealed ARGSTORE
-    // bytes behind the coordinator's own map — no re-serialization, one
-    // copy per fetch. Workers that adopt it skip the whole checkpoint
-    // capture on their side (see `prepare_campaign_with_store`).
-    if let Some(store) = prep.snapshot_store().and_then(|s| s.mapped()) {
+    // The snapshot store is served straight from the sealed ARGSTORE bytes
+    // behind the coordinator's own map — no re-serialization, one copy per
+    // fetch. Workers that adopt it skip the whole checkpoint capture on
+    // their side (see `prepare_campaign_with_store`).
+    if let Some(store) = prep.snapshot_store() {
         let body = store.file_bytes().to_vec();
         let store_crc = crc32(&body);
         artifact_refs.push(ArtifactRef { name: "store".into(), crc32: store_crc, len: body.len() });

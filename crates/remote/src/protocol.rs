@@ -2,7 +2,7 @@
 //!
 //! Everything except artifact bodies travels as hand-rolled JSON (the
 //! repo's `argus_orchestrator::Json`, no external parsers). Artifact
-//! bodies are raw ARGSNAP images — a CRC-carrying binary envelope of
+//! bodies are raw ARGSTORE images — a CRC-carrying binary envelope of
 //! their own — addressed by the CRC-32 of the whole body, so the URL
 //! *is* the integrity check.
 //!
@@ -12,7 +12,7 @@
 //! |------|------|--------------|
 //! | GET  | `/work` | — → `{"jobs":[id,…]}` (running distributed jobs) |
 //! | GET  | `/jobs/<id>/manifest` | — → [`Manifest`] |
-//! | GET  | `/jobs/<id>/artifacts/<crc-hex>` | — → raw ARGSNAP bytes |
+//! | GET  | `/jobs/<id>/artifacts/<crc-hex>` | — → raw ARGSTORE bytes |
 //! | POST | `/jobs/<id>/lease` | `{"worker":w}` → [`LeaseReply`] |
 //! | POST | `/jobs/<id>/complete` | [`CompleteRequest`] → [`CompleteReply`] |
 //! | POST | `/jobs/<id>/heartbeat` | `{"worker":w,"chunks":[…]}` → `{"renewed":k,"ttl_ms":t}` |
@@ -23,14 +23,17 @@ use argus_sim::fault::FaultKind;
 use std::ops::Range;
 
 /// Protocol revision. A worker refuses a manifest whose version it does
-/// not speak rather than silently misinterpreting chunk boundaries.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// not speak rather than silently misinterpreting chunk boundaries or
+/// artifact bodies. v2: the `entry` artifact is a one-snapshot ARGSTORE
+/// image, like the `store` artifact.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// One content-addressed artifact a cold-starting worker must fetch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactRef {
-    /// Role of the artifact (today always `"entry"`: the golden-entry
-    /// snapshot used to fingerprint-check the worker's reconstruction).
+    /// Role of the artifact: `"entry"` (the golden-entry snapshot used to
+    /// fingerprint-check the worker's reconstruction) or `"store"` (the
+    /// campaign's snapshot store, for snapshot campaigns).
     pub name: String,
     /// CRC-32 (IEEE) of the whole body — also its address in the URL.
     pub crc32: u32,

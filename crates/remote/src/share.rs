@@ -54,7 +54,7 @@ struct ShareInner {
 pub struct CampaignShare {
     /// The manifest served to cold-starting workers.
     pub manifest: Manifest,
-    /// Content-addressed artifact bodies: `(crc32, ARGSNAP bytes)`.
+    /// Content-addressed artifact bodies: `(crc32, ARGSTORE bytes)`.
     artifacts: Vec<(u32, Vec<u8>)>,
     inner: Mutex<ShareInner>,
     artifact_fetches: AtomicU64,

@@ -27,9 +27,7 @@ use argus_faults::campaign::{
 use argus_invariants::InvariantStats;
 use argus_orchestrator::{CampaignTally, Json};
 use argus_sim::crc::crc32;
-use argus_snapshot::combined_fingerprint;
-use argus_snapshot::io::snapshot_from_slice;
-use argus_snapshot::mapped::MappedStore;
+use argus_snapshot::{combined_fingerprint, MappedStore, PageCache};
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
@@ -151,7 +149,8 @@ fn find_job(wcfg: &WorkerConfig) -> io::Result<Option<u64>> {
 }
 
 /// Serves one job to completion (or stop). Returns `true` when the
-/// job's pool drained while we watched.
+/// job's pool drained while we watched, or — for a pinned worker — when
+/// the job had already ended.
 fn serve_job(
     wcfg: &WorkerConfig,
     job: u64,
@@ -161,8 +160,12 @@ fn serve_job(
     let (status, body) = fetch_text(wcfg.connect, "GET", &format!("/jobs/{job}/manifest"), None)?;
     if status != 200 {
         // Job not leasable right now: queued, finished, or not
-        // distributed. The caller keeps polling; only an observed
-        // pool-drained reply ends a pinned run.
+        // distributed. The manifest reply cannot tell "not open yet" from
+        // "already over", so a pinned worker asks for the job's state and
+        // ends once it is terminal; otherwise the caller keeps polling.
+        if wcfg.job.is_some() && job_is_over(wcfg, job)? {
+            return Ok(true);
+        }
         sleep_interruptible(wcfg.poll, stop);
         return Ok(false);
     }
@@ -403,6 +406,16 @@ fn serve_job(
     Ok(drained.load(Ordering::Relaxed))
 }
 
+/// Whether the daemon reports `job` done, failed, or cancelled.
+fn job_is_over(wcfg: &WorkerConfig, job: u64) -> io::Result<bool> {
+    let (status, body) = fetch_text(wcfg.connect, "GET", &format!("/jobs/{job}"), None)?;
+    if status != 200 {
+        return Ok(false);
+    }
+    let doc = Json::parse(&body).map_err(|e| err_other(format!("bad job reply: {e}")))?;
+    Ok(matches!(doc.get("state").and_then(Json::as_str), Some("done" | "failed" | "cancelled")))
+}
+
 /// Posts a completion, retrying transient failures — the daemon dedups,
 /// so retrying a maybe-delivered post is always safe. `Ok(None)`: the
 /// job is gone (404/410) and the post will never land.
@@ -540,16 +553,20 @@ fn adopt_store(fetched: &FetchedArtifacts) -> Option<Arc<MappedStore>> {
     store.ok().map(Arc::new)
 }
 
-/// Fingerprint-compares the entry snapshot against the locally rebuilt
-/// entry state — the proof that this binary reconstructed the
-/// coordinator's campaign exactly.
+/// Restores the one-snapshot `entry` image (verified against its own
+/// recorded fingerprint) and compares it to the locally rebuilt entry
+/// state — the proof that this binary reconstructed the coordinator's
+/// campaign exactly.
 fn verify_entry_artifact(
     fetched: &FetchedArtifacts,
     prep: &argus_faults::campaign::PreparedCampaign,
     cfg: &CampaignConfig,
 ) -> io::Result<()> {
     for art in fetched.artifacts.iter().filter(|a| a.name == "entry") {
-        let (m, argus) = snapshot_from_slice(&art.body)?;
+        let entry = MappedStore::from_bytes(art.body.clone())?;
+        let (m, argus) = entry
+            .try_restore_fresh(0, &mut PageCache::default())
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let theirs = combined_fingerprint(&m, &argus);
         let (lm, largus) = prep.entry_state(cfg);
         let ours = combined_fingerprint(&lm, &largus);

@@ -21,7 +21,7 @@
 //! |--------|-------------------------------|-------------------------------------|
 //! | GET    | `/work`                       | leasable distributed job ids        |
 //! | GET    | `/jobs/<id>/manifest`         | campaign manifest for cold start    |
-//! | GET    | `/jobs/<id>/artifacts/<crc>`  | raw ARGSNAP artifact body           |
+//! | GET    | `/jobs/<id>/artifacts/<crc>`  | raw ARGSTORE artifact body          |
 //! | POST   | `/jobs/<id>/lease`            | lease one injection chunk           |
 //! | POST   | `/jobs/<id>/complete`         | post a chunk's merged tally         |
 //! | POST   | `/jobs/<id>/heartbeat`        | renew held leases                   |

@@ -412,7 +412,6 @@ impl Daemon {
         };
         cfg.seed = spec.seed;
         cfg.invariants = spec.invariants;
-        cfg.store = spec.store;
         let mut ocfg = OrchestratorConfig {
             shards: alloc,
             checkpoint_path: Some(ckpt.clone()),

@@ -67,10 +67,6 @@ pub struct JobSpec {
     /// Invariant-checking density (`"off"|"sampled"|"full"`), defaulting
     /// to sampled like one-shot `argus campaign`.
     pub invariants: InvariantMode,
-    /// Snapshot-store backend (`"ram"|"mmap"`), defaulting to the mapped
-    /// store like the CLI. A pure performance knob: reports are
-    /// bit-identical either way.
-    pub store: argus_faults::StoreKind,
 }
 
 impl JobSpec {
@@ -89,7 +85,6 @@ impl JobSpec {
             "chunk",
             "distributed",
             "invariants",
-            "store",
         ];
         for (key, _) in obj {
             if !KNOWN.contains(&key.as_str()) {
@@ -159,13 +154,6 @@ impl JobSpec {
                 .and_then(InvariantMode::parse)
                 .ok_or("`invariants` must be \"off\", \"sampled\", or \"full\"")?,
         };
-        let store = match doc.get("store") {
-            None | Some(Json::Null) => argus_faults::StoreKind::Mapped,
-            Some(v) => v
-                .as_str()
-                .and_then(argus_faults::StoreKind::parse)
-                .ok_or("`store` must be \"ram\" or \"mmap\"")?,
-        };
         Ok(Self {
             injections,
             seed,
@@ -176,7 +164,6 @@ impl JobSpec {
             chunk,
             distributed,
             invariants,
-            store,
         })
     }
 
@@ -205,9 +192,6 @@ impl JobSpec {
         }
         if self.invariants != InvariantMode::default() {
             doc = doc.set("invariants", self.invariants.label());
-        }
-        if self.store != argus_faults::StoreKind::Mapped {
-            doc = doc.set("store", self.store.label());
         }
         doc
     }

@@ -22,6 +22,14 @@ fn state_dir(name: &str) -> PathBuf {
 
 /// Short lease TTL so a zombie worker's chunks reissue within the test.
 fn start(name: &str, workers: usize) -> (Server, SocketAddr, PathBuf) {
+    start_with_ttl(name, workers, Duration::from_millis(500))
+}
+
+fn start_with_ttl(
+    name: &str,
+    workers: usize,
+    lease_ttl: Duration,
+) -> (Server, SocketAddr, PathBuf) {
     let dir = state_dir(name);
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -29,7 +37,7 @@ fn start(name: &str, workers: usize) -> (Server, SocketAddr, PathBuf) {
         http_threads: 4,
         state_dir: dir.clone(),
         checkpoint_interval: Duration::from_millis(100),
-        lease_ttl: Duration::from_millis(500),
+        lease_ttl,
     })
     .unwrap();
     let addr = server.addr();
@@ -120,26 +128,36 @@ fn spawn_worker(
 }
 
 /// The tentpole identity bar: a hybrid run (1 daemon worker + 2 remote
-/// workers over loopback, plus one zombie worker that leases a chunk and
+/// workers over loopback, plus one zombie worker that leases chunks and
 /// vanishes) stores a report byte-identical to a one-shot `argus
 /// campaign --json`, modulo the volatile `run` section — and the `run`
-/// section accounts for the zombie's expired lease.
+/// section accounts for the zombie's expired leases.
 #[test]
 fn hybrid_run_with_zombie_worker_matches_one_shot() {
     static STOP: AtomicBool = AtomicBool::new(false);
     let (n, seed) = (60usize, 7u64);
-    let (mut server, addr, dir) = start("zombie", 1);
+    // The zombie's leases outlive the remote workers' cold start, so they
+    // are leasing by the time its chunks reissue; with a short TTL the
+    // daemon's own worker could drain the whole pool first.
+    let (mut server, addr, dir) = start_with_ttl("zombie", 1, Duration::from_secs(3));
     let id = submit(
         addr,
         &format!(r#"{{"n": {n}, "seed": {seed}, "distributed": true, "budget": 1, "chunk": 4}}"#),
     );
     wait_leasable(addr, id, Duration::from_secs(120));
 
-    // A zombie worker grabs one chunk and is never heard from again —
-    // the campaign cannot finish until its lease expires and reissues.
+    // A zombie worker grabs every chunk it can and is never heard from
+    // again — the campaign cannot finish until its leases expire and
+    // reissue.
     let (status, grant) = post(addr, &format!("/jobs/{id}/lease"), r#"{"worker":"zombie"}"#);
     assert_eq!(status, 200, "{grant:?}");
     assert!(grant.get("chunk").and_then(Json::as_u64).is_some(), "pool drained early: {grant:?}");
+    loop {
+        let (status, grant) = post(addr, &format!("/jobs/{id}/lease"), r#"{"worker":"zombie"}"#);
+        if status != 200 || grant.get("chunk").and_then(Json::as_u64).is_none() {
+            break;
+        }
+    }
 
     let w1 = spawn_worker(addr, id, "alpha", &STOP);
     let w2 = spawn_worker(addr, id, "beta", &STOP);
@@ -207,7 +225,7 @@ fn manifest_and_artifact_endpoints() {
     // checks out against the advertised length.
     let artifacts = man.get("artifacts").and_then(Json::as_arr).unwrap();
     assert!(!artifacts.is_empty(), "manifest must advertise the entry snapshot");
-    // Artifact bodies are binary ARGSNAP images, so this goes through
+    // Artifact bodies are binary ARGSTORE images, so this goes through
     // the worker's binary-safe client, not the text-only test helper.
     for a in artifacts {
         let crc = a.get("crc32").and_then(Json::as_str).unwrap();
@@ -292,6 +310,35 @@ fn duplicate_complete_is_idempotent_over_the_wire() {
     let w = spawn_worker(addr, id, "finisher", &STOP);
     wait_for_state(addr, id, "done", Duration::from_secs(300));
     w.join().unwrap();
+    server.drain();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A worker pinned to a job that finished before it ever reached a lease
+/// must exit: the manifest's 409 reads the same before the pool opens and
+/// after it closes, so the worker has to ask for the job's state. Bounded
+/// by `recv_timeout` so a regression fails here instead of hanging the
+/// suite.
+#[test]
+fn pinned_worker_exits_when_its_job_already_finished() {
+    static STOP: AtomicBool = AtomicBool::new(false);
+    let (mut server, addr, dir) = start("pinned-late", 1);
+    let id = submit(addr, r#"{"n": 8, "seed": 2, "distributed": true, "budget": 1}"#);
+    wait_for_state(addr, id, "done", Duration::from_secs(300));
+    let (status, _) = get(addr, &format!("/jobs/{id}/manifest"));
+    assert_eq!(status, 409, "a finished job has no open lease pool");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = spawn_worker(addr, id, "late", &STOP);
+    std::thread::spawn(move || {
+        let _ = tx.send(worker.join());
+    });
+    let summary = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a worker pinned to a finished job must exit")
+        .expect("worker thread");
+    assert_eq!(summary.chunks, 0, "{summary:?}");
+
     server.drain();
     let _ = std::fs::remove_dir_all(dir);
 }

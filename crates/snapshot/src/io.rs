@@ -1,153 +1,15 @@
-//! Standalone snapshot files for the `argus snapshot` CLI.
-//!
-//! A campaign keeps snapshots in memory (page-deduplicated, behind an
-//! `Arc`); this module is the offline form — one self-contained,
-//! versioned binary file per checkpoint, memory materialized in full.
-//! Everything is little-endian; the layout is private to this module and
-//! guarded by the magic/version header.
+//! The field codec of the ARGSTORE format ([`crate::mapped`]): machine
+//! and checker configurations, core state, and checker state as
+//! little-endian byte runs. Decoders bound every length they read, so a
+//! crafted image is rejected instead of over-allocating; the image's
+//! whole-file CRC is verified before any of this runs.
 
-use crate::page::PageStore;
-use crate::store::Snapshot;
 use argus_core::config::{CheckerKind, DetectionEvent};
-use argus_core::{Argus, ArgusConfig, ArgusState};
+use argus_core::{ArgusConfig, ArgusState};
 use argus_machine::machine::MachineConfig;
 use argus_machine::snapshot::CoreState;
-use argus_machine::{Machine, SnapshotState};
 use argus_mem::{CacheConfig, CacheState, CachesState, LineState, MemConfig};
 use std::io::{self, Read, Write};
-
-/// File magic: "ARGSNAP" + format version 4.
-///
-/// Version 2 packed the CFC block-bit stream as u64 words (was one byte
-/// per bit) and recorded the machine's predecode flag. Version 3 appends
-/// a little-endian CRC-32 (IEEE) trailer over everything before it —
-/// including the magic — so torn writes and flipped bits are rejected on
-/// load *before* any state is parsed or allocated. Version 4 records the
-/// `predecode_entries` and `block_exec` machine-config knobs (the plan
-/// cache itself, like the predecode memo, is pure and never serialized).
-const MAGIC: [u8; 8] = *b"ARGSNAP\x04";
-
-/// Largest memory image (in words) a snapshot file may describe: 1 GiB of
-/// payload. Guards allocation against crafted headers.
-const MAX_MEM_WORDS: usize = 1 << 28;
-
-/// Writes `snap` as a standalone snapshot file (payload + CRC32 trailer).
-pub fn write_snapshot(w: &mut dyn Write, snap: &Snapshot) -> io::Result<()> {
-    let mut buf: Vec<u8> = Vec::new();
-    {
-        let b: &mut dyn Write = &mut buf;
-        b.write_all(&MAGIC)?;
-        put_u64(b, snap.cycle())?;
-        put_u64(b, snap.fingerprint())?;
-        put_machine_config(b, &snap.core().cfg)?;
-        put_argus_config(b, &snap.argus_config())?;
-        put_core(b, snap.core())?;
-        put_checker(b, snap.checker())?;
-        let (words, tags) = snap.materialize_memory();
-        put_u64(b, words.len() as u64)?;
-        for &word in &words {
-            put_u32(b, word)?;
-        }
-        put_bools(b, &tags)?;
-    }
-    let crc = argus_sim::crc::crc32(&buf);
-    w.write_all(&buf)?;
-    w.write_all(&crc.to_le_bytes())
-}
-
-/// Reads a snapshot file back into a live machine + checker pair.
-///
-/// The pair is rebuilt from the stored configurations, so the result forks
-/// exactly like the in-memory snapshot the file came from. The whole file
-/// is checksummed before any of it is interpreted: truncation, torn
-/// writes, and bit flips all surface as `Err(InvalidData)` — never as a
-/// panic, an over-allocation, or a silently wrong machine.
-pub fn read_snapshot(r: &mut dyn Read) -> io::Result<(Machine, Argus)> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    if buf.len() < MAGIC.len() + 4 {
-        return Err(bad("not an argus snapshot file (too short)"));
-    }
-    if buf[..MAGIC.len()] != MAGIC {
-        return Err(if buf.starts_with(b"ARGSNAP") {
-            bad("unsupported snapshot format version (bad magic)")
-        } else {
-            bad("not an argus snapshot file (bad magic)")
-        });
-    }
-    let (payload, trailer) = buf.split_at(buf.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("split_at(len - 4)"));
-    if argus_sim::crc::crc32(payload) != stored {
-        return Err(bad("snapshot checksum mismatch (file is truncated or corrupted)"));
-    }
-
-    let mut body = &payload[MAGIC.len()..];
-    let r: &mut dyn Read = &mut body;
-    let cycle = get_u64(r)?;
-    let fingerprint = get_u64(r)?;
-    let mcfg = get_machine_config(r)?;
-    let acfg = get_argus_config(r)?;
-    let core = get_core(r, mcfg)?;
-    if core.cycle != cycle {
-        return Err(bad("header cycle disagrees with core state"));
-    }
-    let checker = get_checker(r)?;
-
-    let n = get_u64(r)? as usize;
-    if n > MAX_MEM_WORDS {
-        return Err(bad("memory image implausibly large"));
-    }
-    let mut words = Vec::new();
-    for _ in 0..n {
-        words.push(get_u32(r)?);
-    }
-    let tags = get_bools(r, n)?;
-    if !body.is_empty() {
-        return Err(bad("trailing bytes after snapshot payload"));
-    }
-
-    let mut m = Machine::new(mcfg);
-    if m.mem().memory().words().len() != n {
-        return Err(bad("memory image size disagrees with machine config"));
-    }
-    m.restore_core(&core);
-    m.mem_mut().memory_mut().restore_words(0, &words, &tags);
-    let mut argus = Argus::new(acfg);
-    argus.restore_state(&checker);
-    if crate::store::combined_fingerprint(&m, &argus) != fingerprint {
-        return Err(bad("restored state does not match stored fingerprint"));
-    }
-    Ok((m, argus))
-}
-
-/// Reads a snapshot file into a [`Snapshot`] value (for `argus snapshot
-/// info` and store-level tooling), interning pages in `pool`.
-pub fn read_snapshot_value(r: &mut dyn Read, pool: &mut PageStore) -> io::Result<Snapshot> {
-    let (m, argus) = read_snapshot(r)?;
-    Ok(Snapshot::capture(&m, &argus, pool))
-}
-
-/// Serializes a live machine + checker pair to an in-memory ARGSNAP v3
-/// image (payload + CRC-32 trailer). This is the body the distributed
-/// lease protocol serves from `GET /jobs/<id>/artifacts/<hash>`: the byte
-/// stream is deterministic for a given state, so its CRC doubles as the
-/// artifact's content address.
-pub fn snapshot_to_vec(m: &Machine, argus: &Argus) -> io::Result<Vec<u8>> {
-    let mut pool = PageStore::new();
-    let snap = Snapshot::capture(m, argus, &mut pool);
-    let mut buf = Vec::new();
-    write_snapshot(&mut buf, &snap)?;
-    Ok(buf)
-}
-
-/// Parses an in-memory ARGSNAP image produced by [`snapshot_to_vec`] (or
-/// any snapshot file read into memory), verifying the CRC trailer before
-/// interpreting a single byte.
-pub fn snapshot_from_slice(bytes: &[u8]) -> io::Result<(Machine, Argus)> {
-    let mut r: &[u8] = bytes;
-    let rd: &mut dyn Read = &mut r;
-    read_snapshot(rd)
-}
 
 pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -467,53 +329,61 @@ fn get_words(r: &mut dyn Read) -> io::Result<Vec<u64>> {
     (0..n).map(|_| get_u64(r)).collect()
 }
 
+/// The codec seen whole: one-snapshot ARGSTORE images — the format of
+/// `argus snapshot save` files and the distributed `entry` artifact.
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::store::combined_fingerprint;
+    use crate::mapped::{combined_fingerprint, MappedStore, MappedStoreWriter, PageCache};
+    use argus_core::{Argus, ArgusConfig};
+    use argus_machine::{Machine, MachineConfig};
+
+    fn one_snapshot_image() -> (Vec<u8>, u64) {
+        let m = Machine::new(MachineConfig::default());
+        let argus = Argus::new(ArgusConfig::default());
+        let mut w = MappedStoreWriter::in_memory(1);
+        w.capture_now(&m, &argus).unwrap();
+        (w.finish().unwrap().file_bytes().to_vec(), combined_fingerprint(&m, &argus))
+    }
 
     #[test]
     fn file_roundtrip_reproduces_fingerprint() {
-        let m = Machine::new(MachineConfig::default());
-        let argus = Argus::new(ArgusConfig::default());
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&m, &argus, &mut pool);
-
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, &snap).unwrap();
-        let (m2, a2) = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_eq!(combined_fingerprint(&m2, &a2), snap.fingerprint());
-        assert_eq!(m2.cycle(), m.cycle());
+        let (bytes, want) = one_snapshot_image();
+        let store = MappedStore::from_bytes(bytes).unwrap();
+        let (m2, a2) = store.try_restore_fresh(0, &mut PageCache::default()).unwrap();
+        assert_eq!(combined_fingerprint(&m2, &a2), want);
+        assert_eq!(m2.cycle(), 0);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_snapshot(&mut &b"NOTASNAP________"[..]).unwrap_err();
+        let err = MappedStore::from_bytes(b"NOTASNAP________".to_vec()).unwrap_err();
         assert!(err.to_string().contains("bad magic"));
     }
 
     #[test]
     fn truncated_file_rejected() {
-        let m = Machine::new(MachineConfig::default());
-        let argus = Argus::new(ArgusConfig::default());
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&m, &argus, &mut pool);
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, &snap).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        let (mut bytes, _) = one_snapshot_image();
+        bytes.truncate(bytes.len() / 2);
+        assert!(MappedStore::from_bytes(bytes).is_err());
     }
 
+    /// A recorded fingerprint that disagrees with the state it describes,
+    /// behind an honest CRC: the image opens, but a verified restore must
+    /// refuse it.
     #[test]
     fn corrupt_payload_fails_fingerprint_check() {
-        let m = Machine::new(MachineConfig::default());
-        let argus = Argus::new(ArgusConfig::default());
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&m, &argus, &mut pool);
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, &snap).unwrap();
-        let n = buf.len();
-        buf[n - 100] ^= 0x01; // flip a memory tag near the end
-        assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        let (mut bytes, want) = one_snapshot_image();
+        // The lone snapshot's metadata starts with [cycle: u64][fingerprint: u64];
+        // it sits after the header, page slots, tags, and index.
+        let store = MappedStore::from_bytes(bytes.clone()).unwrap();
+        let meta_at = 4096 + store.page_count() * (4096 + 128 + 8);
+        assert_eq!(bytes[meta_at + 8..meta_at + 16], want.to_le_bytes(), "located the fingerprint");
+        bytes[meta_at + 8] ^= 0x01;
+        let end = bytes.len() - 4;
+        let crc = argus_sim::crc::crc32(&bytes[..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        let store = MappedStore::from_bytes(bytes).unwrap();
+        let err = store.try_restore_fresh(0, &mut PageCache::default()).unwrap_err();
+        assert!(err.contains("corrupt"), "{err}");
     }
 }

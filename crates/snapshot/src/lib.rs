@@ -6,26 +6,24 @@
 //! everything before it is shared, deterministic work. This crate makes
 //! that sharing explicit:
 //!
-//! * [`store::Snapshot`] — a forkable checkpoint: core state
+//! * [`mapped::MappedStoreWriter`] — the interval policy the golden run
+//!   drives (`--snapshot-every N`): each checkpoint records core state
 //!   ([`argus_machine::snapshot::CoreState`]: registers, parity tags,
 //!   pipeline latches, cycle/retired counters, both cache arrays), the
 //!   checker state ([`argus_core::ArgusState`]), and main memory as
-//!   content-addressed [`page::Page`]s, stamped with its cycle and a
-//!   combined state fingerprint.
-//! * [`page::PageStore`] — the content-addressed page pool; consecutive
-//!   snapshots share every page the run didn't touch in between.
-//! * [`store::SnapshotBuilder`] — the interval policy the golden run
-//!   drives (`--snapshot-every N`).
-//! * [`store::SnapshotStore`] — the finished, read-only store campaign
-//!   shards share behind an `Arc`; `nearest_at_or_before(arm_cycle)`
-//!   seeks the fork point for an injection.
+//!   content-addressed [`page::Page`]s shared with earlier checkpoints,
+//!   stamped with its cycle and a combined state fingerprint.
+//! * [`mapped::MappedStore`] — the sealed ARGSTORE image campaign shards
+//!   share behind an `Arc`, over a file map or an owned buffer;
+//!   `nearest_index_at_or_before(arm_cycle)` seeks the fork point for an
+//!   injection. The same format is the `argus snapshot save` file and
+//!   the distributed `entry` / `store` artifact.
 //! * [`workspace::Workspace`] — a reusable per-worker fork target;
-//!   [`store::Snapshot::restore_into`] rewrites only pages dirtied since
-//!   the workspace's last restore plus pages differing from the target
-//!   snapshot, keeping forks O(touched state) instead of O(machine
-//!   state).
-//! * [`io`] — standalone snapshot files for `argus snapshot save /
-//!   restore / info`.
+//!   [`mapped::MappedStore::restore_into`] rewrites only pages dirtied
+//!   since the workspace's last restore plus pages differing from the
+//!   target snapshot, keeping forks O(touched state) instead of
+//!   O(machine state).
+//! * [`io`] — the field codec the format is built from.
 //!
 //! The load-bearing guarantee — forking from a snapshot is
 //! **bit-identical** to cold-booting and re-executing — rests on two
@@ -37,10 +35,13 @@
 pub mod io;
 pub mod mapped;
 pub mod page;
-pub mod store;
+#[cfg(test)]
+mod store;
 pub mod workspace;
 
-pub use mapped::{MappedStore, MappedStoreWriter, PageCache, DEFAULT_PAGE_CACHE_ENTRIES};
-pub use page::{Page, PageStore, PAGE_WORDS};
-pub use store::{combined_fingerprint, Snapshot, SnapshotBuilder, SnapshotStore, StoreStats};
+pub use mapped::{
+    combined_fingerprint, MappedStore, MappedStoreWriter, PageCache, StoreStats,
+    DEFAULT_PAGE_CACHE_ENTRIES,
+};
+pub use page::{Page, PAGE_WORDS};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -1,11 +1,14 @@
-//! ARGSTORE v1: the out-of-core, memory-mapped snapshot store.
+//! ARGSTORE v1: the snapshot format and its one store.
 //!
-//! A campaign's in-RAM [`crate::SnapshotStore`] holds every distinct page
-//! of every checkpoint on the heap, so peak RSS scales with
-//! `snapshots × pages`. This module stores the same content-addressed
-//! pages in a single on-disk file instead, maps it read-only, and decodes
-//! pages on demand through a small per-worker [`PageCache`] — peak RSS is
-//! then bounded by the cache, not the store.
+//! Every checkpoint this workspace keeps is an ARGSTORE image: a
+//! campaign's golden-run checkpoints, a standalone `argus snapshot save`
+//! file, and the distributed `entry` / `store` artifacts. A
+//! [`MappedStore`] parses any such image through the same steps, whether
+//! its bytes come from a read-only file map ([`MappedStore::open`]) or an
+//! owned buffer ([`MappedStore::from_bytes`], what
+//! [`MappedStoreWriter::in_memory`] seals into). Forks decode pages on
+//! demand through a small per-worker [`PageCache`], so with a file map
+//! peak RSS is bounded by the cache, not the store.
 //!
 //! # File layout (`ARGSTORE` v1, little-endian throughout)
 //!
@@ -19,37 +22,35 @@
 //! | footer      | after snapshots           | `n_pages: u64`, `n_snaps: u64`, `meta_len: u64`, footer magic |
 //! | trailer     | last 4 bytes              | CRC-32 (IEEE) over everything before it |
 //!
-//! Pages are deduplicated **across** snapshots at write time (the same
-//! content-addressing the RAM store uses), so snapshots are just page-id
-//! tables; the body region holds each distinct page once.
+//! Pages are content-addressed and deduplicated **across** snapshots at
+//! write time (a hash bucket selects candidates, a full body + tag
+//! comparison decides equality), so snapshots are just page-id tables;
+//! the body region holds each distinct page once.
 //!
 //! # Lifecycle pitfalls this module is careful about
 //!
 //! * **fsync before map** — [`MappedStoreWriter::finish`] flushes and
-//!   `sync_all`s the file before reopening it for mapping, so the map
+//!   `sync_all`s a file before reopening it for mapping, so the map
 //!   never observes a torn write of our own making.
-//! * **envelope, then verify, then parse** — [`MappedStore::open`] checks
-//!   the whole-file CRC over the raw mapping *before* interpreting any
-//!   field beyond the magic, and validates the footer's size equation
-//!   with checked arithmetic before allocating anything sized by it.
-//!   Truncation, bit flips, and lying counts surface as `Err`, never as a
-//!   panic or an over-allocation.
+//! * **envelope, then verify, then parse** — every image goes magic →
+//!   whole-file CRC → footer size equation → metadata decode, in that
+//!   order, before anything sized by it is allocated. Truncation, bit
+//!   flips, and lying counts surface as `Err`, never as a panic or an
+//!   over-allocation.
 //! * **the file can change under the map** — the mapping is shared and
 //!   the file may be writable by others, so snapshot metadata is decoded
 //!   into RAM once at open (it is small), and every page body+tag slot is
 //!   CRC-checked on first decode (memoized per page). A file mutated
 //!   after mapping fails that per-page CRC instead of mis-executing.
 
-use crate::io::get_checker;
 use crate::io::{
-    bad, get_argus_config, get_core, get_machine_config, get_u32, get_u64, put_argus_config,
-    put_checker, put_core, put_machine_config, put_u32, put_u64,
+    bad, get_argus_config, get_checker, get_core, get_machine_config, get_u32, get_u64,
+    put_argus_config, put_checker, put_core, put_machine_config, put_u32, put_u64,
 };
 use crate::page::{Page, PAGE_WORDS};
-use crate::store::{combined_fingerprint, StoreStats};
 use crate::workspace::Workspace;
 use argus_core::{Argus, ArgusConfig, ArgusState};
-use argus_machine::snapshot::CoreState;
+use argus_machine::snapshot::{CoreState, Fnv64};
 use argus_machine::{Machine, SnapshotState};
 use argus_sim::crc::Crc32;
 use std::collections::HashMap;
@@ -76,8 +77,8 @@ const TAG_BYTES: usize = PAGE_WORDS / 8;
 const INDEX_BYTES: usize = 8;
 /// Footer size: three u64 counts + footer magic.
 const FOOTER_LEN: usize = 8 + 8 + 8 + 8;
-/// Largest memory image (in words) a stored snapshot may describe
-/// (matches the ARGSNAP guard): 1 GiB of payload.
+/// Largest memory image (in words) a stored snapshot may describe: 1 GiB
+/// of payload. Guards allocation against crafted metadata.
 const MAX_MEM_WORDS: usize = 1 << 28;
 
 const _: () = assert!(HEADER_LEN == BODY_BYTES, "header occupies one body slot");
@@ -87,6 +88,34 @@ const _: () = assert!(HEADER_LEN == BODY_BYTES, "header occupies one body slot")
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 /// Distinguishes temp files created by concurrent writers in one process.
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Combined machine + checker fingerprint: the identity a fork must match.
+pub fn combined_fingerprint(m: &Machine, argus: &Argus) -> u64 {
+    let mut h = Fnv64::new();
+    h.mix(m.state_fingerprint());
+    h.mix(argus.state_fingerprint());
+    h.finish()
+}
+
+/// Page-sharing statistics of a sealed store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Capture interval in cycles.
+    pub interval: u64,
+    /// Distinct pages stored across all snapshots.
+    pub unique_pages: u64,
+    /// Page references satisfied by an already-stored page.
+    pub dedup_hits: u64,
+    /// Payload bytes held by distinct pages.
+    pub unique_bytes: u64,
+    /// Page references across all snapshots (distinct + deduplicated).
+    pub pages_total: u64,
+    /// Distinct page bodies actually stored (alias of `unique_pages`,
+    /// under the name `argus snapshot info` reports).
+    pub pages_distinct: u64,
+    /// Payload bytes dedup avoided storing versus one body per reference.
+    pub bytes_saved: u64,
+}
 
 fn pack_tags(tags: &[bool]) -> [u8; TAG_BYTES] {
     let mut out = [0u8; TAG_BYTES];
@@ -131,7 +160,7 @@ fn pread_exact(f: &File, off: u64, buf: &mut [u8]) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Memory mapping
+// Byte sources
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
@@ -154,32 +183,34 @@ mod mmap_ffi {
     }
 }
 
-/// A read-only view of a whole file. On unix this is a shared `mmap` —
-/// the pages are backed by the page cache, shared between every store
-/// opened on the file, and reclaimable under memory pressure. Elsewhere
-/// it degrades to a heap copy (correct, just not out-of-core).
+/// The bytes a store parses. On unix a file is a shared read-only `mmap`
+/// — backed by the page cache, shared between every store opened on the
+/// file, and reclaimable under memory pressure. An owned buffer holds an
+/// in-memory image, and a file's contents where there is no `mmap`
+/// (correct, just not out-of-core).
 #[derive(Debug)]
-pub(crate) struct MapRegion {
+enum Backing {
     #[cfg(unix)]
-    ptr: *mut std::os::raw::c_void,
-    #[cfg(unix)]
-    len: usize,
-    #[cfg(not(unix))]
-    buf: Vec<u8>,
+    Map {
+        ptr: *mut std::os::raw::c_void,
+        len: usize,
+    },
+    Owned(Vec<u8>),
 }
 
-// The mapping is PROT_READ and never handed out mutably.
-unsafe impl Send for MapRegion {}
-unsafe impl Sync for MapRegion {}
+// SAFETY: `Map` owns a PROT_READ mapping that is only ever read through
+// `&[u8]` and unmapped once, in `Drop`, so moving it to or sharing it with
+// another thread is sound; `Owned` is a plain `Vec<u8>`, already Send + Sync.
+unsafe impl Send for Backing {}
+unsafe impl Sync for Backing {}
 
-impl MapRegion {
+impl Backing {
     #[cfg(unix)]
     fn map(file: &File, len: usize) -> io::Result<Self> {
         use std::os::fd::AsRawFd;
-        if len == 0 {
-            return Err(bad("cannot map an empty file"));
-        }
-        // SAFETY: len is nonzero and the fd is a valid open file.
+        // SAFETY: with a null address hint mmap either maps a fresh region
+        // or fails (checked below; a zero `len` fails too); the fd is a
+        // valid open file.
         let ptr = unsafe {
             mmap_ffi::mmap(
                 std::ptr::null_mut(),
@@ -193,7 +224,7 @@ impl MapRegion {
         if ptr as isize == -1 {
             return Err(io::Error::other("mmap failed"));
         }
-        Ok(Self { ptr, len })
+        Ok(Backing::Map { ptr, len })
     }
 
     #[cfg(not(unix))]
@@ -204,34 +235,33 @@ impl MapRegion {
         if buf.len() != len {
             return Err(bad("file changed size while opening"));
         }
-        Ok(Self { buf })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        #[cfg(unix)]
-        // SAFETY: the region stays mapped for the lifetime of self.
-        unsafe {
-            std::slice::from_raw_parts(self.ptr as *const u8, self.len)
-        }
-        #[cfg(not(unix))]
-        &self.buf
+        Ok(Backing::Owned(buf))
     }
 }
 
-#[cfg(unix)]
-impl Drop for MapRegion {
+impl Drop for Backing {
     fn drop(&mut self) {
-        // SAFETY: ptr/len came from a successful mmap.
-        unsafe {
-            mmap_ffi::munmap(self.ptr, self.len);
+        #[cfg(unix)]
+        if let Backing::Map { ptr, len } = *self {
+            // SAFETY: ptr/len came from a successful mmap.
+            unsafe {
+                mmap_ffi::munmap(ptr, len);
+            }
         }
     }
 }
 
-impl std::ops::Deref for MapRegion {
+impl std::ops::Deref for Backing {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.bytes()
+        match self {
+            #[cfg(unix)]
+            // SAFETY: the region stays mapped for the lifetime of self.
+            Backing::Map { ptr, len } => unsafe {
+                std::slice::from_raw_parts(*ptr as *const u8, *len)
+            },
+            Backing::Owned(buf) => buf,
+        }
     }
 }
 
@@ -240,7 +270,7 @@ impl std::ops::Deref for MapRegion {
 // ---------------------------------------------------------------------------
 
 /// Per-distinct-page bookkeeping the writer keeps in RAM (~140 bytes per
-/// page; bodies go straight to disk).
+/// page; bodies go straight to the sink).
 #[derive(Debug)]
 struct PageRecord {
     word_len: u32,
@@ -248,19 +278,26 @@ struct PageRecord {
     tags: [u8; TAG_BYTES],
 }
 
-/// Streaming ARGSTORE writer with the same capture policy surface as
-/// [`crate::SnapshotBuilder`]: the golden run calls
-/// [`MappedStoreWriter::maybe_capture`] after every step, page bodies are
-/// deduplicated and written through to disk immediately, and
-/// [`MappedStoreWriter::finish`] seals the file and reopens it as a
-/// [`MappedStore`].
+/// Where a writer's bytes go: a file that [`MappedStoreWriter::finish`]
+/// syncs and maps, or a buffer it seals into an in-memory store.
+#[derive(Debug)]
+enum Sink {
+    File { file: File, path: PathBuf },
+    Memory(Vec<u8>),
+}
+
+/// Streaming ARGSTORE writer: the golden run calls
+/// [`MappedStoreWriter::maybe_capture`] after every step (a checkpoint is
+/// taken whenever at least `every` cycles have passed since the previous
+/// one, checked at step boundaries), page bodies are deduplicated and
+/// written through to the sink immediately, and
+/// [`MappedStoreWriter::finish`] seals the image into a [`MappedStore`].
 ///
-/// RAM held while writing is O(distinct pages) bookkeeping (tag bits +
-/// index entries + dedup buckets), never page bodies.
+/// Besides the sink, RAM held while writing is O(distinct pages)
+/// bookkeeping (tag bits + index entries + dedup buckets).
 #[derive(Debug)]
 pub struct MappedStoreWriter {
-    file: File,
-    path: PathBuf,
+    sink: Sink,
     every: u64,
     next_due: u64,
     /// (page crc, word_len) → candidate page ids; full comparison (RAM
@@ -285,17 +322,44 @@ impl MappedStoreWriter {
     ///
     /// Panics if `every` is zero.
     pub fn create(path: &Path, every: u64) -> io::Result<Self> {
-        assert!(every > 0, "snapshot interval must be at least one cycle");
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        Self::with_sink(Sink::File { file, path: path.to_path_buf() }, every)
+    }
+
+    /// Creates a store file under the system temp directory with a
+    /// process-unique name (campaign-internal stores nobody needs to keep;
+    /// the campaign unlinks the path once the store is mapped).
+    pub fn create_temp(every: u64) -> io::Result<Self> {
+        let name = format!(
+            "argstore-{}-{}.tmp",
+            std::process::id(),
+            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        );
+        Self::create(&std::env::temp_dir().join(name), every)
+    }
+
+    /// A writer whose image stays in an owned buffer: no filesystem, the
+    /// whole store resident. What a campaign falls back to when it cannot
+    /// write a temp file, and how one-snapshot images (`argus snapshot
+    /// save`, the distributed `entry` artifact) are built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    pub fn in_memory(every: u64) -> Self {
+        Self::with_sink(Sink::Memory(Vec::new()), every).expect("a buffer write cannot fail")
+    }
+
+    fn with_sink(sink: Sink, every: u64) -> io::Result<Self> {
+        assert!(every > 0, "snapshot interval must be at least one cycle");
         let mut header = [0u8; HEADER_LEN];
         header[..8].copy_from_slice(&MAGIC);
         header[8..12].copy_from_slice(&VERSION.to_le_bytes());
         header[12..16].copy_from_slice(&(PAGE_WORDS as u32).to_le_bytes());
         header[16..24].copy_from_slice(&every.to_le_bytes());
         let mut w = Self {
-            file,
-            path: path.to_path_buf(),
+            sink,
             every,
             next_due: 0,
             buckets: HashMap::new(),
@@ -312,49 +376,52 @@ impl MappedStoreWriter {
         Ok(w)
     }
 
-    /// Creates a store file under the system temp directory with a
-    /// process-unique name (campaign-internal stores nobody needs to keep;
-    /// the campaign unlinks the path once the store is mapped).
-    pub fn create_temp(every: u64) -> io::Result<Self> {
-        let name = format!(
-            "argstore-{}-{}.tmp",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
-        Self::create(&std::env::temp_dir().join(name), every)
-    }
-
-    /// Path of the store file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Path of the store file being written (`None` for an in-memory
+    /// writer).
+    pub fn path(&self) -> Option<&Path> {
+        match &self.sink {
+            Sink::File { path, .. } => Some(path),
+            Sink::Memory(_) => None,
+        }
     }
 
     fn write_bytes(&mut self, b: &[u8]) -> io::Result<()> {
-        self.file.write_all(b)?;
+        match &mut self.sink {
+            Sink::File { file, .. } => file.write_all(b)?,
+            Sink::Memory(buf) => buf.extend_from_slice(b),
+        }
         self.crc.update(b);
         Ok(())
     }
 
-    /// Interns one page, writing its body through to disk if distinct.
-    fn intern(&mut self, words: &[u32], tags: &[bool]) -> io::Result<u32> {
+    /// Whether stored page `id`'s body slot equals `body` — the dedup
+    /// read-back, since bodies live only in the sink.
+    fn body_matches(&self, id: u32, body: &[u8; BODY_BYTES]) -> io::Result<bool> {
+        let off = HEADER_LEN + id as usize * BODY_BYTES;
+        Ok(match &self.sink {
+            Sink::File { file, .. } => {
+                let mut stored = [0u8; BODY_BYTES];
+                pread_exact(file, off as u64, &mut stored)?;
+                stored == *body
+            }
+            Sink::Memory(buf) => buf[off..off + BODY_BYTES] == body[..],
+        })
+    }
+
+    /// Interns one page, writing its body through to the sink if distinct.
+    pub(crate) fn intern(&mut self, words: &[u32], tags: &[bool]) -> io::Result<u32> {
         self.pages_total += 1;
         let body = encode_body(words);
         let packed = pack_tags(tags);
         let crc = page_crc(&body, &packed);
         let key = (crc, words.len() as u32);
-        // Split borrow: candidate lookup needs &self.pages and &self.file
-        // while the bucket entry is held.
-        let candidates = self.buckets.get(&key).cloned().unwrap_or_default();
-        for id in candidates {
-            let rec = &self.pages[id as usize];
-            if rec.word_len == words.len() as u32 && rec.tags == packed {
-                let mut stored = [0u8; BODY_BYTES];
-                pread_exact(
-                    &self.file,
-                    (HEADER_LEN + id as usize * BODY_BYTES) as u64,
-                    &mut stored,
-                )?;
-                if stored == body {
+        if let Some(candidates) = self.buckets.get(&key) {
+            for &id in candidates {
+                let rec = &self.pages[id as usize];
+                if rec.word_len == words.len() as u32
+                    && rec.tags == packed
+                    && self.body_matches(id, &body)?
+                {
                     self.saved_bytes += 4 * words.len() as u64;
                     return Ok(id);
                 }
@@ -382,22 +449,18 @@ impl MappedStoreWriter {
             ids.push(self.intern(w, t)?);
         }
 
-        let mut buf: Vec<u8> = Vec::new();
-        {
-            let b: &mut dyn Write = &mut buf;
-            put_u64(b, m.cycle())?;
-            put_u64(b, combined_fingerprint(m, argus))?;
-            put_machine_config(b, &m.config())?;
-            put_argus_config(b, &argus.config())?;
-            put_core(b, &m.capture_core())?;
-            put_checker(b, &argus.capture_state())?;
-            put_u64(b, words.len() as u64)?;
-            put_u64(b, ids.len() as u64)?;
-            for &id in &ids {
-                put_u32(b, id)?;
-            }
+        let b: &mut dyn Write = &mut self.metas;
+        put_u64(b, m.cycle())?;
+        put_u64(b, combined_fingerprint(m, argus))?;
+        put_machine_config(b, &m.config())?;
+        put_argus_config(b, &argus.config())?;
+        put_core(b, &m.capture_core())?;
+        put_checker(b, &argus.capture_state())?;
+        put_u64(b, words.len() as u64)?;
+        put_u64(b, ids.len() as u64)?;
+        for &id in &ids {
+            put_u32(b, id)?;
         }
-        self.metas.extend_from_slice(&buf);
         self.n_snaps += 1;
         self.last_cycle = Some(m.cycle());
         self.next_due = m.cycle() + self.every;
@@ -424,8 +487,9 @@ impl MappedStoreWriter {
         self.n_snaps == 0
     }
 
-    /// Seals the file (tags, index, snapshot metadata, footer, CRC
-    /// trailer), syncs it to disk, and reopens it as a mapped store.
+    /// Seals the image (tags, index, snapshot metadata, footer, CRC
+    /// trailer) and opens it as a store: a file is synced to disk and
+    /// mapped, a buffer becomes an in-memory store.
     ///
     /// The `sync_all` *before* mapping matters: mapping a file whose
     /// writes are still in flight could tear; after fsync the bytes the
@@ -450,13 +514,20 @@ impl MappedStoreWriter {
         footer[16..24].copy_from_slice(&(metas.len() as u64).to_le_bytes());
         footer[24..].copy_from_slice(&FOOTER_MAGIC);
         self.write_bytes(&footer)?;
-        let crc = self.crc.finish();
-        self.file.write_all(&crc.to_le_bytes())?;
-        self.file.flush()?;
-        self.file.sync_all()?;
-        let path = self.path.clone();
-        drop(self.file);
-        MappedStore::open(&path)
+        let crc = self.crc.finish().to_le_bytes();
+        match self.sink {
+            Sink::File { mut file, path } => {
+                file.write_all(&crc)?;
+                file.flush()?;
+                file.sync_all()?;
+                drop(file);
+                MappedStore::open(&path)
+            }
+            Sink::Memory(mut buf) => {
+                buf.extend_from_slice(&crc);
+                MappedStore::from_bytes(buf)
+            }
+        }
     }
 }
 
@@ -477,13 +548,14 @@ struct SnapMeta {
     page_ids: Vec<u32>,
 }
 
-/// A sealed ARGSTORE file, mapped read-only and shared by every campaign
-/// worker behind an `Arc`. Restores decode pages on demand through a
-/// per-worker [`PageCache`]; each page's CRC is checked on first decode.
+/// A sealed ARGSTORE image — a read-only file map or an owned buffer —
+/// shared by every campaign worker behind an `Arc`. Restores decode pages
+/// on demand through a per-worker [`PageCache`]; each page's CRC is
+/// checked on first decode.
 #[derive(Debug)]
 pub struct MappedStore {
-    map: MapRegion,
-    path: PathBuf,
+    bytes: Backing,
+    path: Option<PathBuf>,
     uid: u64,
     n_pages: usize,
     tags_off: usize,
@@ -495,21 +567,35 @@ pub struct MappedStore {
 }
 
 impl MappedStore {
-    /// Opens and validates a store file: magic → whole-file CRC → footer
-    /// size equation → metadata decode, in that order, so nothing is
-    /// parsed or allocated from unverified bytes.
+    /// Opens and validates a store file (see [`MappedStore::from_bytes`]
+    /// for the checks). On unix the file is mapped, not read.
     pub fn open(path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| bad("store file too large to map"))?;
+        if len < MAGIC.len() {
+            return Err(bad("not an argus store file (bad magic)"));
+        }
+        let mut store = Self::parse(Backing::map(&file, len)?)?;
+        store.path = Some(path.to_path_buf());
+        Ok(store)
+    }
+
+    /// Validates an in-memory image: magic → whole-file CRC → footer size
+    /// equation → metadata decode, in that order, so nothing is parsed or
+    /// allocated from unverified bytes.
+    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<Self> {
+        Self::parse(Backing::Owned(bytes))
+    }
+
+    fn parse(backing: Backing) -> io::Result<Self> {
+        let bytes: &[u8] = &backing;
+        let len = bytes.len();
+        if len < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
+            return Err(bad("not an argus store file (bad magic)"));
+        }
         if len < HEADER_LEN + FOOTER_LEN + 4 {
             return Err(bad("not an argus store file (too short)"));
-        }
-        let map = MapRegion::map(&file, len)?;
-        drop(file);
-        let bytes: &[u8] = &map;
-        if bytes[..8] != MAGIC {
-            return Err(bad("not an argus store file (bad magic)"));
         }
         let stored_crc = u32::from_le_bytes(bytes[len - 4..].try_into().expect("len checked"));
         if argus_sim::crc::crc32(&bytes[..len - 4]) != stored_crc {
@@ -579,6 +665,12 @@ impl MappedStore {
             if mem_words > MAX_MEM_WORDS {
                 return Err(bad("memory image implausibly large"));
             }
+            // Restores build a machine from `mcfg`, so its memory must be
+            // exactly the image: checked here, before anything is sized
+            // by a crafted config.
+            if mem_words == 0 || mem_words != mcfg.mem.mem_bytes.div_ceil(4) as usize {
+                return Err(bad("memory image size disagrees with machine config"));
+            }
             let nids = get_u64(r)? as usize;
             if nids != mem_words.div_ceil(PAGE_WORDS) {
                 return Err(bad("page table length disagrees with memory size"));
@@ -621,8 +713,8 @@ impl MappedStore {
             bytes_saved: refs_bytes.saturating_sub(unique_bytes),
         };
         Ok(Self {
-            map,
-            path: path.to_path_buf(),
+            bytes: backing,
+            path: None,
             uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             n_pages,
             tags_off,
@@ -634,9 +726,9 @@ impl MappedStore {
     }
 
     /// Path this store was opened from (may since be unlinked for
-    /// campaign-internal temp stores).
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// campaign-internal temp stores); `None` for an in-memory image.
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// Process-unique identity of this open store.
@@ -644,12 +736,20 @@ impl MappedStore {
         self.uid
     }
 
-    /// The entire mapped file image, byte for byte — what a distributed
-    /// coordinator serves as the `store` artifact so workers can adopt the
-    /// store without re-running the golden capture. Reading it never
-    /// materializes pages: the bytes come straight from the map.
+    /// The entire ARGSTORE image, byte for byte — what `argus snapshot
+    /// save` writes and what a distributed coordinator serves as its
+    /// `entry` and `store` artifacts. Reading it never materializes pages:
+    /// the bytes come straight from the map or buffer.
     pub fn file_bytes(&self) -> &[u8] {
-        &self.map
+        &self.bytes
+    }
+
+    /// `Some(self)`. Kept only because the frozen `perf/` benchmark calls
+    /// it on a campaign's store (from when the store could live in a RAM
+    /// page pool instead); delete with the next benchmark change.
+    #[doc(hidden)]
+    pub fn mapped(self: &Arc<Self>) -> Option<&Arc<Self>> {
+        Some(self)
     }
 
     /// Number of checkpoints.
@@ -667,7 +767,7 @@ impl MappedStore {
         self.n_pages
     }
 
-    /// Page-sharing statistics (same shape as the RAM store's).
+    /// Page-sharing statistics.
     pub fn stats(&self) -> StoreStats {
         self.stats
     }
@@ -704,16 +804,16 @@ impl MappedStore {
     }
 
     fn word_len(&self, id: u32) -> usize {
-        let e = &self.map[self.index_off + id as usize * INDEX_BYTES..];
+        let e = &self.bytes[self.index_off + id as usize * INDEX_BYTES..];
         u32::from_le_bytes(e[..4].try_into().expect("index entry")) as usize
     }
 
     fn body_slot(&self, id: u32) -> &[u8] {
-        &self.map[HEADER_LEN + id as usize * BODY_BYTES..][..BODY_BYTES]
+        &self.bytes[HEADER_LEN + id as usize * BODY_BYTES..][..BODY_BYTES]
     }
 
     fn tag_slot(&self, id: u32) -> &[u8] {
-        &self.map[self.tags_off + id as usize * TAG_BYTES..][..TAG_BYTES]
+        &self.bytes[self.tags_off + id as usize * TAG_BYTES..][..TAG_BYTES]
     }
 
     /// Recomputes page `id`'s CRC against the live mapping, ignoring and
@@ -723,14 +823,33 @@ impl MappedStore {
         if id as usize >= self.n_pages {
             return None;
         }
-        let e = &self.map[self.index_off + id as usize * INDEX_BYTES..];
+        let e = &self.bytes[self.index_off + id as usize * INDEX_BYTES..];
         let stored = u32::from_le_bytes(e[4..8].try_into().expect("index entry"));
         Some(page_crc(self.body_slot(id), self.tag_slot(id)) == stored)
     }
 
-    /// Decodes page `id` through `cache`, CRC-checking the mapped slots on
+    /// Test-only chaos hook: swaps the backing for an owned copy in which
+    /// one body byte of the first page snapshot `snap` references is
+    /// flipped (a page already failing its CRC is left as is), so that
+    /// page fails its CRC on first decode and the integrity fallbacks can
+    /// be exercised. Returns `false` for an out-of-range snapshot.
+    #[doc(hidden)]
+    pub fn corrupt_page_for_test(&mut self, snap: usize) -> bool {
+        let Some(&id) = self.metas.get(snap).and_then(|m| m.page_ids.first()) else {
+            return false;
+        };
+        if self.check_page_crc(id) == Some(true) {
+            let mut copy = self.bytes.to_vec();
+            copy[HEADER_LEN + id as usize * BODY_BYTES] ^= 1;
+            self.bytes = Backing::Owned(copy);
+            self.page_verified[id as usize].store(false, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Decodes page `id` through `cache`, CRC-checking the stored slots on
     /// the page's first decode ever (memoized store-wide).
-    fn page(&self, id: u32, cache: &mut PageCache) -> Result<Arc<Page>, String> {
+    pub(crate) fn page(&self, id: u32, cache: &mut PageCache) -> Result<Arc<Page>, String> {
         if let Some(p) = cache.get(id) {
             return Ok(p);
         }
@@ -738,11 +857,11 @@ impl MappedStore {
         let body = self.body_slot(id);
         let tags = self.tag_slot(id);
         if !self.page_verified[id as usize].load(Ordering::Relaxed) {
-            let e = &self.map[self.index_off + id as usize * INDEX_BYTES..];
+            let e = &self.bytes[self.index_off + id as usize * INDEX_BYTES..];
             let stored = u32::from_le_bytes(e[4..8].try_into().expect("index entry"));
             if page_crc(body, tags) != stored {
                 return Err(format!(
-                    "mapped page {id} failed its CRC (store file corrupted after open)"
+                    "stored page {id} failed its CRC (store corrupted after open)"
                 ));
             }
             self.page_verified[id as usize].store(true, Ordering::Relaxed);
@@ -765,9 +884,6 @@ impl MappedStore {
         argus: &mut Argus,
         cache: &mut PageCache,
     ) -> Result<(), String> {
-        if m.mem().memory().words().len() != meta.mem_words {
-            return Err("memory image size disagrees with machine config".into());
-        }
         cache.grow_to(meta.page_ids.len());
         m.restore_core(&meta.core);
         let mut base = 0usize;
@@ -781,8 +897,8 @@ impl MappedStore {
     }
 
     /// Builds a fresh machine + checker pair from snapshot `i` — the cold
-    /// fork operation on the mapped store. Pages are CRC-checked on first
-    /// decode; the full fingerprint is *not* re-verified (see
+    /// fork operation. Pages are CRC-checked on first decode; the full
+    /// fingerprint is *not* re-verified (see
     /// [`MappedStore::try_restore_fresh`]).
     pub fn restore_fresh(
         &self,
@@ -834,7 +950,7 @@ impl MappedStore {
             assert_eq!(
                 combined_fingerprint(m, a),
                 self.metas[i].fingerprint,
-                "mapped delta restore does not match capture fingerprint"
+                "delta restore does not match capture fingerprint"
             );
         }
         Ok(())
@@ -908,9 +1024,6 @@ impl MappedStore {
             ws.stats.full_restores += 1;
         } else {
             let (m, argus) = ws.pair.as_mut().expect("checked compatible above");
-            if m.mem().memory().words().len() != meta.mem_words {
-                return Err("memory image size disagrees with machine config".into());
-            }
             m.restore_core(&meta.core);
             let delta_ok =
                 ws.mirrored_store == self.uid && ws.mirrored_ids.len() == meta.page_ids.len();
@@ -939,7 +1052,6 @@ impl MappedStore {
             assert_eq!(base, meta.mem_words, "page table does not cover memory");
             argus.restore_state(&meta.checker);
         }
-        ws.mirrored.clear();
         ws.mirrored_ids.clear();
         ws.mirrored_ids.extend_from_slice(&meta.page_ids);
         ws.mirrored_store = self.uid;
@@ -1088,6 +1200,74 @@ mod tests {
     }
 
     #[test]
+    fn seek_finds_nearest_at_or_before() {
+        let (m, a) = idle_pair();
+        let mut w = MappedStoreWriter::in_memory(100);
+        w.capture_now(&m, &a).unwrap();
+        let mut later = Machine::new(MachineConfig::default());
+        let mut core = m.capture_core();
+        core.cycle = 250;
+        later.restore_core(&core);
+        w.capture_now(&later, &a).unwrap();
+        let store = w.finish().unwrap();
+        assert_eq!(store.nearest_index_at_or_before(0), Some(0));
+        assert_eq!(store.nearest_index_at_or_before(249), Some(0));
+        assert_eq!(store.nearest_index_at_or_before(250), Some(1));
+        assert_eq!(store.nearest_index_at_or_before(u64::MAX), Some(1));
+    }
+
+    #[test]
+    fn builder_interval_gates_captures() {
+        let (m, a) = idle_pair();
+        let mut w = MappedStoreWriter::in_memory(50);
+        assert!(w.maybe_capture(&m, &a).unwrap(), "first capture is immediate");
+        assert!(!w.maybe_capture(&m, &a).unwrap(), "same cycle: interval not elapsed");
+        assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn in_memory_image_matches_file_image() {
+        let (m, a) = idle_pair();
+        let path = temp_path("sinks");
+        let mut on_disk = MappedStoreWriter::create(&path, 100).unwrap();
+        let mut in_mem = MappedStoreWriter::in_memory(100);
+        on_disk.capture_now(&m, &a).unwrap();
+        in_mem.capture_now(&m, &a).unwrap();
+        let (file_store, mem_store) = (on_disk.finish().unwrap(), in_mem.finish().unwrap());
+        assert_eq!(file_store.file_bytes(), mem_store.file_bytes(), "one format, two sinks");
+        assert_eq!(mem_store.path(), None);
+        let reparsed = MappedStore::from_bytes(file_store.file_bytes().to_vec()).unwrap();
+        assert_eq!(reparsed.fingerprint(0), file_store.fingerprint(0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn restore_rejects_other_geometry() {
+        // A machine config whose memory size disagrees with the page
+        // table, behind an honest CRC, is refused when the image is
+        // parsed — before a restore could build a machine from it.
+        let (m, a) = idle_pair();
+        let mut w = MappedStoreWriter::in_memory(100);
+        w.capture_now(&m, &a).unwrap();
+        let store = w.finish().unwrap();
+        let meta_at = HEADER_LEN + store.page_count() * (BODY_BYTES + TAG_BYTES + INDEX_BYTES);
+        // Metadata: cycle, fingerprint, then the machine config's two
+        // cache configs (3 × u32 each) before `mem_bytes`.
+        let mem_at = meta_at + 16 + 24;
+        let mem_bytes = m.config().mem.mem_bytes;
+        assert_eq!(store.file_bytes()[mem_at..mem_at + 4], mem_bytes.to_le_bytes());
+        for lie in [0, mem_bytes * 2] {
+            let mut bytes = store.file_bytes().to_vec();
+            bytes[mem_at..mem_at + 4].copy_from_slice(&lie.to_le_bytes());
+            let end = bytes.len() - 4;
+            let crc = argus_sim::crc::crc32(&bytes[..end]);
+            bytes[end..].copy_from_slice(&crc.to_le_bytes());
+            let err = MappedStore::from_bytes(bytes).unwrap_err();
+            assert!(err.to_string().contains("disagrees with machine config"), "{err}");
+        }
+    }
+
+    #[test]
     fn identical_pages_share_storage() {
         let path = temp_path("dedup");
         let mut w = MappedStoreWriter::create(&path, 100).unwrap();
@@ -1232,7 +1412,7 @@ mod tests {
         let mut w = MappedStoreWriter::create_temp(100).unwrap();
         w.capture_now(&m, &a).unwrap();
         let store = w.finish().unwrap();
-        std::fs::remove_file(store.path()).unwrap();
+        std::fs::remove_file(store.path().unwrap()).unwrap();
         let mut cache = PageCache::default();
         let (m2, a2) = store.try_restore_fresh(0, &mut cache).unwrap();
         assert_eq!(combined_fingerprint(&m2, &a2), store.fingerprint(0).unwrap());

@@ -1,21 +1,12 @@
-//! Content-addressed memory pages.
+//! Fixed-size memory pages.
 //!
 //! Main memory dominates snapshot size (the paper's simulated machine
 //! carries megabytes of RAM against a few hundred bytes of core state),
 //! yet a workload's golden run touches only a sliver of it between two
-//! checkpoints. Storing memory as fixed-size pages interned in a
-//! content-addressed pool lets consecutive snapshots share every page
-//! that didn't change: a snapshot holds `Arc`s into the pool, and only
-//! pages whose contents differ from anything seen before cost new
-//! storage.
-//!
-//! Interning is collision-safe: the content hash only selects a bucket,
-//! and a full word-by-word comparison decides equality, so two distinct
-//! pages that happen to hash alike are both kept.
-
-use argus_machine::snapshot::Fnv64;
-use std::collections::HashMap;
-use std::sync::Arc;
+//! checkpoints. Stores therefore keep memory as fixed-size pages,
+//! content-addressed so that consecutive snapshots share every page that
+//! didn't change (see [`crate::MappedStoreWriter`]); a [`Page`] is one
+//! decoded page as forks consume it.
 
 /// Words per page (4 KiB of payload).
 pub const PAGE_WORDS: usize = 1024;
@@ -32,125 +23,58 @@ pub struct Page {
     pub tags: Vec<bool>,
 }
 
-impl Page {
-    /// Content hash over payload and tags (bucket selection, not identity).
-    pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.mix(self.words.len() as u64);
-        for &w in &self.words {
-            h.mix(w as u64);
-        }
-        for &t in &self.tags {
-            h.mix(t as u64);
-        }
-        h.finish()
-    }
-}
-
-/// A content-addressed pool of [`Page`]s.
-///
-/// All snapshots of a campaign intern their pages here, so pages shared
-/// between snapshots (or repeated within one image — e.g. zero-filled
-/// regions) are stored once.
-#[derive(Debug, Default)]
-pub struct PageStore {
-    buckets: HashMap<u64, Vec<Arc<Page>>>,
-    interned: u64,
-    hits: u64,
-    saved: u64,
-}
-
-impl PageStore {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `page`, returning the pooled copy. Full content comparison
-    /// on a hash hit keeps colliding pages distinct.
-    pub fn intern(&mut self, page: Page) -> Arc<Page> {
-        let bucket = self.buckets.entry(page.content_hash()).or_default();
-        if let Some(existing) = bucket.iter().find(|p| ***p == page) {
-            self.hits += 1;
-            self.saved += 4 * page.words.len() as u64;
-            return Arc::clone(existing);
-        }
-        self.interned += 1;
-        let arc = Arc::new(page);
-        bucket.push(Arc::clone(&arc));
-        arc
-    }
-
-    /// Splits a full memory image into interned pages.
-    pub fn intern_image(&mut self, words: &[u32], tags: &[bool]) -> Vec<Arc<Page>> {
-        assert_eq!(words.len(), tags.len(), "payload/tag images must be parallel");
-        words
-            .chunks(PAGE_WORDS)
-            .zip(tags.chunks(PAGE_WORDS))
-            .map(|(w, t)| self.intern(Page { words: w.to_vec(), tags: t.to_vec() }))
-            .collect()
-    }
-
-    /// Distinct pages stored.
-    pub fn unique_pages(&self) -> u64 {
-        self.interned
-    }
-
-    /// Intern requests satisfied by an already-stored page.
-    pub fn dedup_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Payload bytes deduplication avoided storing (bytes of every page
-    /// reference satisfied by an already-stored page).
-    pub fn saved_bytes(&self) -> u64 {
-        self.saved
-    }
-
-    /// Bytes held by distinct pages (payload words only).
-    pub fn unique_bytes(&self) -> u64 {
-        self.buckets.values().flat_map(|b| b.iter()).map(|p| 4 * p.words.len() as u64).sum()
-    }
-}
-
+/// Content addressing as the store writer applies it, exercised through
+/// an in-memory writer (the file sink's read-back is covered in
+/// `mapped.rs`).
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapped::{MappedStoreWriter, PageCache};
 
     fn page(fill: u32, len: usize) -> Page {
         Page { words: vec![fill; len], tags: vec![true; len] }
     }
 
+    fn intern(w: &mut MappedStoreWriter, p: &Page) -> u32 {
+        w.intern(&p.words, &p.tags).unwrap()
+    }
+
     #[test]
     fn identical_pages_share_storage() {
-        let mut store = PageStore::new();
-        let a = store.intern(page(7, PAGE_WORDS));
-        let b = store.intern(page(7, PAGE_WORDS));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(store.unique_pages(), 1);
-        assert_eq!(store.dedup_hits(), 1);
+        let mut w = MappedStoreWriter::in_memory(1);
+        let a = intern(&mut w, &page(7, PAGE_WORDS));
+        let b = intern(&mut w, &page(7, PAGE_WORDS));
+        assert_eq!(a, b);
+        assert_eq!(w.finish().unwrap().page_count(), 1);
     }
 
     #[test]
     fn differing_tags_differ() {
-        let mut store = PageStore::new();
-        let a = store.intern(page(7, 8));
+        let mut w = MappedStoreWriter::in_memory(1);
+        let a = intern(&mut w, &page(7, 8));
         let mut q = page(7, 8);
         q.tags[3] = false;
-        let b = store.intern(q);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(store.unique_pages(), 2);
+        let b = intern(&mut w, &q);
+        assert_ne!(a, b);
+        assert_eq!(w.finish().unwrap().page_count(), 2);
     }
 
     #[test]
     fn image_roundtrips_through_pages() {
-        let mut store = PageStore::new();
+        let mut w = MappedStoreWriter::in_memory(1);
         // 2.5 pages, so the tail page is short.
         let n = PAGE_WORDS * 5 / 2;
         let words: Vec<u32> = (0..n as u32).collect();
         let tags: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let pages = store.intern_image(&words, &tags);
-        assert_eq!(pages.len(), 3);
+        let ids: Vec<u32> = words
+            .chunks(PAGE_WORDS)
+            .zip(tags.chunks(PAGE_WORDS))
+            .map(|(pw, pt)| w.intern(pw, pt).unwrap())
+            .collect();
+        assert_eq!(ids.len(), 3);
+        let store = w.finish().unwrap();
+        let mut cache = PageCache::default();
+        let pages: Vec<_> = ids.iter().map(|&id| store.page(id, &mut cache).unwrap()).collect();
         let rewords: Vec<u32> = pages.iter().flat_map(|p| p.words.iter().copied()).collect();
         let retags: Vec<bool> = pages.iter().flat_map(|p| p.tags.iter().copied()).collect();
         assert_eq!(rewords, words);
@@ -159,12 +83,9 @@ mod tests {
 
     #[test]
     fn zero_pages_of_a_blank_image_collapse() {
-        let mut store = PageStore::new();
-        let words = vec![0u32; PAGE_WORDS * 8];
-        let tags = vec![true; PAGE_WORDS * 8];
-        let pages = store.intern_image(&words, &tags);
-        assert_eq!(pages.len(), 8);
-        assert_eq!(store.unique_pages(), 1, "eight identical pages stored once");
-        assert!(pages.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+        let mut w = MappedStoreWriter::in_memory(1);
+        let ids: Vec<u32> = (0..8).map(|_| intern(&mut w, &page(0, PAGE_WORDS))).collect();
+        assert!(ids.windows(2).all(|p| p[0] == p[1]), "eight identical pages stored once");
+        assert_eq!(w.finish().unwrap().page_count(), 1);
     }
 }

@@ -1,496 +1,29 @@
-//! Snapshots, the interval policy, and the campaign-facing store.
-//!
-//! A [`Snapshot`] is a forkable point in a golden run: core state by
-//! value, main memory as interned [`Page`]s, plus the checker state —
-//! restoring one and stepping forward is bit-identical to having run from
-//! cold boot (the contract of
-//! [`argus_machine::SnapshotState`], enforced by this crate's property
-//! tests).
-//!
-//! [`SnapshotBuilder`] implements the interval policy: the golden run
-//! calls [`SnapshotBuilder::maybe_capture`] after every step and a
-//! checkpoint is taken whenever at least `every` cycles have elapsed
-//! since the previous one. [`SnapshotStore`] is the finished, read-only
-//! result that campaign workers share: `run_injection` asks for the
-//! nearest snapshot at or before its arm cycle and replays only the
-//! residue.
-
-use crate::page::{Page, PageStore, PAGE_WORDS};
-use crate::workspace::Workspace;
-use argus_core::{Argus, ArgusConfig, ArgusState};
-use argus_machine::snapshot::{CoreState, Fnv64, SnapshotState};
-use argus_machine::Machine;
-use std::sync::Arc;
-
-/// One forkable checkpoint of a golden run.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    cycle: u64,
-    fingerprint: u64,
-    acfg: ArgusConfig,
-    core: CoreState,
-    checker: ArgusState,
-    pages: Vec<Arc<Page>>,
-    mem_words: usize,
-}
-
-/// Combined machine + checker fingerprint: the identity a fork must match.
-pub fn combined_fingerprint(m: &Machine, argus: &Argus) -> u64 {
-    let mut h = Fnv64::new();
-    h.mix(m.state_fingerprint());
-    h.mix(argus.state_fingerprint());
-    h.finish()
-}
-
-impl Snapshot {
-    /// Captures the simulator at the current step boundary, interning
-    /// memory pages in `pool`.
-    pub fn capture(m: &Machine, argus: &Argus, pool: &mut PageStore) -> Self {
-        let words = m.mem().memory().words();
-        let tags = m.mem().memory().tags();
-        Self {
-            cycle: m.cycle(),
-            fingerprint: combined_fingerprint(m, argus),
-            acfg: argus.config(),
-            core: m.capture_core(),
-            checker: argus.capture_state(),
-            pages: pool.intern_image(words, tags),
-            mem_words: words.len(),
-        }
-    }
-
-    /// Cycle stamp (step boundary the capture was taken at).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Combined machine + checker fingerprint at capture time.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Checker configuration at capture time.
-    pub fn argus_config(&self) -> ArgusConfig {
-        self.acfg
-    }
-
-    /// Core state at capture time.
-    pub fn core(&self) -> &CoreState {
-        &self.core
-    }
-
-    /// Checker state at capture time.
-    pub fn checker(&self) -> &ArgusState {
-        &self.checker
-    }
-
-    /// Total main-memory payload words the page list reassembles to.
-    pub fn mem_words(&self) -> usize {
-        self.mem_words
-    }
-
-    /// Number of page slots in this snapshot's page table (one per
-    /// [`crate::page::PAGE_WORDS`]-word chunk of the memory image).
-    pub fn page_slots(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Reassembles the full memory image (standalone files, tests).
-    pub fn materialize_memory(&self) -> (Vec<u32>, Vec<bool>) {
-        let mut words = Vec::with_capacity(self.mem_words);
-        let mut tags = Vec::with_capacity(self.mem_words);
-        for p in &self.pages {
-            words.extend_from_slice(&p.words);
-            tags.extend_from_slice(&p.tags);
-        }
-        (words, tags)
-    }
-
-    /// Restores this checkpoint into an existing machine + checker pair
-    /// (built with the same configurations), verifying the result against
-    /// the capture-time fingerprint under `debug_assertions`.
-    ///
-    /// Callers on a verify-once path (the campaign engine's per-snapshot
-    /// verified bitmap) should use [`Snapshot::restore_fresh`] /
-    /// [`Snapshot::restore_into`], which skip the redundant digest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` or `argus` were built with a different configuration
-    /// than the captured pair.
-    pub fn restore(&self, m: &mut Machine, argus: &mut Argus) {
-        self.restore_unverified(m, argus);
-        debug_assert_eq!(
-            combined_fingerprint(m, argus),
-            self.fingerprint,
-            "restored state does not match capture fingerprint"
-        );
-    }
-
-    fn restore_unverified(&self, m: &mut Machine, argus: &mut Argus) {
-        m.restore_core(&self.core);
-        let mut base = 0usize;
-        for p in &self.pages {
-            m.mem_mut().memory_mut().restore_words(base, &p.words, &p.tags);
-            base += p.words.len();
-        }
-        assert_eq!(base, self.mem_words, "page list does not cover memory");
-        argus.restore_state(&self.checker);
-    }
-
-    /// Builds a fresh machine + checker pair and restores into it — the
-    /// cold fork operation. Trusts the page list: callers that need
-    /// integrity checking verify once via [`Snapshot::try_restore_fresh`]
-    /// (or the campaign's verified bitmap) instead of digesting full state
-    /// on every fork.
-    pub fn restore_fresh(&self) -> (Machine, Argus) {
-        let mut m = Machine::new(self.core.cfg);
-        let mut argus = Argus::new(self.acfg);
-        self.restore_unverified(&mut m, &mut argus);
-        (m, argus)
-    }
-
-    /// Like [`Snapshot::restore_fresh`], but *verifies* the restored pair
-    /// against the capture-time fingerprint instead of trusting the page
-    /// list: a snapshot whose backing page was corrupted in memory (or a
-    /// file whose contents were tampered past its own checks) comes back
-    /// as `Err` rather than as a silently wrong machine.
-    ///
-    /// Full-state hashing is O(memory), so callers that fork the same
-    /// snapshot many times should verify once and use
-    /// [`Snapshot::restore_fresh`] afterwards (what the campaign engine
-    /// does via its per-snapshot verified bitmap).
-    pub fn try_restore_fresh(&self) -> Result<(Machine, Argus), String> {
-        let mut m = Machine::new(self.core.cfg);
-        let mut argus = Argus::new(self.acfg);
-        self.restore_unverified(&mut m, &mut argus);
-        let got = combined_fingerprint(&m, &argus);
-        if got == self.fingerprint {
-            Ok((m, argus))
-        } else {
-            Err(format!(
-                "snapshot at cycle {} is corrupt: restored fingerprint {:#018x} != captured {:#018x}",
-                self.cycle, got, self.fingerprint
-            ))
-        }
-    }
-
-    /// Delta-restores this checkpoint into a reusable [`Workspace`]:
-    /// core + checker state are rewritten in full (they are small), but
-    /// memory pages are rewritten only when dirtied since the workspace's
-    /// last restore or differing (by interned-page identity) from the
-    /// snapshot the workspace currently mirrors. The resident machine's
-    /// allocation and predecode memo survive.
-    ///
-    /// Trusts the page list like [`Snapshot::restore_fresh`]; under
-    /// `debug_assertions` the full capture fingerprint is re-checked, so
-    /// every test build verifies every delta restore. Release callers
-    /// verify once per snapshot via [`Snapshot::try_restore_into`].
-    pub fn restore_into(&self, ws: &mut Workspace) {
-        self.restore_into_delta(ws);
-        #[cfg(debug_assertions)]
-        {
-            let (m, a) = ws.pair().expect("restore populated the workspace");
-            assert_eq!(
-                combined_fingerprint(m, a),
-                self.fingerprint,
-                "delta restore does not match capture fingerprint"
-            );
-        }
-    }
-
-    /// Like [`Snapshot::restore_into`], but *verifies* the restored pair
-    /// against the capture-time fingerprint. On mismatch the delta
-    /// bookkeeping is discarded and a full restore into a rebuilt pair is
-    /// attempted once; if that still mismatches, the snapshot itself is
-    /// corrupt and `Err` is returned (the workspace then holds the
-    /// mismatched state — callers should fall back to cold boot).
-    ///
-    /// Returns whether the full-restore fallback was needed.
-    pub fn try_restore_into(&self, ws: &mut Workspace) -> Result<bool, String> {
-        self.restore_into_delta(ws);
-        let (m, a) = ws.pair().expect("restore populated the workspace");
-        if combined_fingerprint(m, a) == self.fingerprint {
-            return Ok(false);
-        }
-        ws.invalidate();
-        ws.pair = None;
-        self.restore_into_delta(ws);
-        let (m, a) = ws.pair().expect("restore populated the workspace");
-        let got = combined_fingerprint(m, a);
-        if got == self.fingerprint {
-            Ok(true)
-        } else {
-            Err(format!(
-                "snapshot at cycle {} is corrupt: restored fingerprint {:#018x} != captured {:#018x}",
-                self.cycle, got, self.fingerprint
-            ))
-        }
-    }
-
-    fn restore_into_delta(&self, ws: &mut Workspace) {
-        ws.stats.restores += 1;
-        let compatible = match ws.pair() {
-            Some((m, a)) => m.config() == self.core.cfg && a.config() == self.acfg,
-            None => false,
-        };
-        if !compatible {
-            let mut m = Machine::new(self.core.cfg);
-            let mut argus = Argus::new(self.acfg);
-            self.restore_unverified(&mut m, &mut argus);
-            ws.pair = Some((m, argus));
-            ws.stats.full_restores += 1;
-        } else {
-            let (m, argus) = ws.pair.as_mut().expect("checked compatible above");
-            m.restore_core(&self.core);
-            let mem = m.mem_mut().memory_mut();
-            // Delta is sound only when the mirrored page list is congruent
-            // with this snapshot's (intern_image lays pages out from word 0,
-            // full pages except possibly the last, so equal page counts on
-            // equal-size memories mean identical page boundaries).
-            let delta_ok =
-                ws.mirrored.len() == self.pages.len() && mem.words().len() == self.mem_words;
-            let mut base = 0usize;
-            if delta_ok {
-                for (i, p) in self.pages.iter().enumerate() {
-                    if mem.page_dirty_since(i, ws.clean_gen) || !Arc::ptr_eq(&ws.mirrored[i], p) {
-                        mem.restore_words(base, &p.words, &p.tags);
-                        ws.stats.pages_rewritten += 1;
-                    } else {
-                        ws.stats.pages_skipped += 1;
-                    }
-                    base += p.words.len();
-                }
-            } else {
-                for p in &self.pages {
-                    mem.restore_words(base, &p.words, &p.tags);
-                    base += p.words.len();
-                }
-                ws.stats.full_restores += 1;
-            }
-            assert_eq!(base, self.mem_words, "page list does not cover memory");
-            argus.restore_state(&self.checker);
-        }
-        ws.mirrored.clear();
-        ws.mirrored.extend(self.pages.iter().cloned());
-        // A RAM restore invalidates any mapped-store mirror (and vice
-        // versa): the two delta paths track identity differently.
-        ws.mirrored_ids.clear();
-        ws.mirrored_store = 0;
-        let (m, _) = ws.pair.as_mut().expect("restore populated the workspace");
-        ws.clean_gen = m.mem_mut().memory_mut().advance_generation();
-    }
-}
-
-/// Interval policy: captures a checkpoint whenever at least `every`
-/// cycles have passed since the previous one (checked at step
-/// boundaries, so actual spacing rounds up to whole instructions).
-#[derive(Debug)]
-pub struct SnapshotBuilder {
-    every: u64,
-    next_due: u64,
-    pool: PageStore,
-    snaps: Vec<Snapshot>,
-}
-
-impl SnapshotBuilder {
-    /// Creates a builder capturing every `every` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn new(every: u64) -> Self {
-        assert!(every > 0, "snapshot interval must be at least one cycle");
-        Self { every, next_due: 0, pool: PageStore::new(), snaps: Vec::new() }
-    }
-
-    /// Captures unconditionally (the golden run seeds cycle 0 with this so
-    /// every arm cycle has a snapshot at or before it).
-    pub fn capture_now(&mut self, m: &Machine, argus: &Argus) {
-        if let Some(last) = self.snaps.last() {
-            assert!(m.cycle() > last.cycle(), "snapshots must advance in cycle order");
-        }
-        self.snaps.push(Snapshot::capture(m, argus, &mut self.pool));
-        self.next_due = m.cycle() + self.every;
-    }
-
-    /// Captures when the interval has elapsed; returns whether it did.
-    pub fn maybe_capture(&mut self, m: &Machine, argus: &Argus) -> bool {
-        if m.cycle() >= self.next_due {
-            self.capture_now(m, argus);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Finishes the golden run: freezes into the shareable store.
-    pub fn finish(self) -> SnapshotStore {
-        SnapshotStore {
-            stats: StoreStats {
-                interval: self.every,
-                unique_pages: self.pool.unique_pages(),
-                dedup_hits: self.pool.dedup_hits(),
-                unique_bytes: self.pool.unique_bytes(),
-                pages_total: self.pool.unique_pages() + self.pool.dedup_hits(),
-                pages_distinct: self.pool.unique_pages(),
-                bytes_saved: self.pool.saved_bytes(),
-            },
-            snaps: self.snaps,
-        }
-    }
-}
-
-/// Page-sharing statistics of a finished store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Capture interval in cycles.
-    pub interval: u64,
-    /// Distinct pages stored across all snapshots.
-    pub unique_pages: u64,
-    /// Page references satisfied by an already-stored page.
-    pub dedup_hits: u64,
-    /// Payload bytes held by distinct pages.
-    pub unique_bytes: u64,
-    /// Page references across all snapshots (distinct + deduplicated).
-    pub pages_total: u64,
-    /// Distinct page bodies actually stored (alias of `unique_pages`,
-    /// under the name `argus snapshot info` reports).
-    pub pages_distinct: u64,
-    /// Payload bytes dedup avoided storing versus one body per reference.
-    pub bytes_saved: u64,
-}
-
-/// A finished, read-only set of golden-run checkpoints, ordered by cycle.
-///
-/// Campaign shards share one store behind an `Arc`; everything here is
-/// immutable, so lookups need no locking.
-#[derive(Debug)]
-pub struct SnapshotStore {
-    snaps: Vec<Snapshot>,
-    stats: StoreStats,
-}
-
-impl SnapshotStore {
-    /// The latest snapshot whose cycle stamp is `<= cycle`, if any.
-    pub fn nearest_at_or_before(&self, cycle: u64) -> Option<&Snapshot> {
-        self.nearest_index_at_or_before(cycle).map(|i| &self.snaps[i])
-    }
-
-    /// Index form of [`SnapshotStore::nearest_at_or_before`], for callers
-    /// that keep per-snapshot side tables (e.g. the campaign's
-    /// verified/poisoned bitmaps).
-    pub fn nearest_index_at_or_before(&self, cycle: u64) -> Option<usize> {
-        self.snaps.partition_point(|s| s.cycle() <= cycle).checked_sub(1)
-    }
-
-    /// The `i`-th snapshot in cycle order.
-    pub fn get(&self, i: usize) -> Option<&Snapshot> {
-        self.snaps.get(i)
-    }
-
-    /// Test-only chaos hook: flips one bit in a *copy* of one page of
-    /// snapshot `snap` (the shared pool page is untouched), so integrity
-    /// checking and fallback paths can be exercised. Returns `false` when
-    /// the snapshot has no page with payload.
-    #[doc(hidden)]
-    pub fn corrupt_page_for_test(&mut self, snap: usize) -> bool {
-        let s = &mut self.snaps[snap];
-        for slot in &mut s.pages {
-            if !slot.words.is_empty() {
-                let mut flipped = (**slot).clone();
-                flipped.words[0] ^= 1;
-                *slot = Arc::new(flipped);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All snapshots, in increasing cycle order.
-    pub fn snapshots(&self) -> &[Snapshot] {
-        &self.snaps
-    }
-
-    /// Number of checkpoints.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// Whether the store holds no checkpoints.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// Page-sharing statistics.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    /// Bytes a store without page sharing would have used for memory
-    /// images (each snapshot materialized in full).
-    pub fn materialized_bytes(&self) -> u64 {
-        self.snaps.iter().map(|s| 4 * s.mem_words as u64).sum()
-    }
-}
-
-/// Re-exported so store users can size things without importing `page`.
-pub const SNAPSHOT_PAGE_WORDS: usize = PAGE_WORDS;
+//! Round trips of a store through the crate's public surface, the way
+//! callers outside it use one: a one-snapshot image built in memory,
+//! shipped as bytes (the `argus snapshot save` file, the distributed
+//! `entry` artifact), parsed again on the receiving side and forked onto
+//! a fresh machine.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use argus_machine::machine::MachineConfig;
-
-    fn idle_pair() -> (Machine, Argus) {
-        (Machine::new(MachineConfig::default()), Argus::new(ArgusConfig::default()))
-    }
-
-    #[test]
-    fn seek_finds_nearest_at_or_before() {
-        // Build a store by hand out of real captures at distinct cycles is
-        // awkward without running programs; instead exercise the policy
-        // arithmetic through the builder on an idle machine (cycle 0 only)
-        // and the partition-point logic directly.
-        let (m, a) = idle_pair();
-        let mut b = SnapshotBuilder::new(100);
-        b.capture_now(&m, &a);
-        let store = b.finish();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.nearest_at_or_before(0).unwrap().cycle(), 0);
-        assert_eq!(store.nearest_at_or_before(u64::MAX).unwrap().cycle(), 0);
-    }
-
-    #[test]
-    fn builder_interval_gates_captures() {
-        let (m, a) = idle_pair();
-        let mut b = SnapshotBuilder::new(50);
-        assert!(b.maybe_capture(&m, &a), "first capture is immediate");
-        assert!(!b.maybe_capture(&m, &a), "same cycle: interval not elapsed");
-    }
+    use crate::{combined_fingerprint, MappedStore, MappedStoreWriter, PageCache};
+    use argus_core::{Argus, ArgusConfig};
+    use argus_machine::machine::{Machine, MachineConfig};
 
     #[test]
     fn roundtrip_on_fresh_machine() {
-        let (m, a) = idle_pair();
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&m, &a, &mut pool);
-        let (m2, a2) = snap.restore_fresh();
-        assert_eq!(combined_fingerprint(&m2, &a2), snap.fingerprint());
-        let (words, tags) = snap.materialize_memory();
-        assert_eq!(words, m.mem().memory().words());
-        assert_eq!(tags, m.mem().memory().tags());
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine config")]
-    fn restore_rejects_other_geometry() {
-        let (m, a) = idle_pair();
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&m, &a, &mut pool);
-        let mut other_cfg = MachineConfig::default();
-        other_cfg.mem.icache = argus_mem::CacheConfig::kb8(2);
-        let mut m2 = Machine::new(other_cfg);
-        let mut a2 = Argus::new(ArgusConfig::default());
-        snap.restore(&mut m2, &mut a2);
+        let m = Machine::new(MachineConfig::default());
+        let a = Argus::new(ArgusConfig::default());
+        let mut w = MappedStoreWriter::in_memory(100);
+        w.capture_now(&m, &a).unwrap();
+        let sent = w.finish().unwrap();
+        let received = MappedStore::from_bytes(sent.file_bytes().to_vec()).unwrap();
+        assert_eq!(received.len(), 1);
+        assert_eq!(received.fingerprint(0), sent.fingerprint(0));
+        let mut cache = PageCache::default();
+        let (m2, a2) = received.try_restore_fresh(0, &mut cache).unwrap();
+        assert_eq!(combined_fingerprint(&m2, &a2), received.fingerprint(0).unwrap());
+        assert_eq!(m2.mem().memory().words(), m.mem().memory().words());
+        assert_eq!(m2.mem().memory().tags(), m.mem().memory().tags());
     }
 }

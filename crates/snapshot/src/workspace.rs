@@ -1,29 +1,27 @@
 //! Reusable per-worker fork target: one `Machine` + `Argus` pair that
 //! successive snapshot restores rewrite in place.
 //!
-//! A cold fork ([`crate::Snapshot::restore_fresh`]) allocates a machine,
-//! zero-fills memory, and copies every page. A workspace restore keeps the
-//! allocation (and the warm predecode memo) and rewrites only
+//! A cold fork ([`crate::MappedStore::restore_fresh`]) allocates a
+//! machine, zero-fills memory, and copies every page. A workspace restore
+//! keeps the allocation (and the warm predecode memo) and rewrites only
 //!
 //! 1. pages the previous injection run dirtied (tracked by
 //!    `argus_mem::MainMemory`'s generation stamps), plus
 //! 2. pages where the target snapshot differs from the snapshot the
-//!    workspace currently mirrors (pages are content-interned in one
-//!    `PageStore` per golden run, so `Arc::ptr_eq` on the page slots is a
-//!    sound equality test; a false negative merely rewrites an equal page).
+//!    workspace currently mirrors (a store dedups its pages, so equal
+//!    page ids within one store mean equal contents).
 //!
 //! Identity stays defined by `Machine::state_digest` /
 //! [`crate::combined_fingerprint`]: the verifying entry point
-//! ([`crate::Snapshot::try_restore_into`]) checks the capture fingerprint
-//! after the delta rewrite and falls back to a full in-place restore on
-//! mismatch, and the trusted entry point ([`crate::Snapshot::restore_into`])
-//! re-checks the full fingerprint under `debug_assertions`, so every test
-//! build verifies every delta restore.
+//! ([`crate::MappedStore::try_restore_into`]) checks the capture
+//! fingerprint after the delta rewrite and falls back to a full in-place
+//! restore on mismatch, and the trusted entry point
+//! ([`crate::MappedStore::restore_into`]) re-checks the full fingerprint
+//! under `debug_assertions`, so every test build verifies every delta
+//! restore.
 
-use crate::page::Page;
 use argus_core::Argus;
 use argus_machine::Machine;
-use std::sync::Arc;
 
 // A dirty-tracking page in main memory must be exactly one snapshot page,
 // or the page-index identification below is wrong.
@@ -45,24 +43,21 @@ pub struct WorkspaceStats {
 }
 
 /// A reusable fork target. Create once per worker with [`Workspace::new`],
-/// then restore snapshots into it via [`crate::Snapshot::restore_into`] /
-/// [`crate::Snapshot::try_restore_into`].
+/// then restore snapshots into it via [`crate::MappedStore::restore_into`]
+/// / [`crate::MappedStore::try_restore_into`].
 #[derive(Debug, Default)]
 pub struct Workspace {
     pub(crate) pair: Option<(Machine, Argus)>,
-    /// Page slots of the snapshot this workspace's memory mirrored after
-    /// the last restore (empty = unknown → next restore is full).
-    pub(crate) mirrored: Vec<Arc<Page>>,
-    /// Mapped-store twin of `mirrored`: page ids (within the store
-    /// identified by `mirrored_store`) the memory mirrored after the last
-    /// mapped restore. A store dedups its pages, so equal ids mean equal
+    /// Page ids (within the store identified by `mirrored_store`) the
+    /// memory mirrored after the last restore (empty = unknown → next
+    /// restore is full). A store dedups its pages, so equal ids mean equal
     /// contents — but only within one store, hence the uid check.
     pub(crate) mirrored_ids: Vec<u32>,
-    /// Process-unique uid of the mapped store `mirrored_ids` refers to
-    /// (0 = none). Restores from a different store must not trust the ids.
+    /// Process-unique uid of the store `mirrored_ids` refers to (0 =
+    /// none). Restores from a different store must not trust the ids.
     pub(crate) mirrored_store: u64,
     /// Memory write generation stamped right after the last restore:
-    /// pages dirty since this generation have diverged from `mirrored`.
+    /// pages dirty since this generation have diverged from `mirrored_ids`.
     pub(crate) clean_gen: u64,
     pub(crate) stats: WorkspaceStats,
 }
@@ -89,7 +84,6 @@ impl Workspace {
     /// bypasses `MainMemory`'s write API (none exist in-tree; the hook is
     /// for tests and future instrumentation).
     pub fn invalidate(&mut self) {
-        self.mirrored.clear();
         self.mirrored_ids.clear();
         self.mirrored_store = 0;
     }

@@ -1,23 +1,29 @@
-//! Adversarial decode tests for the standalone snapshot file format.
+//! Adversarial decode tests for the ARGSTORE snapshot format.
 //!
-//! The contract under attack: [`argus_snapshot::io::read_snapshot`] must
-//! return `Err` on *any* damaged input — truncation, wrong magic, crafted
-//! over-long counts, flipped bits — and must never panic or allocate
-//! proportionally to a lying header. The whole-file CRC-32 trailer is
-//! verified before a single payload byte is interpreted, which is what
-//! makes the single-bit-flip property below deterministic: CRC-32 detects
-//! every 1-bit error and every burst shorter than its width.
+//! The contract under attack: [`MappedStore::from_bytes`] (and
+//! [`MappedStore::open`], which parses the same way) must return `Err`
+//! on *any* damaged image — truncation, wrong magic, crafted over-long
+//! counts, flipped bits — and must never panic or allocate proportionally
+//! to a lying field. The whole-file CRC-32 trailer is verified before a
+//! single field past the magic is interpreted, which is what makes the
+//! single-bit-flip properties below deterministic: CRC-32 detects every
+//! 1-bit error and every burst shorter than its width.
+//!
+//! Two fixtures cover the two shapes the format takes in practice: a
+//! one-snapshot image (`argus snapshot save`, the distributed `entry`
+//! artifact) and a multi-snapshot campaign store. A file mutated *after*
+//! open is the mapped form's extra hazard; it must fail the per-page CRC.
 
 use argus_core::{Argus, ArgusConfig};
 use argus_machine::{Machine, MachineConfig};
 use argus_mem::MemConfig;
 use argus_sim::fault::FaultInjector;
-use argus_snapshot::io::{read_snapshot, write_snapshot};
-use argus_snapshot::{PageStore, Snapshot};
+use argus_snapshot::mapped::{MappedStore, MappedStoreWriter, PageCache};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
-/// A small but real snapshot file: 16 KiB of memory keeps the per-case
-/// CRC work cheap without changing any code path.
+/// A small but real machine: 16 KiB of memory keeps the per-case CRC
+/// work cheap without changing any code path.
 fn small_config() -> MachineConfig {
     MachineConfig {
         mem: MemConfig { mem_bytes: 1 << 14, ..Default::default() },
@@ -25,36 +31,49 @@ fn small_config() -> MachineConfig {
     }
 }
 
-fn valid_file() -> Vec<u8> {
-    let mut m = Machine::new(small_config());
-    // A few steps so the core state is not all-zero.
-    let mut inj = FaultInjector::none();
-    for _ in 0..5 {
-        let _ = m.step(&mut inj);
-    }
-    let argus = Argus::new(ArgusConfig::default());
-    let mut pool = PageStore::new();
-    let snap = Snapshot::capture(&m, &argus, &mut pool);
-    let mut buf = Vec::new();
-    write_snapshot(&mut buf, &snap).unwrap();
-    buf
+/// Re-seals `bytes` with an honest CRC trailer, so the parser — not the
+/// envelope — must reject whatever field was crafted.
+fn reseal(bytes: &mut [u8]) {
+    let end = bytes.len() - 4;
+    let crc = argus_sim::crc::crc32(&bytes[..end]);
+    bytes[end..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A one-snapshot image of a machine a few steps in (so the core state is
+/// not all-zero).
+fn valid_file() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut m = Machine::new(small_config());
+        let mut inj = FaultInjector::none();
+        for _ in 0..5 {
+            let _ = m.step(&mut inj);
+        }
+        let mut w = MappedStoreWriter::in_memory(1);
+        w.capture_now(&m, &Argus::new(ArgusConfig::default())).expect("capture");
+        w.finish().expect("seal").file_bytes().to_vec()
+    })
+}
+
+fn load(bytes: &[u8]) -> std::io::Result<MappedStore> {
+    MappedStore::from_bytes(bytes.to_vec())
 }
 
 #[test]
 fn the_valid_file_itself_loads() {
-    let buf = valid_file();
-    read_snapshot(&mut buf.as_slice()).expect("pristine file must load");
+    let store = load(valid_file()).expect("pristine image must load");
+    assert_eq!(store.len(), 1);
+    store.try_restore_fresh(0, &mut PageCache::default()).expect("restores verified");
 }
 
 #[test]
 fn every_short_prefix_is_rejected() {
     let buf = valid_file();
     // Exhaustive over the header region, sampled beyond it.
-    for len in (0..256.min(buf.len())).chain((256..buf.len()).step_by(257)) {
-        let err = read_snapshot(&mut &buf[..len]);
-        assert!(err.is_err(), "prefix of {len} bytes must not load");
+    for len in (0..4200.min(buf.len())).chain((4200..buf.len()).step_by(257)) {
+        assert!(load(&buf[..len]).is_err(), "prefix of {len} bytes must not load");
     }
-    let err = read_snapshot(&mut &buf[..buf.len() - 1]).unwrap_err();
+    let err = load(&buf[..buf.len() - 1]).unwrap_err();
     assert!(err.to_string().contains("checksum") || err.to_string().contains("too short"), "{err}");
 }
 
@@ -62,59 +81,57 @@ fn every_short_prefix_is_rejected() {
 fn wrong_magic_and_wrong_version_are_distinguished() {
     let buf = valid_file();
 
-    let mut other = buf.clone();
+    let mut other = buf.to_vec();
     other[0] = b'X';
-    let err = read_snapshot(&mut other.as_slice()).unwrap_err();
-    assert!(err.to_string().contains("not an argus snapshot file"), "{err}");
+    let err = load(&other).unwrap_err();
+    assert!(err.to_string().contains("not an argus store file"), "{err}");
 
-    // Same "ARGSNAP" family, different version byte: a *version* error,
-    // not a generic one (and the CRC never gets a say).
-    let mut future = buf.clone();
-    future[7] = 0x7F;
-    let err = read_snapshot(&mut future.as_slice()).unwrap_err();
-    assert!(err.to_string().contains("unsupported snapshot format version"), "{err}");
+    // Same magic, different version field behind an honest CRC: a
+    // *version* error, not a generic one.
+    let mut future = buf.to_vec();
+    future[8] = 0x7F;
+    reseal(&mut future);
+    let err = load(&future).unwrap_err();
+    assert!(err.to_string().contains("unsupported store format version"), "{err}");
 }
 
 #[test]
 fn crafted_overlong_memory_count_is_rejected_without_allocating() {
     let buf = valid_file();
     let n = Machine::new(small_config()).mem().memory().words().len();
-    // Payload tail layout: [mem count: u64][words: 4n][tags: n][crc: 4].
-    let count_at = buf.len() - 4 - n - 4 * n - 8;
-    assert_eq!(
-        u64::from_le_bytes(buf[count_at..count_at + 8].try_into().unwrap()),
-        n as u64,
-        "located the memory word count field"
-    );
+    let pages = n.div_ceil(argus_snapshot::PAGE_WORDS);
+    // The lone snapshot's metadata ends [mem_words: u64][n_ids: u64][ids: 4 × pages],
+    // right before the 32-byte footer and the CRC trailer.
+    let ids_at = buf.len() - 4 - 32 - 4 * pages;
+    let (count_at, table_at) = (ids_at - 16, ids_at - 8);
+    let field = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    assert_eq!(field(buf, count_at), n as u64, "located the memory word count");
+    assert_eq!(field(buf, table_at), pages as u64, "located the page-table length");
 
-    // Lie about the count but keep the checksum honest, so the parser —
-    // not the CRC — must hold the line against the 2^64-word allocation.
-    let mut crafted = buf.clone();
-    crafted[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    let end = crafted.len() - 4;
-    let crc = argus_sim::crc::crc32(&crafted[..end]);
-    crafted[end..].copy_from_slice(&crc.to_le_bytes());
-
-    let err = read_snapshot(&mut crafted.as_slice()).unwrap_err();
-    assert!(err.to_string().contains("implausibly large"), "{err}");
+    // A 2^64-word memory image, and a 2^64-entry page table: the parser
+    // must refuse both before sizing anything by them.
+    for (at, want) in [(count_at, "implausibly large"), (table_at, "page table length")] {
+        let mut crafted = buf.to_vec();
+        crafted[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        reseal(&mut crafted);
+        let err = load(&crafted).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any single flipped bit anywhere in the file — header, payload, or
-    /// CRC trailer — must be rejected. Guaranteed, not probabilistic:
-    /// CRC-32 detects all single-bit errors, and a flip inside the magic
-    /// is caught even earlier.
+    /// Any single flipped bit anywhere in the image — header, pages,
+    /// metadata, or CRC trailer — must be rejected. Guaranteed, not
+    /// probabilistic: CRC-32 detects all single-bit errors, and a flip
+    /// inside the magic is caught even earlier.
     #[test]
     fn any_single_bit_flip_is_rejected(pos in 0usize..usize::MAX, bit in 0u8..8) {
-        let mut buf = valid_file();
+        let mut buf = valid_file().to_vec();
         let pos = pos % buf.len();
         buf[pos] ^= 1 << bit;
-        prop_assert!(
-            read_snapshot(&mut buf.as_slice()).is_err(),
-            "flipping bit {bit} of byte {pos} went unnoticed"
-        );
+        prop_assert!(load(&buf).is_err(), "flipping bit {} of byte {} went unnoticed", bit, pos);
     }
 
     /// Short bursts of adjacent corruption (up to 4 bytes = the CRC
@@ -124,14 +141,14 @@ proptest! {
         pos in 0usize..usize::MAX,
         burst in prop::collection::vec(1u8..=255, 1..=4),
     ) {
-        let mut buf = valid_file();
+        let mut buf = valid_file().to_vec();
         let pos = pos % buf.len();
         for (k, &b) in burst.iter().enumerate() {
             if let Some(byte) = buf.get_mut(pos + k) {
                 *byte ^= b;
             }
         }
-        prop_assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        prop_assert!(load(&buf).is_err());
     }
 
     /// Random truncation points never load.
@@ -139,29 +156,22 @@ proptest! {
     fn random_truncations_are_rejected(cut in 0usize..usize::MAX) {
         let buf = valid_file();
         let cut = cut % buf.len();
-        prop_assert!(read_snapshot(&mut &buf[..cut]).is_err());
+        prop_assert!(load(&buf[..cut]).is_err());
     }
 }
 
 // ---------------------------------------------------------------------------
-// ARGSTORE (the out-of-core, mapped multi-snapshot format) under the same
-// attack model. `MappedStore::open` verifies the whole-file CRC envelope
-// before parsing, so damaged files must surface as `Err` — never a panic,
-// never an allocation sized by a lying count. A file mutated *after* open
-// is the mapped format's extra hazard; it must fail the per-page CRC.
+// Multi-snapshot campaign stores under the same attack model.
 // ---------------------------------------------------------------------------
 
-use argus_snapshot::mapped::{MappedStore, MappedStoreWriter, PageCache};
-use std::sync::OnceLock;
-
-/// A sealed ARGSTORE with a handful of snapshots of a stepping machine,
-/// built once (each proptest case re-writes these bytes to its own file).
+/// A sealed store with a handful of snapshots of a stepping machine,
+/// built once in memory.
 fn valid_store_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let mut m = Machine::new(small_config());
         let argus = Argus::new(ArgusConfig::default());
-        let mut w = MappedStoreWriter::create_temp(64).expect("create store writer");
+        let mut w = MappedStoreWriter::in_memory(64);
         w.capture_now(&m, &argus).expect("seed cycle 0");
         let mut inj = FaultInjector::none();
         for _ in 0..400 {
@@ -174,19 +184,9 @@ fn valid_store_bytes() -> &'static [u8] {
     })
 }
 
-/// Writes bytes to a fresh scratch file and tries to open it as a store.
-fn open_bytes(tag: &str, bytes: &[u8]) -> Result<MappedStore, std::io::Error> {
-    let path =
-        std::env::temp_dir().join(format!("argus-advstore-{}-{tag}.bin", std::process::id()));
-    std::fs::write(&path, bytes).unwrap();
-    let r = MappedStore::open(&path);
-    let _ = std::fs::remove_file(&path);
-    r
-}
-
 #[test]
 fn the_valid_store_itself_opens_and_restores() {
-    let store = open_bytes("pristine", valid_store_bytes()).expect("pristine store must open");
+    let store = load(valid_store_bytes()).expect("pristine store must open");
     let mut cache = PageCache::new(8);
     for i in 0..store.len() {
         store.try_restore_fresh(i, &mut cache).expect("every snapshot restores verified");
@@ -203,13 +203,9 @@ fn store_lying_footer_counts_are_rejected_without_allocating() {
         let mut crafted = buf.to_vec();
         let at = footer_at + 8 * field;
         crafted[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        // Keep the envelope honest so the size equation — not the CRC —
-        // must reject the 2^64-page store.
-        let end = crafted.len() - 4;
-        let crc = argus_sim::crc::crc32(&crafted[..end]);
-        crafted[end..].copy_from_slice(&crc.to_le_bytes());
-        let err = open_bytes(&format!("lying-{field}"), &crafted);
-        assert!(err.is_err(), "footer field {field} = u64::MAX must not open");
+        // The size equation — not the CRC — must reject the 2^64-page store.
+        reseal(&mut crafted);
+        assert!(load(&crafted).is_err(), "footer field {field} = u64::MAX must not open");
     }
 }
 
@@ -234,6 +230,7 @@ fn store_mutated_after_open_fails_page_crc_not_execution() {
         f.write_all(&[0xFF]).unwrap();
         f.sync_all().unwrap();
     }
+    let _ = std::fs::remove_file(&path);
 
     assert_eq!(store.check_page_crc(victim), Some(false), "spot check must see the flip");
     assert_eq!(store.check_page_crc(u32::MAX), None, "out-of-range id is None, not a panic");
@@ -242,13 +239,12 @@ fn store_mutated_after_open_fails_page_crc_not_execution() {
         .try_restore_fresh(store.len() - 1, &mut cache)
         .expect_err("restoring through the damaged page must fail");
     assert!(err.contains("CRC") || err.contains("corrupt"), "{err}");
-    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any single flipped bit anywhere in the store file — header, page
+    /// Any single flipped bit anywhere in the store — header, page
     /// bodies, tags, index, snapshot metas, footer, or trailer — must be
     /// rejected at open.
     #[test]
@@ -256,10 +252,7 @@ proptest! {
         let mut buf = valid_store_bytes().to_vec();
         let pos = pos % buf.len();
         buf[pos] ^= 1 << bit;
-        prop_assert!(
-            open_bytes(&format!("flip-{pos}-{bit}"), &buf).is_err(),
-            "flipping bit {bit} of byte {pos} went unnoticed"
-        );
+        prop_assert!(load(&buf).is_err(), "flipping bit {} of byte {} went unnoticed", bit, pos);
     }
 
     /// Random truncation points never open (the footer magic backstops
@@ -268,6 +261,6 @@ proptest! {
     fn store_truncations_are_rejected(cut in 0usize..usize::MAX) {
         let buf = valid_store_bytes();
         let cut = cut % buf.len();
-        prop_assert!(open_bytes(&format!("cut-{cut}"), &buf[..cut]).is_err());
+        prop_assert!(load(&buf[..cut]).is_err());
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests pinning the snapshot engine's contract: capturing at a
-//! step boundary, restoring (in memory or through a file), and stepping
+//! step boundary, restoring (in place or through a store image), and stepping
 //! `k` more steps is bit-identical to never having snapshotted at all —
 //! for random programs, both cache associativities, and snapshot points
 //! landing right after multi-cycle multiply/divide steps.
@@ -12,7 +12,7 @@ use argus_machine::snapshot::SnapshotState;
 use argus_machine::{Machine, MachineConfig, StepOutcome};
 use argus_mem::MemConfig;
 use argus_sim::fault::FaultInjector;
-use argus_snapshot::{combined_fingerprint, PageStore, Snapshot, SnapshotBuilder};
+use argus_snapshot::{combined_fingerprint, MappedStore, MappedStoreWriter, PageCache};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -144,30 +144,32 @@ proptest! {
         // runs pair the machine with an idle checker).
         let mut m = boot(&words, MemConfig::default());
         let idle = Argus::new(ArgusConfig::default());
-        let mut builder = SnapshotBuilder::new(1);
-        builder.capture_now(&m, &idle);
+        let mut writer = MappedStoreWriter::in_memory(1);
+        writer.capture_now(&m, &idle).unwrap();
         while !m.halted() {
             advance(&mut m, 1);
-            builder.maybe_capture(&m, &idle);
+            writer.maybe_capture(&m, &idle).unwrap();
         }
-        let store = builder.finish();
+        let store = writer.finish().unwrap();
         prop_assert!(store.len() >= words.len(), "one snapshot per step at least");
 
-        for snap in store.snapshots() {
-            let (mut fork, _) = snap.restore_fresh();
+        let mut cache = PageCache::default();
+        for i in 0..store.len() {
+            let (mut fork, _) = store.restore_fresh(i, &mut cache).unwrap();
             advance(&mut fork, 10_000);
             prop_assert!(fork.halted());
             prop_assert_eq!(
                 fork.state_fingerprint(),
                 want,
-                "fork from cycle {} diverged",
-                snap.cycle()
+                "fork from cycle {:?} diverged",
+                store.cycle(i)
             );
         }
     }
 
-    /// A snapshot that goes through the binary file format forks exactly
-    /// like the in-memory one.
+    /// A snapshot that goes through the binary image — serialized, then
+    /// parsed back as `argus snapshot restore` does — forks exactly like
+    /// the machine it was taken from.
     #[test]
     fn file_roundtrip_preserves_the_fork(
         seeds in prop::collection::vec(any::<u16>(), 4),
@@ -178,12 +180,12 @@ proptest! {
         let mut a = boot(&words, MemConfig::default());
         advance(&mut a, cut);
         let idle = Argus::new(ArgusConfig::default());
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&a, &idle, &mut pool);
+        let mut writer = MappedStoreWriter::in_memory(1);
+        writer.capture_now(&a, &idle).unwrap();
+        let image = writer.finish().unwrap().file_bytes().to_vec();
 
-        let mut buf = Vec::new();
-        argus_snapshot::io::write_snapshot(&mut buf, &snap).unwrap();
-        let (mut b, _checker) = argus_snapshot::io::read_snapshot(&mut buf.as_slice()).unwrap();
+        let store = MappedStore::from_bytes(image).unwrap();
+        let (mut b, _checker) = store.try_restore_fresh(0, &mut PageCache::default()).unwrap();
         prop_assert_eq!(a.state_fingerprint(), b.state_fingerprint());
 
         advance(&mut a, 10_000);
@@ -239,10 +241,11 @@ proptest! {
         let (mut m, mut argus) = checked_pair();
         step_checked(&mut m, &mut argus, cut);
 
-        let mut pool = PageStore::new();
-        let snap = Snapshot::capture(&m, &argus, &mut pool);
-        let (mut fm, mut fargus) = snap.restore_fresh();
-        prop_assert_eq!(combined_fingerprint(&fm, &fargus), snap.fingerprint());
+        let mut writer = MappedStoreWriter::in_memory(1);
+        writer.capture_now(&m, &argus).unwrap();
+        let store = writer.finish().unwrap();
+        let (mut fm, mut fargus) = store.restore_fresh(0, &mut PageCache::default()).unwrap();
+        prop_assert_eq!(Some(combined_fingerprint(&fm, &fargus)), store.fingerprint(0));
 
         step_checked(&mut m, &mut argus, k);
         step_checked(&mut fm, &mut fargus, k);
@@ -251,7 +254,7 @@ proptest! {
             combined_fingerprint(&fm, &fargus),
             "forked checker run diverged after {} steps from cycle {}",
             k,
-            snap.cycle()
+            cut
         );
     }
 }

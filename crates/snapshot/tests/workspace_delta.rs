@@ -1,6 +1,7 @@
 //! Delta-restore workspace contract: restoring a snapshot into a reused
 //! [`Workspace`] is bit-identical to a full restore and to a cold boot
-//! (`restore_fresh`), while actually skipping clean pages.
+//! (`restore_fresh`), while actually skipping clean pages. The store is an
+//! in-memory ARGSTORE image; the file-mapped form parses identically.
 
 use argus_core::{Argus, ArgusConfig};
 use argus_isa::encode::encode;
@@ -9,7 +10,7 @@ use argus_isa::reg::{r, Reg};
 use argus_machine::{Machine, MachineConfig, StepOutcome};
 use argus_mem::MemConfig;
 use argus_sim::fault::FaultInjector;
-use argus_snapshot::{combined_fingerprint, PageStore, Snapshot, SnapshotBuilder, Workspace};
+use argus_snapshot::{combined_fingerprint, MappedStore, MappedStoreWriter, PageCache, Workspace};
 
 /// A short program that stores to two distant addresses (two different
 /// memory pages) and halts.
@@ -48,33 +49,36 @@ fn advance(m: &mut Machine, n: usize) -> usize {
     n
 }
 
-/// Two snapshots of the same run at different cycles, sharing one pool.
-fn two_snapshots() -> (Snapshot, Snapshot) {
+/// Two snapshots of the same run at different cycles, sharing one store:
+/// index 0 three steps in, index 1 at halt.
+fn two_snapshots() -> MappedStore {
     let argus = Argus::new(ArgusConfig::default());
-    let mut pool = PageStore::new();
+    let mut w = MappedStoreWriter::in_memory(1);
     let mut m = boot(&program());
     advance(&mut m, 3);
-    let a = Snapshot::capture(&m, &argus, &mut pool);
+    w.capture_now(&m, &argus).unwrap();
     advance(&mut m, 10_000);
     assert!(m.halted());
-    let b = Snapshot::capture(&m, &argus, &mut pool);
-    (a, b)
+    w.capture_now(&m, &argus).unwrap();
+    w.finish().unwrap()
+}
+
+fn fingerprint_of(ws: &Workspace) -> Option<u64> {
+    ws.pair().map(|(m, a)| combined_fingerprint(m, a))
 }
 
 #[test]
 fn delta_restore_matches_cold_boot_and_full_restore() {
-    let (snap_a, snap_b) = two_snapshots();
+    let store = two_snapshots();
+    let cache = &mut PageCache::default();
 
-    let (cold_m, cold_a) = snap_a.restore_fresh();
-    assert_eq!(combined_fingerprint(&cold_m, &cold_a), snap_a.fingerprint());
+    let (cold_m, cold_a) = store.restore_fresh(0, cache).unwrap();
+    assert_eq!(Some(combined_fingerprint(&cold_m, &cold_a)), store.fingerprint(0));
 
     let mut ws = Workspace::new();
-    snap_a.restore_into(&mut ws);
-    {
-        let (m, a) = ws.pair().unwrap();
-        assert_eq!(combined_fingerprint(m, a), snap_a.fingerprint());
-        assert_eq!(m.state_digest(), cold_m.state_digest());
-    }
+    store.restore_into(0, &mut ws, cache).unwrap();
+    assert_eq!(fingerprint_of(&ws), store.fingerprint(0));
+    assert_eq!(ws.pair().unwrap().0.state_digest(), cold_m.state_digest());
     assert_eq!(ws.stats().restores, 1);
     assert_eq!(ws.stats().full_restores, 1, "first use cold-builds the pair");
 
@@ -84,12 +88,9 @@ fn delta_restore_matches_cold_boot_and_full_restore() {
         advance(m, 10_000);
         assert!(m.halted());
     }
-    snap_a.restore_into(&mut ws);
-    {
-        let (m, a) = ws.pair().unwrap();
-        assert_eq!(combined_fingerprint(m, a), snap_a.fingerprint());
-        assert_eq!(m.state_digest(), cold_m.state_digest());
-    }
+    store.restore_into(0, &mut ws, cache).unwrap();
+    assert_eq!(fingerprint_of(&ws), store.fingerprint(0));
+    assert_eq!(ws.pair().unwrap().0.state_digest(), cold_m.state_digest());
     let s = ws.stats();
     assert_eq!(s.restores, 2);
     assert_eq!(s.full_restores, 1, "second restore took the delta path");
@@ -98,29 +99,29 @@ fn delta_restore_matches_cold_boot_and_full_restore() {
 
     // Cross-snapshot delta: move the same workspace to a different
     // checkpoint of the same run.
-    snap_b.restore_into(&mut ws);
-    let (m, a) = ws.pair().unwrap();
-    assert_eq!(combined_fingerprint(m, a), snap_b.fingerprint());
-    let (cold_m2, _) = snap_b.restore_fresh();
-    assert_eq!(m.state_digest(), cold_m2.state_digest());
+    store.restore_into(1, &mut ws, cache).unwrap();
+    assert_eq!(fingerprint_of(&ws), store.fingerprint(1));
+    let (cold_m2, _) = store.restore_fresh(1, cache).unwrap();
+    assert_eq!(ws.pair().unwrap().0.state_digest(), cold_m2.state_digest());
 }
 
 #[test]
 fn workspace_replay_is_bit_identical_to_cold_boot() {
-    let (snap_a, _) = two_snapshots();
+    let store = two_snapshots();
+    let cache = &mut PageCache::default();
 
-    let (mut cold_m, _) = snap_a.restore_fresh();
+    let (mut cold_m, _) = store.restore_fresh(0, cache).unwrap();
     advance(&mut cold_m, 10_000);
     assert!(cold_m.halted());
 
     let mut ws = Workspace::new();
-    snap_a.restore_into(&mut ws);
+    store.restore_into(0, &mut ws, cache).unwrap();
     // Pollute, restore, replay: the replay must match the cold replay.
     {
         let (m, _) = ws.pair_mut().unwrap();
         advance(m, 2);
     }
-    snap_a.restore_into(&mut ws);
+    store.restore_into(0, &mut ws, cache).unwrap();
     let (m, _) = ws.pair_mut().unwrap();
     advance(m, 10_000);
     assert!(m.halted());
@@ -130,43 +131,38 @@ fn workspace_replay_is_bit_identical_to_cold_boot() {
 
 #[test]
 fn invalidate_forces_full_rewrite() {
-    let (snap_a, _) = two_snapshots();
+    let store = two_snapshots();
+    let cache = &mut PageCache::default();
     let mut ws = Workspace::new();
-    snap_a.restore_into(&mut ws);
+    store.restore_into(0, &mut ws, cache).unwrap();
     ws.invalidate();
-    snap_a.restore_into(&mut ws);
+    store.restore_into(0, &mut ws, cache).unwrap();
     let s = ws.stats();
     assert_eq!(s.restores, 2);
     assert_eq!(s.full_restores, 2, "invalidation must force the full path, got {s:?}");
-    let (m, a) = ws.pair().unwrap();
-    assert_eq!(combined_fingerprint(m, a), snap_a.fingerprint());
+    assert_eq!(fingerprint_of(&ws), store.fingerprint(0));
 }
 
 #[test]
 fn try_restore_into_rejects_corrupt_snapshot() {
-    let argus = Argus::new(ArgusConfig::default());
-    let mut m = boot(&program());
-    advance(&mut m, 3);
-    let mut b = SnapshotBuilder::new(1);
-    b.capture_now(&m, &argus);
-    let mut store = b.finish();
+    let mut store = two_snapshots();
     assert!(store.corrupt_page_for_test(0));
 
     let mut ws = Workspace::new();
-    let err = store.get(0).unwrap().try_restore_into(&mut ws).unwrap_err();
-    assert!(err.contains("corrupt"), "unexpected error: {err}");
+    let err = store.try_restore_into(0, &mut ws, &mut PageCache::default()).unwrap_err();
+    assert!(err.contains("CRC"), "unexpected error: {err}");
 }
 
 #[test]
 fn try_restore_into_verifies_clean_snapshot_without_fallback() {
-    let (snap_a, _) = two_snapshots();
+    let store = two_snapshots();
+    let cache = &mut PageCache::default();
     let mut ws = Workspace::new();
-    assert_eq!(snap_a.try_restore_into(&mut ws), Ok(false));
+    assert_eq!(store.try_restore_into(0, &mut ws, cache), Ok(false));
     {
         let (m, _) = ws.pair_mut().unwrap();
         advance(m, 4);
     }
-    assert_eq!(snap_a.try_restore_into(&mut ws), Ok(false));
-    let (m, a) = ws.pair().unwrap();
-    assert_eq!(combined_fingerprint(m, a), snap_a.fingerprint());
+    assert_eq!(store.try_restore_into(0, &mut ws, cache), Ok(false));
+    assert_eq!(fingerprint_of(&ws), store.fingerprint(0));
 }
