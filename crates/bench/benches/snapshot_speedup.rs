@@ -4,7 +4,8 @@
 //! intervals, asserts every configuration produces identical outcome
 //! tallies (forking never changes results), and reports injections/sec
 //! plus the speedup over cold boot. Results land in `BENCH_snapshot.json`
-//! at the repo root.
+//! at the repo root, written before the speedup gate is checked so a
+//! failing run is recorded too.
 //!
 //! The expected win scales with golden-run length: each cold-boot
 //! injection replays ~3/8 of the golden run on average (arm cycles are
@@ -82,10 +83,6 @@ fn main() {
         .map(|r| r.speedup)
         .fold(0.0f64, f64::max);
     println!("\nbest 10k-interval speedup: {best:.2}x (identical tallies everywhere)");
-    assert!(
-        best >= 1.3,
-        "expected >= 1.3x from 10k-cycle snapshots on at least one workload, got {best:.2}x"
-    );
 
     let json = Json::obj()
         .set("injections", injections as u64)
@@ -110,4 +107,8 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
     std::fs::write(out, &text).expect("write BENCH_snapshot.json");
     println!("wrote BENCH_snapshot.json");
+    assert!(
+        best >= 1.3,
+        "expected >= 1.3x from 10k-cycle snapshots on at least one workload, got {best:.2}x"
+    );
 }

@@ -2,6 +2,7 @@
 
 use crate::compile::Mode;
 use argus_machine::Machine;
+use std::ops::Range;
 
 /// Statistics from the signature-embedding phases (feed Figure 5's static
 /// instruction-count overhead).
@@ -61,8 +62,51 @@ impl Program {
         m.set_pc(self.entry);
     }
 
+    /// Rewrites every memory page written at or after generation
+    /// `since_gen` back to its load-time contents: the protected-zero fill
+    /// `Machine::new` gives an Argus-mode machine, then this image's code
+    /// and data words on that page, written through the same
+    /// `load_code` / `load_data` encodings as [`Program::load`]. Pages not
+    /// dirty since `since_gen` must already hold load-time contents;
+    /// `since_gen == 0` rewrites every page. Registers, PC and caches are
+    /// left alone — the caller restores core state separately.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both the image and the machine are Argus mode (the
+    /// protected-zero fill is an Argus-mode machine's power-on memory).
+    pub fn reload_pages(&self, m: &mut Machine, since_gen: u64) {
+        assert!(
+            self.mode == Mode::Argus && m.config().argus_mode,
+            "page-restricted reload is defined for Argus-mode images only"
+        );
+        for page in 0..m.mem().memory().page_count() {
+            if !m.mem().memory().page_dirty_since(page, since_gen) {
+                continue;
+            }
+            m.mem_mut().memory_mut().fill_protected_zero_page(page);
+            let words = m.mem().memory().page_word_range(page);
+            let bytes = 4 * words.start as u64..4 * words.end as u64;
+            let code = words_within(self.code_base, self.code.len(), &bytes);
+            if !code.is_empty() {
+                m.load_code(self.code_base + 4 * code.start as u32, &self.code[code]);
+            }
+            let data = words_within(self.data_base, self.data.len(), &bytes);
+            if !data.is_empty() {
+                m.load_data(self.data_base + 4 * data.start as u32, &self.data[data]);
+            }
+        }
+    }
+
     /// Address of the data word at `offset` bytes into the data section.
     pub fn data_addr(&self, offset: u32) -> u32 {
         self.data_base + offset
     }
+}
+
+/// Indices of the words of a section at `base` (`len` words) whose byte
+/// address lies in `bytes`.
+fn words_within(base: u32, len: usize, bytes: &Range<u64>) -> Range<usize> {
+    let first = |addr: u64| (addr.saturating_sub(u64::from(base)).div_ceil(4) as usize).min(len);
+    first(bytes.start)..first(bytes.end)
 }

@@ -26,9 +26,24 @@ struct Ran {
     argus: Argus,
 }
 
+/// How the end-of-run scrub covers memory.
+#[derive(Debug, Clone, Copy)]
+enum Scrub {
+    /// Every word from the data base up (`Argus::scrub_memory`).
+    Full,
+    /// Only pages written since the boot generation
+    /// (`Argus::scrub_memory_dirty`), the campaign engine's scrub.
+    SinceBoot,
+}
+
 fn run_with(prog: &Program, f: Option<Fault>, acfg: ArgusConfig) -> Ran {
+    run_scrubbed(prog, f, acfg, Scrub::Full)
+}
+
+fn run_scrubbed(prog: &Program, f: Option<Fault>, acfg: ArgusConfig, scrub: Scrub) -> Ran {
     let mut m = Machine::new(MachineConfig::default());
     prog.load(&mut m);
+    let boot_gen = m.mem_mut().memory_mut().advance_generation();
     let mut argus = Argus::new(acfg);
     argus.expect_entry(prog.entry_dcs.unwrap());
     let mut inj = match f {
@@ -50,16 +65,23 @@ fn run_with(prog: &Program, f: Option<Fault>, acfg: ArgusConfig) -> Ran {
         }
     }
     if argus.first_detection().is_none() {
-        argus.scrub_memory(&m, prog.data_base, &mut inj);
+        match scrub {
+            Scrub::Full => argus.scrub_memory(&m, prog.data_base, &mut inj),
+            Scrub::SinceBoot => argus.scrub_memory_dirty(&m, prog.data_base, &mut inj, boot_gen),
+        };
     }
     Ran { machine: m, argus }
 }
 
 fn store_heavy_program() -> Program {
+    store_heavy_program_at(0x8_0000)
+}
+
+fn store_heavy_program_at(buffer: u32) -> Program {
     // Stores a buffer of words that is never loaded back — only the scrub
     // can see corruption parked there.
     let mut b = ProgramBuilder::new();
-    b.li(r(2), 0x8_0000);
+    b.li(r(2), buffer);
     b.li(r(3), 0x1234);
     b.li(r(4), 0);
     b.li(r(5), 32);
@@ -87,6 +109,29 @@ fn scrub_catches_store_bus_corruption_parked_in_memory() {
     let ev = ran.argus.first_detection().expect("scrub must catch it");
     assert_eq!(ev.checker, CheckerKind::Parity);
     assert_eq!(ev.reason, "scrub_parity");
+
+    // The boot-generation scrub reports the same first event, for a word
+    // parked in memory and for a fault on the scrub's own comparator (the
+    // full-sweep fallback). With the buffer two pages above the data base,
+    // a dirty-only sweep of the comparator fault would start two pages
+    // late.
+    let data_base = prog.data_base;
+    for buffer in [data_base, data_base + 0x2000] {
+        let prog = store_heavy_program_at(buffer);
+        for site in [argus_machine::sites::LSU_ST_BUS, argus_core::sites::MFC_PARITY_CHECK] {
+            let width = if site == argus_core::sites::MFC_PARITY_CHECK { 1 } else { 32 };
+            let bit = if width == 1 { 0 } else { 7 };
+            let f = fault(site, bit, width, 100);
+            let full = run_scrubbed(&prog, Some(f.clone()), ArgusConfig::default(), Scrub::Full);
+            let dirty = run_scrubbed(&prog, Some(f), ArgusConfig::default(), Scrub::SinceBoot);
+            let ev = full.argus.first_detection().expect("the full scrub detects").clone();
+            assert_eq!(ev.reason, "scrub_parity", "{site} at {buffer:#x}");
+            assert_eq!(dirty.argus.first_detection(), Some(&ev), "{site} at {buffer:#x}");
+            if site == argus_core::sites::MFC_PARITY_CHECK {
+                assert_eq!(ev.pc, data_base, "the comparator fault fires on the first word");
+            }
+        }
+    }
 }
 
 #[test]

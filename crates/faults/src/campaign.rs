@@ -2,12 +2,12 @@
 
 use crate::sites::{full_inventory, sample_points, SamplePoint};
 use argus_compiler::{compile, preplan, EmbedConfig, Mode, Program};
-use argus_core::{Argus, ArgusConfig, CheckerKind, DetectionEvent};
+use argus_core::{Argus, ArgusConfig, ArgusState, CheckerKind, DetectionEvent};
 use argus_invariants::{
     ExecView, Hook, InvariantCtx, InvariantEngine, InvariantMode, SnapshotView, StoreView,
 };
 pub use argus_machine::ExecStats;
-use argus_machine::{Machine, MachineConfig, StepOutcome};
+use argus_machine::{CoreState, Machine, MachineConfig, SnapshotState, StepOutcome};
 use argus_sim::fault::{FaultInjector, FaultKind};
 use argus_sim::rng::SplitMix64;
 use argus_sim::stats::CounterSet;
@@ -339,6 +339,9 @@ struct GoldenRun {
 /// window, and the sampled injection points. Immutable after construction,
 /// so worker threads can share one instance (`&PreparedCampaign` is `Sync`).
 pub struct PreparedCampaign {
+    /// Process-unique id, so a workspace never resets a pair booted for
+    /// another campaign to this one's kept entry state.
+    uid: u64,
     prog: Program,
     golden_digest: u64,
     golden_cycles: u64,
@@ -364,8 +367,9 @@ pub struct PreparedCampaign {
     snapshot_warnings: Mutex<Vec<String>>,
     /// Lazily computed no-fault reference outcome backing the
     /// structurally-masked short-circuit (see
-    /// [`CampaignConfig::shortcut_inert`]). One cold-boot replay of the
-    /// workload, shared by every worker.
+    /// [`CampaignConfig::shortcut_inert`]). One replay of the workload from
+    /// the entry state, on the resident pair of whichever worker needs it
+    /// first, shared by every worker.
     inert_template: OnceLock<InertTemplate>,
     /// Predecode/plan-cache counters from the golden run (after the
     /// lowering pass warmed the plan cache). Reported under the campaign
@@ -390,12 +394,17 @@ struct InertTemplate {
     hung: Option<HangCause>,
 }
 
-/// A worker's reusable injection state: the delta-restore [`Workspace`]
-/// consecutive forked injections rewrite in place. One per worker thread;
-/// dropping it just frees the resident machine.
+/// A worker's reusable injection state: one resident machine + checker
+/// pair, held by the delta-restore [`Workspace`], that every injection the
+/// worker runs rewrites in place — forked injections by snapshot restore,
+/// cold-boot injections by a reset to the load image. One per worker
+/// thread; dropping it just frees the resident machine.
 #[derive(Debug, Default)]
 pub struct CampaignWorkspace {
     ws: Workspace,
+    /// What a reset to the campaign's entry state restores; captured at
+    /// this workspace's first cold boot for the campaign.
+    entry: Option<EntryImage>,
     /// Resident decoded-page cache for store restores. This — not the
     /// store — is what bounds a worker's peak RSS: page bodies stay on
     /// disk behind the shared map and only the entries here are
@@ -406,8 +415,27 @@ pub struct CampaignWorkspace {
     exec: ExecStats,
 }
 
+/// The entry state a resident pair resets to, captured through
+/// [`SnapshotState`] from the pair's true cold boot.
+#[derive(Debug)]
+struct EntryImage {
+    /// [`PreparedCampaign`] uid and configuration the pair was booted for.
+    campaign: u64,
+    acfg: ArgusConfig,
+    core: CoreState,
+    checker: ArgusState,
+    /// Memory write generation stamped right after the last boot or reset:
+    /// pages not dirty since still hold load-time content. `None` once a
+    /// snapshot restore has had the pair (it may even have rebuilt it), so
+    /// the next reset reloads every page.
+    clean_gen: Option<u64>,
+    /// The cold boot's combined fingerprint, checked after every reset
+    /// under `debug_assertions` (0 in release builds).
+    fingerprint: u64,
+}
+
 impl CampaignWorkspace {
-    /// An empty workspace; the first forked injection populates it.
+    /// An empty workspace; the first injection populates it.
     pub fn new() -> Self {
         Self::default()
     }
@@ -495,13 +523,51 @@ impl PreparedCampaign {
     /// (catching version skew, a different workload, or a diverging
     /// compiler).
     pub fn entry_state(&self, cfg: &CampaignConfig) -> (Machine, Argus) {
-        let mut m = Machine::new(cfg.mcfg);
-        self.prog.load(&mut m);
-        let mut argus = Argus::new(cfg.acfg);
-        if let Some(d) = self.prog.entry_dcs {
-            argus.expect_entry(d);
+        boot(&self.prog, cfg)
+    }
+
+    /// Puts `ws`'s resident pair at the entry state and returns the memory
+    /// write generation stamped right after: pages not dirty since then
+    /// hold load-time content, with valid EDC, so the end-of-run scrub may
+    /// skip them. The workspace's first boot for this campaign is a true
+    /// cold boot ([`PreparedCampaign::entry_state`]) whose core and checker
+    /// state it keeps. Every later boot resets the same pair in place: it
+    /// reloads only the pages dirtied since the previous boot
+    /// ([`Program::reload_pages`]) and restores core and checker state from
+    /// the kept copies. The plan cache and predecode memo stay warm; plans
+    /// over reloaded pages are re-validated like after any write. Not a
+    /// snapshot restore, so [`CampaignWorkspace::stats`] is untouched.
+    fn boot_into(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> u64 {
+        let kept = ws
+            .entry
+            .as_mut()
+            .filter(|e| e.campaign == self.uid && e.core.cfg == cfg.mcfg && e.acfg == cfg.acfg);
+        let pair =
+            ws.ws.pair_mut().filter(|(m, a)| m.config() == cfg.mcfg && a.config() == cfg.acfg);
+        if let (Some(e), Some((m, argus))) = (kept, pair) {
+            self.prog.reload_pages(m, e.clean_gen.unwrap_or(0));
+            m.restore_core(&e.core);
+            argus.restore_state(&e.checker);
+            let clean_gen = m.mem_mut().memory_mut().advance_generation();
+            e.clean_gen = Some(clean_gen);
+            debug_assert_eq!(
+                combined_fingerprint(m, argus),
+                e.fingerprint,
+                "entry reset does not match a fresh boot"
+            );
+            return clean_gen;
         }
-        (m, argus)
+        let (m, argus) = ws.ws.reboot(|| self.entry_state(cfg));
+        let clean_gen = m.mem_mut().memory_mut().advance_generation();
+        ws.entry = Some(EntryImage {
+            campaign: self.uid,
+            acfg: cfg.acfg,
+            core: m.capture_core(),
+            checker: argus.capture_state(),
+            clean_gen: Some(clean_gen),
+            fingerprint: if cfg!(debug_assertions) { combined_fingerprint(m, argus) } else { 0 },
+        });
+        clean_gen
     }
 
     /// Drains accumulated snapshot-corruption warnings.
@@ -544,13 +610,17 @@ impl PreparedCampaign {
     /// whether `ws` now holds the forked pair; `false` means no snapshot
     /// applies or the applicable one is corrupt, and the caller cold-boots
     /// — bit-identical, just slower.
-    fn fork_into(&self, arm_cycle: u64, ws: &mut Workspace, cache: &mut PageCache) -> bool {
+    fn fork_into(&self, arm_cycle: u64, ws: &mut CampaignWorkspace) -> bool {
         let Some(store) = self.snapshots.as_ref() else { return false };
         let Some(i) = store.nearest_index_at_or_before(arm_cycle) else { return false };
         if self.snapshot_poisoned[i].load(Ordering::Relaxed) {
             self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        if let Some(e) = ws.entry.as_mut() {
+            e.clean_gen = None;
+        }
+        let (ws, cache) = (&mut ws.ws, &mut ws.cache);
         let restored = if self.snapshot_verified[i].load(Ordering::Relaxed) {
             store.restore_into(i, ws, cache)
         } else {
@@ -571,27 +641,24 @@ impl PreparedCampaign {
     }
 
     /// The no-fault reference outcome, computed on first use by replaying
-    /// the workload once from cold boot through the real faulty loop
-    /// (watchdog, scrub and all) with a pass-through injector.
-    fn inert_template(&self, cfg: &CampaignConfig) -> &InertTemplate {
+    /// the workload once from the entry state, on `ws`'s resident pair,
+    /// through the real faulty loop (watchdog, scrub and all) with a
+    /// pass-through injector.
+    fn inert_template(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> &InertTemplate {
         self.inert_template.get_or_init(|| {
             let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(self.golden_cycles));
-            let mut m = Machine::new(cfg.mcfg);
-            self.prog.load(&mut m);
-            let mut argus = Argus::new(cfg.acfg);
-            if let Some(d) = self.prog.entry_dcs {
-                argus.expect_entry(d);
-            }
+            let clean_gen = self.boot_into(cfg, ws);
+            let (m, argus) = ws.ws.pair_mut().expect("boot_into populated the workspace");
             let mut inj = FaultInjector::none();
             let out = faulty_loop(
-                &mut m,
-                &mut argus,
+                m,
+                argus,
                 &mut inj,
                 self.window,
                 self.prog.data_base,
                 &mut wd,
                 &self.invariants,
-                None,
+                clean_gen,
             );
             InertTemplate {
                 detection: out.detection,
@@ -620,6 +687,21 @@ impl PreparedCampaign {
 /// structural-masking roll) from the site-sampling stream.
 const INJECTION_STREAM_SALT: u64 = 0x5EED;
 
+/// Source of [`PreparedCampaign`] uids.
+static NEXT_CAMPAIGN_UID: AtomicU64 = AtomicU64::new(1);
+
+/// The campaign's one cold boot: a fresh machine with the compiled image
+/// loaded and a checker armed with the entry DCS, at cycle 0.
+fn boot(prog: &Program, cfg: &CampaignConfig) -> (Machine, Argus) {
+    let mut m = Machine::new(cfg.mcfg);
+    prog.load(&mut m);
+    let mut argus = Argus::new(cfg.acfg);
+    if let Some(d) = prog.entry_dcs {
+        argus.expect_entry(d);
+    }
+    (m, argus)
+}
+
 fn golden_run(prog: &Program, mcfg: MachineConfig) -> GoldenRun {
     let mut m = Machine::new(mcfg);
     prog.load(&mut m);
@@ -645,16 +727,10 @@ fn golden_run(prog: &Program, mcfg: MachineConfig) -> GoldenRun {
 /// only come from a file sink's IO.
 fn golden_run_with_snapshots(
     prog: &Program,
-    mcfg: MachineConfig,
-    acfg: ArgusConfig,
+    cfg: &CampaignConfig,
     sink: &mut MappedStoreWriter,
 ) -> io::Result<GoldenRun> {
-    let mut m = Machine::new(mcfg);
-    prog.load(&mut m);
-    let mut argus = Argus::new(acfg);
-    if let Some(d) = prog.entry_dcs {
-        argus.expect_entry(d);
-    }
+    let (mut m, mut argus) = boot(prog, cfg);
     sink.capture_now(&m, &argus)?;
     preplan(prog, &mut m);
     let mut inj = FaultInjector::none();
@@ -705,7 +781,7 @@ fn capture_store(
     warnings: &mut Vec<String>,
 ) -> (GoldenRun, MappedStore) {
     let capture = |mut sink: MappedStoreWriter| -> io::Result<(GoldenRun, MappedStore)> {
-        let golden = golden_run_with_snapshots(prog, cfg.mcfg, cfg.acfg, &mut sink)?;
+        let golden = golden_run_with_snapshots(prog, cfg, &mut sink)?;
         Ok((golden, sink.finish()?))
     };
     let on_disk = MappedStoreWriter::create_temp(every).and_then(|sink| {
@@ -767,7 +843,9 @@ struct FaultyOutcome {
 ///
 /// The watchdog is ticked once per iteration *before* stepping, so it
 /// bounds the loop even when a fault corrupts the cycle counter that the
-/// `window` check reads.
+/// `window` check reads. `clean_gen` is the memory write generation
+/// stamped when the pair was last forked or booted: pages not dirty since
+/// still hold golden-run (or load-time) content.
 #[allow(clippy::too_many_arguments)]
 fn faulty_loop(
     m: &mut Machine,
@@ -777,7 +855,7 @@ fn faulty_loop(
     data_base: u32,
     wd: &mut InjectionWatchdog,
     inv: &InvariantEngine,
-    scrub_since: Option<u64>,
+    clean_gen: u64,
 ) -> FaultyOutcome {
     let mut first: Option<DetectionEvent> = None;
     // Invariant-hook strides, advanced only while the run is still
@@ -920,15 +998,12 @@ fn faulty_loop(
         }
     }
     // End-of-run scrub bounds the EDC detection latency for errors parked
-    // in memory (§4.2). A delta-forked run passes its fork generation so
-    // the scrub skips pages still holding golden-run content (valid EDC
-    // by construction — observationally identical, see
-    // `Argus::scrub_memory_dirty`).
+    // in memory (§4.2). It skips pages clean since the fork or boot: they
+    // still hold golden-run or load-time content, valid EDC by
+    // construction — observationally identical, see
+    // `Argus::scrub_memory_dirty`.
     if first.is_none() {
-        first = match scrub_since {
-            Some(since) => argus.scrub_memory_dirty(m, data_base, inj, since),
-            None => argus.scrub_memory(m, data_base, inj),
-        };
+        first = argus.scrub_memory_dirty(m, data_base, inj, clean_gen);
     }
     FaultyOutcome {
         detection: first,
@@ -938,25 +1013,6 @@ fn faulty_loop(
         hung: None,
         exec: m.take_exec_stats(),
     }
-}
-
-/// One faulty run from cold boot.
-fn faulty_run(
-    prog: &Program,
-    cfg: &CampaignConfig,
-    fault: argus_sim::fault::Fault,
-    window: u64,
-    wd: &mut InjectionWatchdog,
-    inv: &InvariantEngine,
-) -> FaultyOutcome {
-    let mut m = Machine::new(cfg.mcfg);
-    prog.load(&mut m);
-    let mut argus = Argus::new(cfg.acfg);
-    if let Some(d) = prog.entry_dcs {
-        argus.expect_entry(d);
-    }
-    let mut inj = FaultInjector::with_fault(fault);
-    faulty_loop(&mut m, &mut argus, &mut inj, window, prog.data_base, wd, inv, None)
 }
 
 /// Compiles the workload, takes the golden run, and samples the injection
@@ -1001,6 +1057,7 @@ pub fn prepare_campaign(w: &Workload, cfg: &CampaignConfig) -> PreparedCampaign 
         }
     }
     PreparedCampaign {
+        uid: NEXT_CAMPAIGN_UID.fetch_add(1, Ordering::Relaxed),
         prog,
         golden_digest: golden.digest,
         golden_cycles: golden.cycles,
@@ -1069,12 +1126,7 @@ pub fn prepare_campaign_with_store(
         }
     }
     let entry_print = {
-        let mut m = Machine::new(cfg.mcfg);
-        prog.load(&mut m);
-        let mut argus = Argus::new(cfg.acfg);
-        if let Some(d) = prog.entry_dcs {
-            argus.expect_entry(d);
-        }
+        let (m, argus) = boot(&prog, cfg);
         combined_fingerprint(&m, &argus)
     };
     if store.fingerprint(0) != Some(entry_print) {
@@ -1098,6 +1150,7 @@ pub fn prepare_campaign_with_store(
         }
     }
     Ok(PreparedCampaign {
+        uid: NEXT_CAMPAIGN_UID.fetch_add(1, Ordering::Relaxed),
         prog,
         golden_digest: golden.digest,
         golden_cycles: golden.cycles,
@@ -1134,10 +1187,13 @@ pub fn run_injection(
 }
 
 /// [`run_injection`] routed through a worker's reusable
-/// [`CampaignWorkspace`]: in a snapshot campaign consecutive calls on one
-/// workspace share a single machine allocation (and its warm predecode
-/// memo) and rewrite only touched pages. Results are identical
-/// to [`run_injection`] — the workspace is a pure performance carrier.
+/// [`CampaignWorkspace`]: consecutive calls on one workspace share a
+/// single machine allocation (and its warm plan cache and predecode memo)
+/// and rewrite only the pages the previous run touched — by delta restore
+/// from a snapshot, or by a reset to the load image when the injection
+/// cold-boots. Results are identical to [`run_injection`], whose fresh
+/// workspace makes its one boot a true `Machine::new` + `Program::load`
+/// cold boot — the workspace is a pure performance carrier.
 pub fn run_injection_in(
     prep: &PreparedCampaign,
     cfg: &CampaignConfig,
@@ -1167,7 +1223,7 @@ fn run_injection_watched(
         fault.sensitization = 0.0;
     }
     if cfg.shortcut_inert && fault.sensitization == 0.0 {
-        let t = prep.inert_template(cfg);
+        let t = prep.inert_template(cfg, ws);
         if let Some(cause) = t.hung {
             return Err(cause);
         }
@@ -1181,31 +1237,21 @@ fn run_injection_watched(
     }
     let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
     let inv = prep.invariants.as_ref();
-    let out = if prep.fork_into(arm_cycle, &mut ws.ws, &mut ws.cache) {
-        // Bit-identical to a cold boot because the fault is inert before
-        // its arm cycle: `FaultInjector` passes every tap through
-        // unchanged (and keeps no internal state) until `cycle >=
-        // arm_cycle`, snapshots are taken at step boundaries, and the
-        // snapshot's cycle stamp is at or before the arm cycle. Pages clean
-        // since the fork generation still hold golden-run content; the
-        // end-of-run scrub may skip them.
-        let fork_gen = ws.ws.clean_generation();
-        let (m, argus) = ws.ws.pair_mut().expect("fork_into populated the workspace");
-        debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
-        let mut inj = FaultInjector::with_fault(fault);
-        faulty_loop(
-            m,
-            argus,
-            &mut inj,
-            prep.window,
-            prep.prog.data_base,
-            &mut wd,
-            inv,
-            Some(fork_gen),
-        )
+    // A fork is bit-identical to a cold boot because the fault is inert
+    // before its arm cycle: `FaultInjector` passes every tap through
+    // unchanged (and keeps no internal state) until `cycle >= arm_cycle`,
+    // snapshots are taken at step boundaries, and the snapshot's cycle
+    // stamp is at or before the arm cycle.
+    let clean_gen = if prep.fork_into(arm_cycle, ws) {
+        ws.ws.clean_generation()
     } else {
-        faulty_run(&prep.prog, cfg, fault, prep.window, &mut wd, inv)
+        prep.boot_into(cfg, ws)
     };
+    let (m, argus) = ws.ws.pair_mut().expect("forked or booted above");
+    debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
+    let mut inj = FaultInjector::with_fault(fault);
+    let out =
+        faulty_loop(m, argus, &mut inj, prep.window, prep.prog.data_base, &mut wd, inv, clean_gen);
     ws.exec.merge(&out.exec);
     if let Some(cause) = out.hung {
         return Err(cause);
@@ -1290,8 +1336,9 @@ pub fn run_injection_guarded_in(
 /// One fully supervised injection: chaos hooks, watchdog, and panic
 /// isolation. A panic anywhere inside the injection becomes a
 /// [`SupervisedOutcome::Quarantined`] record instead of unwinding the
-/// worker; all mutable run state is rebuilt from scratch (or from an
-/// immutable snapshot) on the next call, so nothing leaks across runs.
+/// worker; all mutable run state is reset to the load image (or restored
+/// from an immutable snapshot) on the next call, so nothing leaks across
+/// runs.
 pub fn run_injection_supervised(
     prep: &PreparedCampaign,
     cfg: &CampaignConfig,
@@ -1303,9 +1350,9 @@ pub fn run_injection_supervised(
 /// [`run_injection_supervised`] routed through a worker's reusable
 /// [`CampaignWorkspace`]. Unwind-safe: every memory mutation is
 /// generation-stamped at write time, so a run that panics (or is
-/// abandoned) mid-flight leaves only pages the next delta restore already
-/// knows to rewrite, and core/checker state is rewritten in full on every
-/// restore anyway.
+/// abandoned) mid-flight leaves only pages the next delta restore or
+/// entry reset already knows to rewrite, and core/checker state is
+/// rewritten in full by both anyway.
 pub fn run_injection_supervised_in(
     prep: &PreparedCampaign,
     cfg: &CampaignConfig,
@@ -1719,6 +1766,76 @@ mod tests {
         let stats = shared.stats();
         assert!(stats.restores > 0, "snapshot campaign never used the workspace: {stats:?}");
         assert!(stats.pages_skipped > 0, "delta restores never skipped a clean page: {stats:?}");
+    }
+
+    /// Asserts that `ws`'s resident pair equals a fresh cold boot.
+    fn assert_fresh_boot(prep: &PreparedCampaign, cfg: &CampaignConfig, ws: &CampaignWorkspace) {
+        let (fm, fa) = prep.entry_state(cfg);
+        let (m, a) = ws.ws.pair().expect("booted");
+        assert_eq!(combined_fingerprint(m, a), combined_fingerprint(&fm, &fa));
+        assert_eq!(m.mem().memory().words(), fm.mem().memory().words());
+        assert_eq!(m.mem().memory().tags(), fm.mem().memory().tags());
+        assert_eq!(a.capture_state(), fa.capture_state());
+    }
+
+    /// The resident reset restores exactly what a fresh boot builds, after
+    /// a faulty run that stored into code, data and a page the image never
+    /// touches, and flipped a parity tag.
+    #[test]
+    fn entry_reset_is_a_fresh_boot() {
+        use argus_sim::fault::{Fault, SiteFlavor};
+        let w = argus_workloads::stress();
+        let cfg = CampaignConfig { injections: 1, ..Default::default() }.sized_for(&w);
+        let prep = prepare_campaign(&w, &cfg);
+        let mut ws = CampaignWorkspace::new();
+        let boot_gen = prep.boot_into(&cfg, &mut ws);
+        assert_fresh_boot(&prep, &cfg, &ws);
+        let (m, argus) = ws.ws.pair_mut().unwrap();
+        let mut inj = FaultInjector::with_fault(Fault {
+            site: argus_machine::sites::LSU_ST_BUS,
+            bit: 9,
+            kind: FaultKind::Permanent,
+            arm_cycle: 0,
+            flavor: SiteFlavor::Single,
+            width: 32,
+            sensitization: 1.0,
+        });
+        for _ in 0..5_000 {
+            if let StepOutcome::Committed(rec) = m.step(&mut inj) {
+                argus.on_commit(&rec, &mut inj);
+            }
+        }
+        assert!(inj.first_flip_cycle().is_some(), "the store-bus fault never fired");
+        let data = prep.prog.data_base;
+        let last = m.mem().memory().size_bytes() - 4;
+        m.write_data_word(data, 0xDEAD_BEEF);
+        m.load_code(prep.prog.code_base, &[0xFFFF_FFFF]);
+        m.write_data_word(last, 7);
+        let (p, t) = m.mem().memory().read(data + 4).unwrap();
+        m.mem_mut().memory_mut().write(data + 4, p, !t).unwrap();
+        let page = |addr: u32| addr as usize / (4 * argus_mem::DIRTY_PAGE_WORDS);
+        let mem = m.mem().memory();
+        for addr in [data, prep.prog.code_base, last] {
+            assert!(mem.page_dirty_since(page(addr), boot_gen));
+        }
+        let reset_gen = prep.boot_into(&cfg, &mut ws);
+        assert!(reset_gen > boot_gen);
+        assert_fresh_boot(&prep, &cfg, &ws);
+        let mem = ws.ws.pair().unwrap().0.mem().memory();
+        assert!((0..mem.page_count()).all(|p| !mem.page_dirty_since(p, reset_gen)));
+        assert_eq!(ws.stats(), WorkspaceStats::default(), "entry resets are not restores");
+
+        // A pair last rewritten by a snapshot restore resets in full.
+        let snap_cfg = CampaignConfig { snapshot_every: Some(500), ..cfg.clone() };
+        let snap = prepare_campaign(&w, &snap_cfg);
+        let mut ws = CampaignWorkspace::new();
+        snap.boot_into(&snap_cfg, &mut ws);
+        for i in 0..3 {
+            assert!(snap.fork_into(snap.golden_cycles() / 2 + i, &mut ws));
+            ws.ws.pair_mut().unwrap().0.run_to_halt(&mut FaultInjector::none(), 1 << 30);
+            snap.boot_into(&snap_cfg, &mut ws);
+            assert_fresh_boot(&snap, &snap_cfg, &ws);
+        }
     }
 
     #[test]

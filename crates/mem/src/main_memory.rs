@@ -1,5 +1,7 @@
 //! Flat word-addressed main memory with one parity tag per word.
 
+use std::ops::Range;
+
 /// Words per dirty-tracking page. Must match the snapshot crate's page size
 /// (`argus_snapshot::PAGE_WORDS`, const-asserted there) so a dirty page maps
 /// 1:1 onto a snapshot page.
@@ -178,13 +180,18 @@ impl MainMemory {
         self.page_gen.len()
     }
 
+    /// Word indices of dirty-tracking page `page`, which must be below
+    /// [`MainMemory::page_count`] (the last page may be partial).
+    pub fn page_word_range(&self, page: usize) -> Range<usize> {
+        let start = page * DIRTY_PAGE_WORDS;
+        start..(start + DIRTY_PAGE_WORDS).min(self.words.len())
+    }
+
     /// FNV-1a over the page index and the page's payload words.
     fn hash_page(&self, page: usize) -> u64 {
-        let start = page * DIRTY_PAGE_WORDS;
-        let end = (start + DIRTY_PAGE_WORDS).min(self.words.len());
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         h = (h ^ page as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        for &w in &self.words[start..end] {
+        for &w in &self.words[self.page_word_range(page)] {
             h = (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01B3);
         }
         h
@@ -220,12 +227,25 @@ impl MainMemory {
     /// (`payload = 0 ⊕ A = A`, tag = parity(0) = false) — factory-valid
     /// EDC contents for an Argus-mode memory.
     pub fn fill_protected_zero(&mut self) {
-        for (i, w) in self.words.iter_mut().enumerate() {
+        for page in 0..self.page_gen.len() {
+            self.fill_protected_zero_page(page);
+        }
+    }
+
+    /// [`MainMemory::fill_protected_zero`] restricted to dirty-tracking
+    /// page `page` (which it stamps dirty): the per-page reset a resident
+    /// machine uses to return to its power-on contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn fill_protected_zero_page(&mut self, page: usize) {
+        let words = self.page_word_range(page);
+        for (i, w) in words.clone().zip(&mut self.words[words.clone()]) {
             *w = 4 * i as u32;
         }
-        self.tags.fill(false);
-        let generation = self.generation;
-        self.page_gen.fill(generation);
+        self.tags[words].fill(false);
+        self.page_gen[page] = self.generation;
     }
 }
 
@@ -383,6 +403,24 @@ mod tests {
         m.restore_words(DIRTY_PAGE_WORDS, &run, &tags);
         assert_ne!(m.words_digest_cached(), d0);
         assert_eq!(m.words_digest_cached(), m.words_digest());
+    }
+
+    #[test]
+    fn page_fill_matches_whole_fill_and_dirties_only_its_page() {
+        let mut whole = MainMemory::new(4 * DIRTY_PAGE_WORDS as u32 * 2 + 12);
+        whole.fill_protected_zero();
+        let mut paged = MainMemory::new(4 * DIRTY_PAGE_WORDS as u32 * 2 + 12);
+        for addr in [0, 4 * DIRTY_PAGE_WORDS as u32 + 8, 4 * DIRTY_PAGE_WORDS as u32 * 2 + 4] {
+            paged.write(addr, 0xFFFF, true).unwrap();
+        }
+        let g = paged.advance_generation();
+        paged.fill_protected_zero_page(2);
+        assert!(!paged.page_dirty_since(0, g) && !paged.page_dirty_since(1, g));
+        assert!(paged.page_dirty_since(2, g));
+        paged.fill_protected_zero_page(0);
+        paged.fill_protected_zero_page(1);
+        assert_eq!(paged.words(), whole.words());
+        assert_eq!(paged.tags(), whole.tags());
     }
 
     #[test]

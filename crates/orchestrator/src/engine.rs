@@ -35,7 +35,8 @@
 //! * **golden-run forking** — when `CampaignConfig::snapshot_every` is
 //!   set, each worker forks injections from the shared read-only snapshot
 //!   store into its private reusable workspace (delta restore: only pages
-//!   dirtied since the last fork are rewritten), instead of cold-booting;
+//!   dirtied since the last fork are rewritten), instead of cold-booting
+//!   (which resets the same resident pair to the load image);
 //! * **supervision** — each injection runs inside a panic quarantine and
 //!   under a watchdog (see `argus_sim::supervise`), so one buggy or
 //!   livelocked injection costs one ledger entry, not the campaign.
@@ -810,8 +811,8 @@ pub fn run_sharded(
             let worker_stats = &worker_stats;
             scope.spawn(move || {
                 let _live = LiveGuard(live_workers);
-                // One reusable fork target per worker: consecutive leases
-                // delta-restore into the same warm Machine/Argus pair.
+                // One reusable machine per worker: consecutive leases
+                // delta-restore or reset the same warm Machine/Argus pair.
                 let mut ws = CampaignWorkspace::new();
                 let mut busy = Duration::ZERO;
                 let mut exec_total = ExecStats::default();

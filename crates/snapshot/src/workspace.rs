@@ -79,6 +79,23 @@ impl Workspace {
         self.pair.as_ref().map(|(m, a)| (m, a))
     }
 
+    /// Replaces the resident pair with `boot()`'s, dropping the old pair
+    /// first so a worker never holds two machines at once. The new pair
+    /// mirrors no snapshot (its write generations restart), so the next
+    /// restore rewrites every page. Not a restore: [`WorkspaceStats`] is
+    /// untouched. Writes to the resident pair's memory need no such call —
+    /// they are generation-stamped, and the next delta restore rewrites
+    /// the pages they touched.
+    pub fn reboot(
+        &mut self,
+        boot: impl FnOnce() -> (Machine, Argus),
+    ) -> (&mut Machine, &mut Argus) {
+        self.invalidate();
+        self.pair = None;
+        let (m, a) = self.pair.insert(boot());
+        (m, a)
+    }
+
     /// Forgets what the workspace mirrors: the next restore rewrites every
     /// page. Call after mutating machine memory through any path that
     /// bypasses `MainMemory`'s write API (none exist in-tree; the hook is
