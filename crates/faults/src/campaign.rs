@@ -19,6 +19,7 @@ use argus_snapshot::{
 use argus_workloads::Workload;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -474,14 +475,23 @@ impl PreparedCampaign {
 
     /// The cycle at which injection `index` arms, derived from the same
     /// per-index RNG stream [`run_injection_in`] uses (each stream is
-    /// seeded independently, so peeking here consumes nothing). Schedulers
-    /// use this to sort a chunk of indices by arm cycle: injections that
-    /// arm near each other fork from the same snapshot, so a warm
-    /// workspace rewrites only run-dirty pages instead of cross-snapshot
-    /// diffs. Pure per-index — execution order never changes any result.
+    /// seeded independently, so peeking here consumes nothing).
     pub fn arm_cycle_of(&self, cfg: &CampaignConfig, index: usize) -> u64 {
         let mut rng = SplitMix64::stream(cfg.seed ^ INJECTION_STREAM_SALT, index as u64);
         self.draw_arm_cycle(&mut rng)
+    }
+
+    /// The indices of a leased chunk in the order every executor runs
+    /// them: by arm cycle. Injections that arm near each other fork from
+    /// the same snapshot, so a warm workspace rewrites only run-dirty
+    /// pages instead of cross-snapshot diffs. Arm cycles come from
+    /// per-index RNG streams, so index order itself carries no such
+    /// locality. Pure per-index — execution order never changes any
+    /// result.
+    pub fn arm_order(&self, cfg: &CampaignConfig, range: Range<usize>) -> Vec<usize> {
+        let mut order: Vec<usize> = range.collect();
+        order.sort_by_cached_key(|&i| self.arm_cycle_of(cfg, i));
+        order
     }
 
     /// Draws the arm cycle from an injection's RNG stream: somewhere in

@@ -1,13 +1,26 @@
-//! The work-stealing campaign engine.
+//! The campaign engine.
 //!
-//! A campaign of `n` injections is a single shared pool of indices.
-//! Workers *lease* chunks of contiguous indices from a scheduler instead
-//! of owning fixed slices: each worker prefers work inside its "home"
-//! region (the static slice [`shard_ranges`] would have given it, for
-//! locality of the warm per-worker fork workspace) and steals from the
-//! front of the remaining pool once its home is drained. Lease size decays
-//! toward 1 as the pool empties, so the tail of the campaign never leaves
-//! a worker idle behind one long-running slice.
+//! A campaign of `n` injections is a single shared pool of indices, and
+//! one, two or many executors drain it: the engine's own worker threads,
+//! and — when a daemon opens the pool to the network — remote `argus
+//! worker` processes. Everyone leases contiguous chunks from the same
+//! [`LeasePool`] and commits each chunk whole through the same
+//! [`Ledger`] dedup gate; there is no second engine for distributed runs.
+//!
+//! * **One pool, optional TTL.** A local-only pool's leases never expire
+//!   (a stopping thread releases its chunk); an open pool's leases carry a
+//!   TTL, renewed by remote heartbeats and swept here, and a dead
+//!   worker's chunk is reissued verbatim. Each local thread is served
+//!   from its home region (the static [`shard_ranges`] slice) while it
+//!   lasts and then steals the lowest remaining indices; lease size decays
+//!   toward 1 as the pool empties, so the tail never leaves a worker idle
+//!   behind one long chunk. Within a chunk, injections run in arm-cycle
+//!   order ([`PreparedCampaign::arm_order`]): that, not index order, is
+//!   what keeps a warm workspace's restores cheap.
+//! * **Chunk-atomic completion.** A chunk's injections tally privately and
+//!   merge into the ledger in one commit; a stop mid-chunk discards the
+//!   partial tally and releases the range. `stop_after` and the
+//!   quarantine limit are counted at the commit.
 //!
 //! Determinism under this dynamic schedule rests on two facts:
 //!
@@ -17,17 +30,18 @@
 //! * every accumulator in the global [`CampaignTally`] is commutative
 //!   (counts, BTreeMap counters, histogram merges, an index-sorted
 //!   quarantine ledger), so the merged tallies — and the JSON report built
-//!   from them — are bit-identical for any worker count, chunk size, or
-//!   interleaving, including runs stitched together through a checkpoint.
+//!   from them — are bit-identical for any worker count, chunk size, mix
+//!   of local and remote executors, or interleaving, including runs
+//!   stitched together through a checkpoint.
 //!
 //! The engine supports:
 //!
 //! * **checkpoint/resume** — the completed-index set (coalesced ranges)
 //!   and the global tally are flushed to a JSON state file periodically
 //!   and on exit; a later run with `resume` leases out exactly the
-//!   complement, under *any* worker count;
+//!   complement, under *any* worker count, local or distributed;
 //! * **graceful cancellation** — a shared stop flag (wired to Ctrl-C by the
-//!   CLI) makes every worker break after its current injection, and a final
+//!   CLI) makes every worker release its chunk and break, and a final
 //!   checkpoint is flushed before returning;
 //! * **live observability** — workers publish to a shared [`Progress`]
 //!   (atomics only on the hot path) including scheduler utilization
@@ -46,10 +60,12 @@
 
 use crate::checkpoint::{CampaignTally, Checkpoint, CheckpointError, Fingerprint};
 use crate::json::Json;
+use crate::lease::LeasePool;
+use crate::ledger::{Ledger, LOCAL_PREFIX};
 use crate::progress::Progress;
 use argus_faults::campaign::{
     prepare_campaign, run_injection_guarded_in, run_injection_supervised_in, CampaignConfig,
-    CampaignWorkspace, ExecStats, InjectionResult, QuarantineRecord, SupervisedOutcome,
+    CampaignWorkspace, ExecStats, PreparedCampaign, QuarantineRecord, SupervisedOutcome,
 };
 use argus_faults::Outcome;
 use argus_invariants::{Hook, InvariantCtx, InvariantStats, LedgerView};
@@ -58,9 +74,9 @@ use argus_sim::stats::{CounterSet, Histogram};
 use argus_sim::supervise::{panic_message, Anomaly};
 use argus_workloads::Workload;
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Orchestration knobs on top of a [`CampaignConfig`].
@@ -91,11 +107,11 @@ pub struct OrchestratorConfig {
     pub flush_retries: u32,
     /// Base backoff between flush retries (grows linearly per attempt).
     pub flush_backoff: Duration,
-    /// Test hook: raise the stop flag once this many injections have
-    /// completed in this run, on the completion path itself. Interruption
-    /// tests use it to cut a campaign at a deterministic point, however
-    /// fast the host runs it; workers finish only the injections already
-    /// in flight, so a run stops within `shards - 1` of the mark.
+    /// Test hook: raise the stop flag once this many injections have been
+    /// committed to the ledger in this run. Interruption tests use it to
+    /// cut a campaign at a deterministic point, however fast the host runs
+    /// it; workers release the chunks still in flight, so a run stops with
+    /// the commit that crossed the mark plus any that landed with it.
     #[doc(hidden)]
     pub stop_after: Option<usize>,
 }
@@ -453,8 +469,8 @@ impl From<CheckpointError> for OrchestratorError {
 }
 
 /// Splits `0..n` into `shards` contiguous slices whose lengths differ by at
-/// most one (the first `n % shards` slices are one longer). The scheduler
-/// uses these as advisory *home regions* for locality and steal
+/// most one (the first `n % shards` slices are one longer). The engine
+/// uses these as its threads' *home regions* in the lease pool, for steal
 /// accounting; correctness never depends on them.
 pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
     assert!(shards > 0, "need at least one shard");
@@ -468,66 +484,6 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
         at += len;
     }
     ranges
-}
-
-/// One chunk of injection indices handed to a worker.
-struct Lease {
-    range: Range<usize>,
-    /// True when the chunk lies outside the worker's home region.
-    stolen: bool,
-}
-
-/// The work-stealing chunk scheduler: unleased indices as sorted disjoint
-/// ranges. Workers lease from their home region while it lasts, then steal
-/// from the front of whatever remains. Lease size is
-/// `clamp(remaining / (workers * 2), 1, chunk_max)` — large while the pool
-/// is deep (amortizing the lock), decaying to single injections at the
-/// tail so no worker idles behind one long lease.
-struct Scheduler {
-    /// Unleased work, ascending and disjoint.
-    remaining: Vec<Range<usize>>,
-    remaining_len: usize,
-    workers: usize,
-    chunk_max: usize,
-    leases: u64,
-    steals: u64,
-}
-
-impl Scheduler {
-    fn new(remaining: Vec<Range<usize>>, workers: usize, chunk_max: usize) -> Self {
-        let remaining_len = remaining.iter().map(Range::len).sum();
-        Self { remaining, remaining_len, workers, chunk_max, leases: 0, steals: 0 }
-    }
-
-    fn lease(&mut self, home: &Range<usize>) -> Option<Lease> {
-        if self.remaining_len == 0 {
-            return None;
-        }
-        let chunk = (self.remaining_len / (self.workers * 2)).clamp(1, self.chunk_max);
-        // Prefer work overlapping the home region; otherwise steal the
-        // lowest remaining indices.
-        let pick = self.remaining.iter().position(|r| r.start < home.end && home.start < r.end);
-        let (i, stolen) = match pick {
-            Some(i) => (i, false),
-            None => (0, true),
-        };
-        let r = self.remaining[i].clone();
-        let s = if stolen { r.start } else { r.start.max(home.start) };
-        let e = (s + chunk).min(r.end);
-        // Carve s..e out of the range, leaving up to two remnants.
-        let mut remnants = Vec::with_capacity(2);
-        if r.start < s {
-            remnants.push(r.start..s);
-        }
-        if e < r.end {
-            remnants.push(e..r.end);
-        }
-        self.remaining.splice(i..i + 1, remnants);
-        self.remaining_len -= e - s;
-        self.leases += 1;
-        self.steals += u64::from(stolen);
-        Some(Lease { range: s..e, stolen })
-    }
 }
 
 /// Folds `index` into a sorted, disjoint, coalesced range set.
@@ -554,7 +510,7 @@ pub fn mark_done(done: &mut Vec<Range<usize>>, index: usize) {
 }
 
 /// Folds a whole chunk range into a sorted, disjoint, coalesced range set
-/// (the distributed lease protocol completes work a chunk at a time).
+/// (every executor completes work a chunk at a time).
 pub fn mark_range_done(done: &mut Vec<Range<usize>>, range: Range<usize>) {
     for index in range {
         mark_done(done, index);
@@ -616,39 +572,6 @@ pub fn ledger_view(total: usize, done: &[Range<usize>], tally: &CampaignTally) -
     }
 }
 
-/// All campaign-global mutable state behind one lock: the scheduler, the
-/// completed-index set, and the tallies. Workers take the lock twice per
-/// injection (lease amortized over its chunk, then one tally apply) —
-/// injections cost milliseconds, so contention is negligible.
-struct CampaignState {
-    sched: Scheduler,
-    done: Vec<Range<usize>>,
-    tally: CampaignTally,
-}
-
-impl CampaignState {
-    fn apply(&mut self, index: usize, r: &InjectionResult) {
-        mark_done(&mut self.done, index);
-        self.tally.apply(r);
-    }
-
-    fn apply_hung(&mut self, index: usize) {
-        mark_done(&mut self.done, index);
-        self.tally.apply_hung();
-    }
-
-    fn apply_quarantined(&mut self, index: usize, q: QuarantineRecord) {
-        mark_done(&mut self.done, index);
-        self.tally.apply_quarantined(q);
-    }
-}
-
-/// Poison-tolerant lock: a worker that panicked (strict mode) must not
-/// wedge the checkpoint coordinator out of saving everyone else's work.
-fn lock_state(m: &Mutex<CampaignState>) -> std::sync::MutexGuard<'_, CampaignState> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Decrements the live-worker count when the worker exits — including by
 /// unwinding in strict mode, so the checkpoint coordinator's wait loop
 /// always terminates.
@@ -660,17 +583,27 @@ impl Drop for LiveGuard<'_> {
     }
 }
 
-/// Runs a work-stealing, checkpointable, cancellable campaign.
-///
-/// `stop` is polled between injections on every worker; once set, workers
-/// drain and a final checkpoint is written. `progress` must have been
-/// created with the same worker count.
+/// Opens a campaign's lease pool to executors outside this process.
+pub struct OpenPool<'a> {
+    /// Lease time-to-live: a holder silent this long forfeits its chunks.
+    pub ttl: Duration,
+    /// Publishes the leasable ledger (a daemon registers it with its HTTP
+    /// router). Called once, after the golden run and before any local
+    /// work starts.
+    #[allow(clippy::type_complexity)]
+    pub publish: &'a dyn Fn(
+        &PreparedCampaign,
+        &CampaignConfig,
+        &Arc<Ledger>,
+    ) -> Result<(), OrchestratorError>,
+}
+
+/// Runs a checkpointable, cancellable campaign on `ocfg.shards` local
+/// worker threads: [`run_campaign`] with the pool closed to the network.
 ///
 /// # Panics
 ///
-/// Panics if the workload fails to compile, the golden run does not halt
-/// (same contract as the serial engine), or `progress` disagrees on the
-/// worker count.
+/// As [`run_campaign`].
 pub fn run_sharded(
     w: &Workload,
     cfg: &CampaignConfig,
@@ -678,13 +611,50 @@ pub fn run_sharded(
     stop: &AtomicBool,
     progress: &Progress,
 ) -> Result<ShardedReport, OrchestratorError> {
-    if ocfg.shards == 0 {
+    run_campaign(w, cfg, ocfg, stop, progress, None)
+}
+
+/// The campaign engine: one-shot, daemon and distributed runs all go
+/// through here.
+///
+/// `ocfg.shards` local threads lease chunks from the campaign's
+/// [`Ledger`] and commit each one whole. With `open`, the pool is also
+/// leasable by remote executors (then `ocfg.shards` may be 0): leases
+/// carry `open.ttl`, and the caller's thread sweeps expiries and replays
+/// remote completions into shard 0 of `progress`. `stop` is polled
+/// between injections on every local worker; once set, workers release
+/// their in-flight chunks and a final checkpoint is written. `progress`
+/// must have `max(shards, 1)` shards.
+///
+/// # Panics
+///
+/// Panics if the workload fails to compile, the golden run does not halt
+/// (same contract as the serial engine), or `progress` disagrees on the
+/// worker count.
+pub fn run_campaign(
+    w: &Workload,
+    cfg: &CampaignConfig,
+    ocfg: &OrchestratorConfig,
+    stop: &AtomicBool,
+    progress: &Progress,
+    open: Option<OpenPool<'_>>,
+) -> Result<ShardedReport, OrchestratorError> {
+    if ocfg.shards == 0 && open.is_none() {
         return Err(OrchestratorError::Config("shards must be >= 1".into()));
     }
     if ocfg.chunk == 0 {
         return Err(OrchestratorError::Config("chunk must be >= 1".into()));
     }
-    assert_eq!(progress.shards(), ocfg.shards, "progress was created for a different shard count");
+    if ocfg.strict && open.is_some() {
+        return Err(OrchestratorError::Config(
+            "strict mode is a local-debugging tool; distributed runs always supervise".into(),
+        ));
+    }
+    assert_eq!(
+        progress.shards(),
+        ocfg.shards.max(1),
+        "progress must have max(shards, 1) shards (shard 0 carries remote completions)"
+    );
     let cfg = &cfg.sized_for(w);
     let started = Instant::now();
 
@@ -698,7 +668,7 @@ pub fn run_sharded(
 
     // Fresh pool, or the progress saved by an earlier interrupted run —
     // the checkpoint is worker-count independent, so a file written under
-    // any --shards value resumes here.
+    // any --shards value, local or distributed, resumes here.
     let mut initial = Checkpoint::empty(fingerprint.clone());
     let mut recovery_warnings: Vec<String> = Vec::new();
     let mut used_backup_checkpoint = false;
@@ -739,9 +709,8 @@ pub fn run_sharded(
         resumed as u64,
         initial.tally.outcomes,
         resumed_anomalies,
-        &vec![0; ocfg.shards],
+        &vec![0; progress.shards()],
     );
-    let resumed_quarantined = initial.tally.quarantine.len();
 
     let prep = prepare_campaign(w, cfg);
     let inv = prep.invariants().clone();
@@ -754,17 +723,21 @@ pub fn run_sharded(
             &InvariantCtx::Ledger(ledger_view(cfg.injections, &initial.done, &initial.tally)),
         );
     }
-    let homes = shard_ranges(cfg.injections, ocfg.shards);
-    let pool = complement(&initial.done, cfg.injections);
-    let state = Mutex::new(CampaignState {
-        sched: Scheduler::new(pool, ocfg.shards, ocfg.chunk),
-        done: initial.done,
-        tally: initial.tally,
-    });
+    let pool = LeasePool::new(
+        complement(&initial.done, cfg.injections),
+        ocfg.chunk,
+        ocfg.shards,
+        open.as_ref().map(|o| o.ttl),
+    );
+    let ledger =
+        Arc::new(Ledger::new(pool, initial.done, initial.tally, cfg.injections, Arc::clone(&inv)));
+    if let Some(open) = &open {
+        (open.publish)(&prep, cfg, &ledger)?;
+    }
+    let open = open.is_some();
+
+    let homes = shard_ranges(cfg.injections, ocfg.shards.max(1));
     let live_workers = AtomicUsize::new(ocfg.shards);
-    let completed_here = AtomicUsize::new(0);
-    let quarantined_total = AtomicUsize::new(resumed_quarantined);
-    let quarantine_abort = AtomicBool::new(false);
     let flush_failures = AtomicU64::new(0);
     let flush_degraded = AtomicBool::new(false);
     // Per-worker (busy time, out-of-work instant, exec-cache counters) for
@@ -777,62 +750,67 @@ pub fn run_sharded(
     // progress made so far is still persisted.
     let strict_panic: Mutex<Option<String>> = Mutex::new(None);
 
-    let snapshot_all = |state: &Mutex<CampaignState>| -> Checkpoint {
-        let g = lock_state(state);
-        let cp = Checkpoint {
-            fingerprint: fingerprint.clone(),
-            done: g.done.clone(),
-            tally: g.tally.clone(),
-        };
-        // Every checkpoint snapshot is audited before it hits disk, in
-        // every mode — a persisted ledger that violates the conservation
-        // laws would poison any later resume. The audit runs under the
-        // state lock: ledger snapshots must reach the monotonicity
-        // invariants in the order they were taken.
-        if inv.enabled() {
-            inv.run_hook(
-                Hook::Checkpoint,
-                &InvariantCtx::Ledger(ledger_view(cfg.injections, &cp.done, &cp.tally)),
-            );
+    let snapshot = || {
+        let (done, tally) = ledger.checkpoint_state();
+        Checkpoint { fingerprint: fingerprint.clone(), done, tally }
+    };
+    // Saves with retries; any failed attempt flags degraded mode.
+    let save = |cp: &Checkpoint, path: &Path| -> std::io::Result<()> {
+        let result = cp.save_with_retry(path, ocfg.flush_retries, ocfg.flush_backoff);
+        let failed = *result.as_ref().unwrap_or(&(ocfg.flush_retries + 1));
+        if failed > 0 {
+            flush_failures.fetch_add(u64::from(failed), Ordering::Relaxed);
+            flush_degraded.store(true, Ordering::Relaxed);
+            progress.set_degraded(true);
         }
-        cp
+        result.map(|_| ())
+    };
+    // `stop_after` and the quarantine limit count at the ledger commit.
+    let check_limits = || {
+        let (covered, quarantined) = ledger.counts();
+        if ocfg.stop_after.is_some_and(|n| covered - resumed >= n)
+            || quarantined > ocfg.quarantine_limit
+        {
+            stop.store(true, Ordering::Release);
+        }
     };
 
     std::thread::scope(|scope| {
-        for (k, home) in homes.iter().enumerate() {
-            let state = &state;
+        for (k, home) in homes.iter().enumerate().take(ocfg.shards) {
+            let ledger = &ledger;
             let prep = &prep;
             let inv = &inv;
             let live_workers = &live_workers;
-            let completed_here = &completed_here;
-            let quarantined_total = &quarantined_total;
-            let quarantine_abort = &quarantine_abort;
             let strict_panic = &strict_panic;
             let worker_stats = &worker_stats;
+            let check_limits = &check_limits;
             scope.spawn(move || {
                 let _live = LiveGuard(live_workers);
+                let worker = format!("{LOCAL_PREFIX}{k}");
                 // One reusable machine per worker: consecutive leases
                 // delta-restore or reset the same warm Machine/Argus pair.
                 let mut ws = CampaignWorkspace::new();
                 let mut busy = Duration::ZERO;
                 let mut exec_total = ExecStats::default();
-                'work: loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let lease = lock_state(state).sched.lease(home);
-                    let Some(lease) = lease else { break };
-                    progress.record_lease(lease.stolen);
-                    // Execute the lease in arm-cycle order: each injection's
-                    // parameters (and thus its result) depend only on its
-                    // index, so any order tallies identically — but armed
-                    // neighbors fork from the same golden snapshot, so the
-                    // warm workspace rewrites only run-dirty pages instead
-                    // of cross-snapshot diffs.
-                    let mut order: Vec<usize> = lease.range.clone().collect();
-                    order.sort_by_key(|&i| prep.arm_cycle_of(cfg, i));
-                    for index in order {
+                'work: while !stop.load(Ordering::Relaxed) {
+                    let Some(grant) = ledger.lease(&worker, Some(home), Instant::now()) else {
+                        // Nothing leasable. A local-only pool never refills
+                        // (chunks return only when their worker stops); an
+                        // open one refills when a remote lease expires.
+                        if !open || ledger.finished() {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    };
+                    progress.record_lease(grant.stolen);
+                    let mut tally = CampaignTally::empty();
+                    for index in prep.arm_order(cfg, grant.range.clone()) {
                         if stop.load(Ordering::Relaxed) {
+                            // Abandon mid-chunk: the partial tally is
+                            // discarded and the whole range re-leases —
+                            // determinism makes the re-run identical.
+                            ledger.release(grant.chunk);
                             break 'work;
                         }
                         let t0 = Instant::now();
@@ -843,33 +821,29 @@ pub fn run_sharded(
                         // message intact — `thread::scope` would replace it
                         // with a generic "a scoped thread panicked".
                         let sup = if ocfg.strict {
-                            let guarded =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_injection_guarded_in(prep, cfg, index, &mut ws)
-                                }));
-                            match guarded {
+                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                run_injection_guarded_in(prep, cfg, index, &mut ws)
+                            })) {
                                 Ok(SupervisedOutcome::Hung { index, cause }) => {
-                                    strict_panic
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .get_or_insert_with(|| {
-                                            format!("injection {index} hung ({})", cause.label())
-                                        });
-                                    stop.store(true, Ordering::Release);
-                                    break 'work;
+                                    Err(format!("injection {index} hung ({})", cause.label()))
                                 }
-                                Ok(other) => other,
-                                Err(payload) => {
-                                    strict_panic
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .get_or_insert_with(|| panic_message(payload.as_ref()));
-                                    stop.store(true, Ordering::Release);
-                                    break 'work;
-                                }
+                                Ok(other) => Ok(other),
+                                Err(payload) => Err(panic_message(payload.as_ref())),
                             }
                         } else {
-                            run_injection_supervised_in(prep, cfg, index, &mut ws)
+                            Ok(run_injection_supervised_in(prep, cfg, index, &mut ws))
+                        };
+                        let sup = match sup {
+                            Ok(sup) => sup,
+                            Err(msg) => {
+                                strict_panic
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .get_or_insert(msg);
+                                stop.store(true, Ordering::Release);
+                                ledger.release(grant.chunk);
+                                break 'work;
+                            }
                         };
                         let spent = t0.elapsed();
                         busy += spent;
@@ -879,56 +853,30 @@ pub fn run_sharded(
                         progress.add_exec(&ex);
                         match sup {
                             SupervisedOutcome::Classified(r) => {
-                                let mut g = lock_state(state);
-                                if lease.stolen
-                                    && argus_sim::canary::enabled("canary-tally-drop-on-steal")
-                                {
-                                    // Seeded bug: stolen work is marked
-                                    // done but never tallied, so the tally
-                                    // stops accounting for the done set.
-                                    mark_done(&mut g.done, index);
-                                } else {
-                                    g.apply(index, &r);
-                                }
-                                drop(g);
+                                tally.apply(&r);
                                 progress.record(k, r.outcome);
                             }
                             SupervisedOutcome::Hung { .. } => {
-                                lock_state(state).apply_hung(index);
+                                tally.apply_hung();
                                 progress.record_anomaly(k, Anomaly::Hung);
                             }
                             SupervisedOutcome::Quarantined(q) => {
-                                lock_state(state).apply_quarantined(index, q);
+                                tally.apply_quarantined(q);
                                 progress.record_anomaly(k, Anomaly::Quarantined);
-                                let seen = quarantined_total.fetch_add(1, Ordering::AcqRel) + 1;
-                                if seen > ocfg.quarantine_limit {
-                                    quarantine_abort.store(true, Ordering::Release);
-                                    stop.store(true, Ordering::Release);
-                                }
-                            }
-                        }
-                        if let Some(n) = ocfg.stop_after {
-                            if completed_here.fetch_add(1, Ordering::AcqRel) + 1 >= n {
-                                stop.store(true, Ordering::Release);
                             }
                         }
                     }
-                    // Chunk-completion ledger audit (every chunk, every
-                    // mode): the conservation laws must hold at each lease
-                    // boundary, not only at checkpoint flushes.
-                    if inv.enabled() {
-                        // Snapshot and audit under one lock hold: if another
-                        // worker's newer snapshot could overtake this one on
-                        // the way into the registry, the monotonicity
-                        // invariants would see time run backwards.
-                        let g = lock_state(state);
-                        let view = ledger_view(cfg.injections, &g.done, &g.tally);
-                        let fresh = inv.run_hook(Hook::ChunkComplete, &InvariantCtx::Ledger(view));
-                        drop(g);
-                        progress.set_invariant_violations(inv.violations());
-                        if fresh > 0 && ocfg.strict {
-                            stop.store(true, Ordering::Release);
-                        }
+                    if grant.stolen && argus_sim::canary::enabled("canary-tally-drop-on-steal") {
+                        // Seeded bug: stolen work is committed without its
+                        // tally, so the tally stops accounting for the
+                        // done set.
+                        tally = CampaignTally::empty();
+                    }
+                    ledger.complete(&worker, grant.chunk, &grant.range, &tally);
+                    check_limits();
+                    progress.set_invariant_violations(inv.violations());
+                    if ocfg.strict && inv.violations() > 0 {
+                        stop.store(true, Ordering::Release);
                     }
                 }
                 worker_stats.lock().unwrap_or_else(|e| e.into_inner())[k] =
@@ -937,52 +885,57 @@ pub fn run_sharded(
             });
         }
 
-        // Checkpoint coordinator (runs on the caller's thread inside the
-        // scope): periodic flushes while workers make progress.
-        if let Some(path) = ocfg.checkpoint_path.as_deref() {
-            let mut last_flush = Instant::now();
-            while live_workers.load(Ordering::Acquire) > 0 {
-                std::thread::sleep(Duration::from_millis(25));
+        // The caller's thread keeps the books while workers run: expiry
+        // sweeps and remote progress replay when the pool is open, periodic
+        // checkpoint flushes when one is configured. A local-only run
+        // without a checkpoint has nothing to tick and just joins.
+        if !open && ocfg.checkpoint_path.is_none() {
+            return;
+        }
+        let mut last_flush = Instant::now();
+        let mut replayed = ([0u64; 4], [0u64; 2]);
+        loop {
+            let settled = live_workers.load(Ordering::Acquire) == 0
+                && (!open || stop.load(Ordering::Relaxed) || ledger.finished());
+            if open {
+                ledger.expire(Instant::now());
+                let (outcomes, anomalies) = ledger.remote_progress();
+                for o in Outcome::ALL {
+                    for _ in replayed.0[o.index()]..outcomes[o.index()] {
+                        progress.record(0, o);
+                    }
+                }
+                for _ in replayed.1[0]..anomalies[0] {
+                    progress.record_anomaly(0, Anomaly::Quarantined);
+                }
+                for _ in replayed.1[1]..anomalies[1] {
+                    progress.record_anomaly(0, Anomaly::Hung);
+                }
+                replayed = (outcomes, anomalies);
+                check_limits();
+                progress.set_invariant_violations(inv.violations());
+            }
+            if let Some(path) = ocfg.checkpoint_path.as_deref() {
                 if last_flush.elapsed() >= ocfg.checkpoint_interval {
                     // A failing periodic flush is not fatal mid-run — it
-                    // retries with backoff, flags degraded mode, and the
+                    // retried with backoff and flagged degraded mode; the
                     // final flush below surfaces persistent I/O problems.
-                    match snapshot_all(&state).save_with_retry(
-                        path,
-                        ocfg.flush_retries,
-                        ocfg.flush_backoff,
-                    ) {
-                        Ok(0) => {}
-                        Ok(failed_attempts) => {
-                            flush_failures.fetch_add(u64::from(failed_attempts), Ordering::Relaxed);
-                            flush_degraded.store(true, Ordering::Relaxed);
-                            progress.set_degraded(true);
-                        }
-                        Err(_) => {
-                            flush_failures
-                                .fetch_add(u64::from(ocfg.flush_retries) + 1, Ordering::Relaxed);
-                            flush_degraded.store(true, Ordering::Relaxed);
-                            progress.set_degraded(true);
-                        }
-                    }
+                    let _ = save(&snapshot(), path);
                     last_flush = Instant::now();
                 }
             }
+            if settled {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
     });
 
-    let interrupted = stop.load(Ordering::Relaxed);
-    let final_cp = snapshot_all(&state);
+    // A stop that rises with the last completion cut nothing short.
+    let interrupted = stop.load(Ordering::Relaxed) && !ledger.finished();
+    let final_cp = snapshot();
     if let Some(path) = ocfg.checkpoint_path.as_deref() {
-        match final_cp.save_with_retry(path, ocfg.flush_retries, ocfg.flush_backoff) {
-            Ok(0) => {}
-            Ok(failed_attempts) => {
-                flush_failures.fetch_add(u64::from(failed_attempts), Ordering::Relaxed);
-                flush_degraded.store(true, Ordering::Relaxed);
-                progress.set_degraded(true);
-            }
-            Err(e) => return Err(CheckpointError::from(e).into()),
-        }
+        save(&final_cp, path).map_err(CheckpointError::from)?;
     }
     progress.finish();
 
@@ -992,11 +945,11 @@ pub fn run_sharded(
         panic!("{msg}");
     }
 
-    if quarantine_abort.load(Ordering::Acquire) {
+    if final_cp.tally.quarantine.len() > ocfg.quarantine_limit {
         return Err(OrchestratorError::Supervision(format!(
             "{} injections quarantined (limit {}); progress checkpointed, tallies would be \
              misleading",
-            quarantined_total.load(Ordering::Acquire),
+            final_cp.tally.quarantine.len(),
             ocfg.quarantine_limit
         )));
     }
@@ -1008,7 +961,7 @@ pub fn run_sharded(
         return Err(OrchestratorError::Invariant(first));
     }
 
-    // The global tally IS the merged result: every accumulator is
+    // The ledger's tally IS the merged result: every accumulator is
     // commutative over the completed-index set, so no per-worker merge
     // step exists to get wrong.
     let completed = final_cp.completed();
@@ -1025,10 +978,7 @@ pub fn run_sharded(
         (Some(&lo), Some(&hi)) => hi - lo,
         _ => Duration::ZERO,
     };
-    let (leases, steals) = {
-        let g = lock_state(&state);
-        (g.sched.leases, g.sched.steals)
-    };
+    let (leases, steals) = ledger.lease_counts();
 
     recovery_warnings.extend(prep.take_snapshot_warnings());
 
@@ -1061,7 +1011,7 @@ pub fn run_sharded(
         golden_exec: prep.golden_exec(),
         recovery_warnings,
         used_backup_checkpoint,
-        remote: None,
+        remote: open.then(|| ledger.stats()),
         invariants,
     })
 }
@@ -1072,6 +1022,7 @@ pub fn run_sharded(
 #[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
+    use crate::lease::LeaseGrant;
 
     #[test]
     fn shard_ranges_partition_exactly() {
@@ -1124,15 +1075,21 @@ mod tests {
         ));
     }
 
+    /// Leases and completes like one engine thread, for the pool tests.
+    fn lease_local(pool: &mut LeasePool, k: usize, home: &Range<usize>) -> Option<LeaseGrant> {
+        let g = pool.lease(&format!("{LOCAL_PREFIX}{k}"), Some(home), Instant::now())?;
+        pool.complete(g.chunk, &g.range);
+        Some(g)
+    }
+
     #[test]
     fn chunk_larger_than_remaining_clamps_instead_of_empty_lease() {
         // Regression: a --chunk far beyond the remaining injection count
         // must clamp the lease to the remnant, never hand out an empty or
         // out-of-range chunk.
-        let mut s = Scheduler::new(vec![0..5], 1, 1000);
-        let home = 0..5;
+        let mut pool = LeasePool::new(vec![0..5], 1000, 1, None);
         let mut drained = Vec::new();
-        while let Some(l) = s.lease(&home) {
+        while let Some(l) = lease_local(&mut pool, 0, &(0..5)) {
             assert!(!l.range.is_empty(), "oversized chunk must clamp, not issue empty");
             assert!(l.range.end <= 5, "lease stays inside the pool");
             drained.extend(l.range.clone());
@@ -1142,9 +1099,9 @@ mod tests {
 
         // Same at the tail of a larger pool: the last lease is exactly the
         // leftover, and every lease stays non-empty and in range.
-        let mut s = Scheduler::new(vec![0..7], 2, 64);
+        let mut pool = LeasePool::new(vec![0..7], 64, 2, None);
         let mut seen = Vec::new();
-        while let Some(l) = s.lease(&(0..7)) {
+        while let Some(l) = lease_local(&mut pool, 0, &(0..7)) {
             assert!(!l.range.is_empty());
             assert!(l.range.end <= 7);
             seen.extend(l.range.clone());
@@ -1292,14 +1249,14 @@ mod tests {
         let n = 103;
         let workers = 4;
         let homes = shard_ranges(n, workers);
-        let mut sched = Scheduler::new(vec![0..n], workers, 8);
+        let mut pool = LeasePool::new(vec![0..n], 8, workers, None);
         let mut seen = vec![false; n];
         let mut turn = 0;
         loop {
             // Round-robin the workers so everyone leases from everywhere.
-            let home = &homes[turn % workers];
+            let k = turn % workers;
             turn += 1;
-            let Some(lease) = sched.lease(home) else { break };
+            let Some(lease) = lease_local(&mut pool, k, &homes[k]) else { break };
             assert!(lease.range.len() <= 8, "chunk cap respected");
             for i in lease.range {
                 assert!(!seen[i], "index {i} leased twice");
@@ -1307,23 +1264,23 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "every index leased");
-        assert!(sched.leases > 0);
-        assert_eq!(sched.remaining_len, 0);
+        assert!(pool.leases > 0);
+        assert!(pool.drained());
     }
 
     #[test]
     fn scheduler_shrinks_leases_at_the_tail() {
         let workers = 2;
         let homes = shard_ranges(20, workers);
-        let mut sched = Scheduler::new(vec![0..20], workers, 64);
+        let mut pool = LeasePool::new(vec![0..20], 64, workers, None);
         // 20 remaining / (2 workers * 2) = 5 → first lease is 5 wide.
-        let first = sched.lease(&homes[0]).unwrap();
+        let first = lease_local(&mut pool, 0, &homes[0]).unwrap();
         assert_eq!(first.range.len(), 5);
         // Drain to a tiny tail: leases decay to single injections.
-        while sched.remaining_len > 3 {
-            sched.lease(&homes[0]).unwrap();
+        while pool.unleased() > 3 {
+            lease_local(&mut pool, 0, &homes[0]).unwrap();
         }
-        let tail = sched.lease(&homes[1]).unwrap();
+        let tail = lease_local(&mut pool, 1, &homes[1]).unwrap();
         assert_eq!(tail.range.len(), 1, "tail leases shrink to 1");
     }
 
@@ -1331,20 +1288,24 @@ mod tests {
     fn scheduler_counts_steals_only_outside_home() {
         let workers = 2;
         let homes = shard_ranges(10, workers);
-        let mut sched = Scheduler::new(vec![0..10], workers, 100);
+        let mut pool = LeasePool::new(vec![0..10], 100, workers, None);
         // Worker 1 drains its own home first: no steals.
-        let l = sched.lease(&homes[1]).unwrap();
+        let l = lease_local(&mut pool, 1, &homes[1]).unwrap();
         assert!(!l.stolen, "home-region lease is not a steal");
         assert!(l.range.start >= homes[1].start);
         // Keep leasing as worker 1 until its home is gone, then the next
         // lease comes from worker 0's territory and counts as a steal.
         loop {
-            let l = sched.lease(&homes[1]).unwrap();
+            let l = lease_local(&mut pool, 1, &homes[1]).unwrap();
             if l.stolen {
                 assert!(l.range.end <= homes[1].start, "stolen work lies outside home");
                 break;
             }
         }
-        assert_eq!(sched.steals, 1);
+        assert_eq!(pool.steals, 1);
+        // A worker without a home (a remote one) is never counted stealing.
+        let remote = pool.lease("remote-a", None, Instant::now()).unwrap();
+        assert!(!remote.stolen);
+        assert_eq!(pool.steals, 1);
     }
 }

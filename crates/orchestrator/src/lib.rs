@@ -40,6 +40,8 @@
 pub mod checkpoint;
 pub mod engine;
 pub mod json;
+pub mod lease;
+pub mod ledger;
 pub mod progress;
 
 pub use checkpoint::{
@@ -47,8 +49,10 @@ pub use checkpoint::{
     Fingerprint, Recovery,
 };
 pub use engine::{
-    complement, ledger_view, mark_done, mark_range_done, range_overlap, run_sharded, shard_ranges,
-    OrchestratorConfig, OrchestratorError, RemoteRunStats, ShardedReport,
+    complement, ledger_view, mark_done, mark_range_done, range_overlap, run_campaign, run_sharded,
+    shard_ranges, OpenPool, OrchestratorConfig, OrchestratorError, RemoteRunStats, ShardedReport,
 };
 pub use json::Json;
+pub use lease::{LeaseGrant, LeasePool};
+pub use ledger::{CompleteVerdict, Ledger, LOCAL_PREFIX};
 pub use progress::{Progress, ProgressSnapshot};

@@ -129,6 +129,20 @@ fn quarantine_limit_aborts_with_a_supervision_error() {
     assert!(err.to_string().contains("limit 3"), "{err}");
 }
 
+#[test]
+fn a_stop_raised_by_the_last_completion_reports_a_finished_run() {
+    // The completion hook raises the stop flag as the final chunk commits:
+    // nothing was cut short, so the report must not claim an interruption
+    // (a daemon would requeue or cancel a job that is actually done).
+    let ocfg = OrchestratorConfig { shards: 2, stop_after: Some(INJECTIONS), ..Default::default() };
+    let progress = Progress::new(ocfg.shards);
+    let stop = AtomicBool::new(false);
+    let rep =
+        run_sharded(&argus_workloads::stress(), &base_config(), &ocfg, &stop, &progress).unwrap();
+    assert_eq!(rep.completed, INJECTIONS);
+    assert!(!rep.interrupted, "a finished campaign is not interrupted");
+}
+
 /// Stops a checkpointed campaign partway and returns the interrupted
 /// report, leaving the checkpoint file behind.
 fn interrupted_run(path: &std::path::Path, shards: usize) -> ShardedReport {

@@ -18,13 +18,13 @@
 //! On top of that, three mechanisms make the wire safe (see
 //! `DESIGN.md` § Distributed execution for the full argument):
 //!
-//! * [`lease::LeasePool`] — time-bounded leases; a crashed or
+//! * the orchestrator's `LeasePool`, opened with a TTL — a crashed or
 //!   partitioned worker's chunks expire and reissue *verbatim*, so no
 //!   work is lost and overlapping completions are always exact
 //!   duplicates;
-//! * [`share::CampaignShare`] — the coordinator-side dedup gate: every
-//!   completion (local, remote, duplicate, stale) crosses one lock that
-//!   either merges it or provably drops a byte-equal duplicate;
+//! * the orchestrator's `Ledger` dedup gate, which every completion
+//!   (local, remote, duplicate, stale) crosses under one lock, wrapped
+//!   here in a [`share::CampaignShare`] with what remote workers need;
 //! * content-addressed artifacts ([`protocol::ArtifactRef`]) — workers
 //!   cold-start from a URL and fingerprint-check their reconstruction
 //!   against the coordinator's golden-entry snapshot before running
@@ -37,15 +37,13 @@
 
 pub mod client;
 pub mod coordinator;
-pub mod lease;
 pub mod protocol;
 pub mod share;
 pub mod worker;
 
 pub use coordinator::{run_distributed, DistributedConfig};
-pub use lease::{LeaseGrant, LeasePool};
 pub use protocol::{
     ArtifactRef, CompleteReply, CompleteRequest, LeaseReply, Manifest, PROTOCOL_VERSION,
 };
-pub use share::{CampaignShare, CompleteVerdict, LOCAL_PREFIX};
+pub use share::CampaignShare;
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};

@@ -19,13 +19,12 @@
 
 use crate::client::{fetch, fetch_text};
 use crate::protocol::{CompleteRequest, LeaseReply, Manifest};
-use crate::share::LOCAL_PREFIX;
 use argus_faults::campaign::{
     prepare_campaign, prepare_campaign_with_store, run_injection_supervised_in, CampaignConfig,
     CampaignWorkspace, SupervisedOutcome,
 };
 use argus_invariants::InvariantStats;
-use argus_orchestrator::{CampaignTally, Json};
+use argus_orchestrator::{CampaignTally, Json, LOCAL_PREFIX};
 use argus_sim::crc::crc32;
 use argus_snapshot::{combined_fingerprint, MappedStore, PageCache};
 use std::collections::HashSet;
@@ -284,12 +283,7 @@ fn serve_job(
                         Some(LeaseReply::Grant { chunk, range, .. }) => {
                             held.lock().unwrap_or_else(|p| p.into_inner()).insert(chunk);
                             let mut tally = CampaignTally::empty();
-                            // Arm-cycle order: result-identical for any
-                            // order, but armed neighbors share a snapshot
-                            // so warm-workspace restores stay cheap.
-                            let mut order: Vec<usize> = range.clone().collect();
-                            order.sort_by_key(|&i| prep.arm_cycle_of(cfg, i));
-                            for index in order {
+                            for index in prep.arm_order(cfg, range.clone()) {
                                 match run_injection_supervised_in(prep, cfg, index, &mut ws) {
                                     SupervisedOutcome::Classified(r) => tally.apply(&r),
                                     SupervisedOutcome::Hung { .. } => tally.apply_hung(),

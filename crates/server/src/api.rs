@@ -29,8 +29,8 @@
 use crate::daemon::{CancelError, Daemon, SubmitError};
 use crate::http::{Handler, Request, Response};
 use crate::jobs::{report_path, JobId, JobSpec, JobState};
-use argus_orchestrator::Json;
-use argus_remote::{CampaignShare, CompleteRequest, CompleteVerdict, LOCAL_PREFIX};
+use argus_orchestrator::{CompleteVerdict, Json, LOCAL_PREFIX};
+use argus_remote::{CampaignShare, CompleteRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -318,12 +318,12 @@ fn complete(daemon: &Arc<Daemon>, id: JobId, req: &Request) -> Response {
     if post.worker.starts_with(LOCAL_PREFIX) {
         return error(400, "worker name must not use the `local:` prefix");
     }
-    let verdict = share.complete(&post.worker, post.chunk, &post.range, &post.tally);
+    let verdict = share.ledger.complete(&post.worker, post.chunk, &post.range, &post.tally);
     // Absorb the worker's invariant delta only for fresh work — a
     // duplicate post's checks already counted when it first landed.
     if matches!(verdict, CompleteVerdict::Accepted { .. }) {
-        share.absorb_invariants(post.invariants);
-        share.note_artifact_cache_hits(post.artifact_cache_hits);
+        share.ledger.absorb_invariants(&post.invariants);
+        share.ledger.note_artifact_cache_hits(post.artifact_cache_hits);
     }
     daemon.wake.notify_all();
     match CampaignShare::reply_for(&verdict) {
@@ -354,6 +354,6 @@ fn heartbeat(daemon: &Arc<Daemon>, id: JobId, req: &Request) -> Response {
             }
         }
     }
-    let renewed = share.heartbeat(&worker, &chunks, Instant::now());
-    ok(Json::obj().set("renewed", renewed as u64).set("ttl_ms", share.ttl_ms()))
+    let renewed = share.ledger.heartbeat(&worker, &chunks, Instant::now());
+    ok(Json::obj().set("renewed", renewed as u64).set("ttl_ms", share.manifest.lease_ttl_ms))
 }

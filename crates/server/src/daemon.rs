@@ -30,7 +30,7 @@ use crate::http::{Handler, HttpServer};
 use crate::jobs::{checkpoint_path, report_path, JobId, JobRow, JobSpec, JobState, JobTable};
 use crate::queue::{JobQueue, QueueEntry};
 use argus_faults::CampaignConfig;
-use argus_orchestrator::{run_sharded, Json, OrchestratorConfig, Progress, RemoteRunStats};
+use argus_orchestrator::{Json, OrchestratorConfig, Progress, RemoteRunStats};
 use argus_remote::{run_distributed, CampaignShare, DistributedConfig};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -423,49 +423,42 @@ impl Daemon {
             ocfg.chunk = c;
         }
 
-        // Distributed jobs run the coordinator loop on this thread; the
-        // progress tracker always has at least one shard because remote
-        // deltas are replayed into shard 0 even when alloc == 0.
-        let progress = Progress::new(if spec.distributed { alloc.max(1) } else { alloc });
+        // One engine call: `spec.distributed` only decides whether the
+        // pool opens to remote workers. The progress tracker always has at
+        // least one shard because remote completions are replayed into
+        // shard 0 even when alloc == 0.
+        let dcfg = DistributedConfig { job: id, lease_ttl: self.cfg.lease_ttl };
+        let register = |share: &Arc<CampaignShare>| {
+            self.remote.lock().unwrap_or_else(|p| p.into_inner()).insert(id, Arc::clone(share));
+            let mut st = self.state.lock().unwrap();
+            if let Some(job) = st.job_mut(id) {
+                job.push_event(
+                    Json::obj()
+                        .set("kind", "distributed_open")
+                        .set("lease_ttl_ms", self.cfg.lease_ttl.as_millis() as u64),
+                );
+            }
+            self.wake.notify_all();
+        };
+        let progress = Progress::new(alloc.max(1));
         let sampler_stop = AtomicBool::new(false);
         let result = std::thread::scope(|scope| {
             scope.spawn(|| self.sample_progress(id, &progress, &sampler_stop));
             let result = catch_unwind(AssertUnwindSafe(|| {
-                if spec.distributed {
-                    let dcfg = DistributedConfig { job: id, lease_ttl: self.cfg.lease_ttl };
-                    run_distributed(
-                        &argus_workloads::stress(),
-                        &cfg,
-                        &ocfg,
-                        &dcfg,
-                        &stop,
-                        &progress,
-                        &|share: &Arc<CampaignShare>| {
-                            self.remote
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .insert(id, Arc::clone(share));
-                            let mut st = self.state.lock().unwrap();
-                            if let Some(job) = st.job_mut(id) {
-                                job.push_event(
-                                    Json::obj()
-                                        .set("kind", "distributed_open")
-                                        .set("lease_ttl_ms", self.cfg.lease_ttl.as_millis() as u64),
-                                );
-                            }
-                            self.wake.notify_all();
-                        },
-                    )
-                } else {
-                    run_sharded(&argus_workloads::stress(), &cfg, &ocfg, &stop, &progress)
-                }
+                run_distributed(
+                    &argus_workloads::stress(),
+                    &cfg,
+                    &ocfg,
+                    spec.distributed.then_some(&dcfg),
+                    &stop,
+                    &progress,
+                    &register,
+                )
             }));
             sampler_stop.store(true, Ordering::Relaxed);
             result
         });
-        if spec.distributed {
-            self.remote.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
-        }
+        self.remote.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
 
         let mut st = self.state.lock().unwrap();
         st.free += alloc;
@@ -533,7 +526,7 @@ impl Daemon {
         while !done.load(Ordering::Relaxed) {
             std::thread::sleep(SAMPLE_INTERVAL);
             let snap = progress.snapshot();
-            let remote = self.share(id).map(|s| (s.stats(), s.outstanding()));
+            let remote = self.share(id).map(|s| (s.ledger.stats(), s.ledger.outstanding()));
             let remote_moved = remote.as_ref().map(|(s, _)| s) != last_remote.as_ref();
             let violations_moved = snap.invariant_violations > last_violations;
             if snap.done == last_done && !remote_moved && !violations_moved {

@@ -130,7 +130,13 @@ else
     FAILED+=("canary-quarantine-drop-on-resume")
 fi
 
-echo "== distributed canary: duplicate completion merged past the dedup gate =="
+echo "== dedup-gate canary, one-shot: duplicate completion merged past the gate =="
+# One-shot runs commit every chunk through the same ledger dedup gate as
+# distributed ones, so the seeded double merge must surface here too.
+check_invariant canary-lease-double-complete tally-accounts-done \
+    -n 60 --seed 9 --shards 2
+
+echo "== dedup-gate canary, daemon: duplicate completion merged past the gate =="
 ARGUS_CANARY=canary-lease-double-complete "$CBIN" serve --addr 127.0.0.1:0 \
     --workers 1 --state-dir "$WORK/state" --lease-ttl-ms 2000 \
     2> "$WORK/serve.log" &
@@ -183,4 +189,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 8 canaries detected (dormant build payload-identical)"
+echo "PASS: all 8 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
