@@ -6,7 +6,7 @@
 //! pins the cost of forking down and gates the delta-restore engine: the
 //! same snapshot-enabled pegwit campaign, run serially with the current
 //! `CampaignConfig` defaults (delta restore into a reused workspace +
-//! inert-fault shortcut), must clear [`REQUIRED_SPEEDUP`]x the pre-PR
+//! golden short-cuts), must clear [`REQUIRED_SPEEDUP`]x the pre-PR
 //! throughput recorded in [`PRE_PR_INJ_PER_SEC`].
 //!
 //! The sweep isolates where the win comes from, coldest to warmest:
@@ -14,10 +14,10 @@
 //! * `cold_boot` — no snapshots, every injection replays from cycle 0;
 //! * `delta_fork` — reused workspace, only pages dirtied since the last
 //!   fork rewritten;
-//! * `delta_fork+shortcut` — defaults: delta restore plus the inert-fault
-//!   shortcut (a fault with sensitization 0 can never fire, so its run is
-//!   provably identical to the golden run and is classified without
-//!   stepping).
+//! * `delta_fork+shortcut` — defaults: delta restore plus the golden
+//!   short-cuts (a fault with sensitization 0 can never fire, so its run
+//!   is provably identical to the golden run and is classified without
+//!   stepping; a spent transient stops once it reconverges with it).
 //!
 //! Every configuration must produce identical outcome tallies — snapshots
 //! and the shortcut are perf knobs, never result knobs.
@@ -48,13 +48,13 @@ fn smoke() -> bool {
 struct Scenario {
     config: &'static str,
     snapshots: bool,
-    shortcut_inert: bool,
+    golden_shortcuts: bool,
 }
 
 const SCENARIOS: &[Scenario] = &[
-    Scenario { config: "cold_boot", snapshots: false, shortcut_inert: false },
-    Scenario { config: "delta_fork", snapshots: true, shortcut_inert: false },
-    Scenario { config: "delta_fork+shortcut", snapshots: true, shortcut_inert: true },
+    Scenario { config: "cold_boot", snapshots: false, golden_shortcuts: false },
+    Scenario { config: "delta_fork", snapshots: true, golden_shortcuts: false },
+    Scenario { config: "delta_fork+shortcut", snapshots: true, golden_shortcuts: true },
 ];
 
 struct Row {
@@ -82,7 +82,7 @@ fn main() {
         let cfg = CampaignConfig {
             injections,
             snapshot_every: sc.snapshots.then_some(1_000),
-            shortcut_inert: sc.shortcut_inert,
+            golden_shortcuts: sc.golden_shortcuts,
             ..Default::default()
         };
         let t = Instant::now();

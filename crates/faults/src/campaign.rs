@@ -6,6 +6,7 @@ use argus_core::{Argus, ArgusConfig, ArgusState, CheckerKind, DetectionEvent};
 use argus_invariants::{
     ExecView, Hook, InvariantCtx, InvariantEngine, InvariantMode, SnapshotView, StoreView,
 };
+use argus_machine::snapshot::Fnv64;
 pub use argus_machine::ExecStats;
 use argus_machine::{CoreState, Machine, MachineConfig, SnapshotState, StepOutcome};
 use argus_sim::fault::{FaultInjector, FaultKind};
@@ -75,15 +76,18 @@ pub struct CampaignConfig {
     /// `None` (always, outside resilience tests) leaves every injection
     /// untouched.
     pub chaos: Option<ChaosConfig>,
-    /// Short-circuit structurally masked injections (`sensitization == 0`):
-    /// such a fault provably never fires (`FaultInjector::fire_mask`
-    /// draws against a zero sensitization), and an armed-but-never-firing
-    /// fault is observably identical to no fault at all, so the run's
-    /// classification is read off a once-per-campaign no-fault template
-    /// instead of re-stepping the whole workload. Bit-identical by
-    /// construction (the equivalence suite pins this too); the toggle
-    /// exists for those tests and for A/B measurements.
-    pub shortcut_inert: bool,
+    /// Read verdicts off the campaign's no-fault run instead of simulating
+    /// what is provably its suffix. Two short-cuts share the toggle:
+    /// - a structurally masked injection (`sensitization == 0`) never
+    ///   fires (`FaultInjector::fire_mask` draws against a zero
+    ///   sensitization), so its whole run is the no-fault run;
+    /// - a spent transient (flipped, nothing left armed) stops at the
+    ///   first golden block end where its full state matches the no-fault
+    ///   run's (reconvergence, see DESIGN.md), and takes that run's end.
+    ///
+    /// Bit-identical by construction (the equivalence suites pin this
+    /// too); the toggle exists for those tests and for A/B measurements.
+    pub golden_shortcuts: bool,
     /// Always-on invariant checking: read-only structural assertions over
     /// the machine, checker, snapshot, and bookkeeping state, evaluated at
     /// commit/block/snapshot hooks. Purely observational — checks never
@@ -134,7 +138,7 @@ impl Default for CampaignConfig {
             inj_cycle_factor: 4.0,
             inj_wall_limit: Some(Duration::from_secs(60)),
             chaos: None,
-            shortcut_inert: true,
+            golden_shortcuts: true,
             invariants: InvariantMode::default(),
             store: StoreKind::default(),
         }
@@ -366,12 +370,11 @@ pub struct PreparedCampaign {
     snapshot_fallbacks: AtomicU64,
     /// Human-readable warnings from snapshot verification failures.
     snapshot_warnings: Mutex<Vec<String>>,
-    /// Lazily computed no-fault reference outcome backing the
-    /// structurally-masked short-circuit (see
-    /// [`CampaignConfig::shortcut_inert`]). One replay of the workload from
-    /// the entry state, on the resident pair of whichever worker needs it
-    /// first, shared by every worker.
-    inert_template: OnceLock<InertTemplate>,
+    /// Lazily computed no-fault run backing both golden short-cuts (see
+    /// [`CampaignConfig::golden_shortcuts`]). One replay of the workload
+    /// from the entry state, on the resident pair of whichever worker
+    /// needs it first, shared by every worker.
+    golden_template: OnceLock<GoldenTemplate>,
     /// Predecode/plan-cache counters from the golden run (after the
     /// lowering pass warmed the plan cache). Reported under the campaign
     /// report's volatile `"run"` key.
@@ -386,13 +389,99 @@ pub struct PreparedCampaign {
 /// structurally masked fault (`sensitization == 0.0`) never corrupts any
 /// tapped value, so its run is observably identical to this template —
 /// including the end-of-run scrub and the watchdog verdict, both of which
-/// the template run exercises for real.
+/// the template run exercises for real. A spent transient whose state
+/// equals the template's at one of its `keys` continues exactly as the
+/// template did from there, so it ends the same way too.
 #[derive(Debug, Clone)]
-struct InertTemplate {
+struct GoldenTemplate {
     detection: Option<DetectionEvent>,
     halted: bool,
     digest: u64,
     hung: Option<HangCause>,
+    /// Reconvergence keys in cycle order; empty when the run hung.
+    keys: Vec<TraceKey>,
+    /// Watchdog budget left when the run ended.
+    end_budget: u64,
+    /// Cycle at which the run ended.
+    end_cycle: u64,
+}
+
+/// Minimum golden-run cycles between two reconvergence keys. Keys land
+/// on block ends, so the actual spacing is this plus the rest of a block.
+const KEY_SPACING: u64 = 256;
+
+/// The no-fault run's full state at one of its block ends, as far as it
+/// decides the rest of a run: what a spent faulty run must equal at the
+/// same cycle to have rejoined the golden run. Compared cheapest tier
+/// first; the architectural tier is kept verbatim so most mismatches cost
+/// a few word compares.
+#[derive(Debug, Clone)]
+struct TraceKey {
+    cycle: u64,
+    regs: [u32; 32],
+    pc: u32,
+    flag: bool,
+    retired: u64,
+    /// [`Machine::microarch_digest`]: the rest of the core and the caches.
+    micro: u64,
+    /// Memory words and EDC tags ([`memory_digest`]).
+    mem: u64,
+    /// The checker's [`SnapshotState::state_fingerprint`].
+    checker: u64,
+    /// Watchdog budget left when the golden run passed this key.
+    budget: u64,
+}
+
+impl TraceKey {
+    fn capture(m: &mut Machine, argus: &Argus, budget: u64) -> Self {
+        Self {
+            cycle: m.cycle(),
+            regs: *m.regs(),
+            pc: m.pc(),
+            flag: m.flag(),
+            retired: m.retired(),
+            micro: m.microarch_digest(),
+            mem: memory_digest(m),
+            checker: argus.state_fingerprint(),
+            budget,
+        }
+    }
+
+    /// Whether the pair, at this key's cycle, holds the state the golden
+    /// run held here. The checker counts only while `with_checker` (no
+    /// detection yet): after one, the run never consults it again.
+    fn matches(&self, m: &mut Machine, argus: &Argus, with_checker: bool) -> bool {
+        self.regs == *m.regs()
+            && self.pc == m.pc()
+            && self.flag == m.flag()
+            && self.retired == m.retired()
+            && self.micro == m.microarch_digest()
+            && (!with_checker
+                || argus_sim::canary::enabled("canary-reconverge-skip-checker")
+                || self.checker == argus.state_fingerprint())
+            && self.mem == memory_digest(m)
+    }
+}
+
+/// Digest of main memory's words and EDC tags, from the per-page hash
+/// caches: only pages written since the last digest are rehashed.
+fn memory_digest(m: &mut Machine) -> u64 {
+    let mem = m.mem_mut().memory_mut();
+    let mut h = Fnv64::new();
+    h.mix(mem.words_digest_cached());
+    h.mix(mem.tags_digest_cached());
+    h.finish()
+}
+
+/// What [`faulty_loop`] does with the golden trace.
+enum Trace<'a> {
+    /// Run to the end.
+    Off,
+    /// The no-fault template run: record a key at block ends.
+    Record(&'a mut Vec<TraceKey>),
+    /// Stop at the first key a spent run's state matches, and end as the
+    /// template did.
+    Follow(&'a GoldenTemplate),
 }
 
 /// A worker's reusable injection state: one resident machine + checker
@@ -650,16 +739,17 @@ impl PreparedCampaign {
         }
     }
 
-    /// The no-fault reference outcome, computed on first use by replaying
-    /// the workload once from the entry state, on `ws`'s resident pair,
-    /// through the real faulty loop (watchdog, scrub and all) with a
-    /// pass-through injector.
-    fn inert_template(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> &InertTemplate {
-        self.inert_template.get_or_init(|| {
+    /// The no-fault run, computed on first use by replaying the workload
+    /// once from the entry state, on `ws`'s resident pair, through the
+    /// real faulty loop (watchdog, scrub and all) with a pass-through
+    /// injector, recording reconvergence keys on the way.
+    fn golden_template(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> &GoldenTemplate {
+        self.golden_template.get_or_init(|| {
             let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(self.golden_cycles));
             let clean_gen = self.boot_into(cfg, ws);
             let (m, argus) = ws.ws.pair_mut().expect("boot_into populated the workspace");
             let mut inj = FaultInjector::none();
+            let mut keys = Vec::new();
             let out = faulty_loop(
                 m,
                 argus,
@@ -669,12 +759,19 @@ impl PreparedCampaign {
                 &mut wd,
                 &self.invariants,
                 clean_gen,
+                Trace::Record(&mut keys),
             );
-            InertTemplate {
+            if out.hung.is_some() {
+                keys.clear();
+            }
+            GoldenTemplate {
                 detection: out.detection,
                 halted: out.halted,
                 digest: out.digest,
                 hung: out.hung,
+                keys,
+                end_budget: wd.remaining(),
+                end_cycle: m.cycle(),
             }
         })
     }
@@ -856,6 +953,13 @@ struct FaultyOutcome {
 /// `window` check reads. `clean_gen` is the memory write generation
 /// stamped when the pair was last forked or booted: pages not dirty since
 /// still hold golden-run (or load-time) content.
+///
+/// `trace` records the golden trace (template run) or follows it: once
+/// the fault is spent — it has flipped and no fault is left live — the
+/// run is compared against each key whose cycle it stops at, and on a
+/// match it ends with the template's outcome instead of re-simulating the
+/// template's suffix. Only when the watchdog has more budget left than
+/// that suffix took, so the hung verdict cannot change.
 #[allow(clippy::too_many_arguments)]
 fn faulty_loop(
     m: &mut Machine,
@@ -866,8 +970,19 @@ fn faulty_loop(
     wd: &mut InjectionWatchdog,
     inv: &InvariantEngine,
     clean_gen: u64,
+    mut trace: Trace<'_>,
 ) -> FaultyOutcome {
     let mut first: Option<DetectionEvent> = None;
+    // Cycle of the next key to record or check (one compare per
+    // iteration), the index of that key when following, and whether the
+    // last iteration ended a block (where the template records).
+    let mut next_key = match &trace {
+        Trace::Off => u64::MAX,
+        Trace::Record(_) => KEY_SPACING,
+        Trace::Follow(t) => t.keys.first().map_or(u64::MAX, |k| k.cycle),
+    };
+    let mut cursor = 0;
+    let mut at_block_end = false;
     // Invariant-hook strides, advanced only while the run is still
     // pristine (no flip has fired): a fault is *allowed* to corrupt the
     // very state the invariants assert over, so post-flip state is out of
@@ -878,6 +993,44 @@ fn faulty_loop(
     let mut commits: u64 = 0;
     let mut blocks: u64 = 0;
     loop {
+        if m.cycle() >= next_key {
+            match &mut trace {
+                Trace::Off => {}
+                Trace::Record(keys) => {
+                    if at_block_end {
+                        keys.push(TraceKey::capture(m, argus, wd.remaining()));
+                        next_key = m.cycle() + KEY_SPACING;
+                    }
+                }
+                Trace::Follow(t) => {
+                    let cycle = m.cycle();
+                    while t.keys.get(cursor).is_some_and(|k| k.cycle < cycle) {
+                        cursor += 1;
+                    }
+                    if let Some(k) = t.keys.get(cursor).filter(|k| k.cycle == cycle) {
+                        cursor += 1;
+                        if inj.first_flip_cycle().is_some()
+                            && inj.live_faults().next().is_none()
+                            && wd.remaining() > k.budget - t.end_budget
+                            && k.matches(m, argus, first.is_none())
+                        {
+                            let mut exec = m.take_exec_stats();
+                            exec.converged = 1;
+                            exec.converged_cycles_saved = t.end_cycle.saturating_sub(cycle);
+                            return FaultyOutcome {
+                                detection: first.or_else(|| t.detection.clone()),
+                                exercised_at: inj.first_flip_cycle(),
+                                halted: t.halted,
+                                digest: t.digest,
+                                hung: None,
+                                exec,
+                            };
+                        }
+                    }
+                    next_key = t.keys.get(cursor).map_or(u64::MAX, |k| k.cycle);
+                }
+            }
+        }
         // Block-compiled fast path: retire a whole basic block per loop
         // iteration when every gate passes. `plan_block` refuses unless the
         // block provably finishes inside `window` and cannot tap the site
@@ -939,6 +1092,7 @@ fn faulty_loop(
                     if m.cycle() > window {
                         break;
                     }
+                    at_block_end = true;
                     continue;
                 }
             }
@@ -963,6 +1117,7 @@ fn faulty_loop(
         // speed — the bulk of a detected run's cycles come after detection.
         match m.step(inj) {
             StepOutcome::Committed(rec) => {
+                at_block_end = rec.block_end;
                 if first.is_none() {
                     first = argus.on_commit(&rec, inj).into_iter().next();
                     if commit_stride != 0 && inj.first_flip_cycle().is_none() {
@@ -997,6 +1152,7 @@ fn faulty_loop(
                 }
             }
             StepOutcome::Stalled => {
+                at_block_end = false;
                 if first.is_none() {
                     first = argus.on_stall(1, inj);
                 }
@@ -1079,7 +1235,7 @@ pub fn prepare_campaign(w: &Workload, cfg: &CampaignConfig) -> PreparedCampaign 
         snapshot_poisoned: (0..nsnaps).map(|_| AtomicBool::new(false)).collect(),
         snapshot_fallbacks: AtomicU64::new(0),
         snapshot_warnings: Mutex::new(startup_warnings),
-        inert_template: OnceLock::new(),
+        golden_template: OnceLock::new(),
         invariants,
     }
 }
@@ -1172,7 +1328,7 @@ pub fn prepare_campaign_with_store(
         snapshot_poisoned: (0..nsnaps).map(|_| AtomicBool::new(false)).collect(),
         snapshot_fallbacks: AtomicU64::new(0),
         snapshot_warnings: Mutex::new(Vec::new()),
-        inert_template: OnceLock::new(),
+        golden_template: OnceLock::new(),
         invariants,
     })
 }
@@ -1232,8 +1388,8 @@ fn run_injection_watched(
     if rng.next_f64() < cfg.structural_mask {
         fault.sensitization = 0.0;
     }
-    if cfg.shortcut_inert && fault.sensitization == 0.0 {
-        let t = prep.inert_template(cfg, ws);
+    let golden = cfg.golden_shortcuts.then(|| prep.golden_template(cfg, ws));
+    if let Some(t) = golden.filter(|_| fault.sensitization == 0.0) {
         if let Some(cause) = t.hung {
             return Err(cause);
         }
@@ -1260,8 +1416,17 @@ fn run_injection_watched(
     let (m, argus) = ws.ws.pair_mut().expect("forked or booted above");
     debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
     let mut inj = FaultInjector::with_fault(fault);
-    let out =
-        faulty_loop(m, argus, &mut inj, prep.window, prep.prog.data_base, &mut wd, inv, clean_gen);
+    let out = faulty_loop(
+        m,
+        argus,
+        &mut inj,
+        prep.window,
+        prep.prog.data_base,
+        &mut wd,
+        inv,
+        clean_gen,
+        golden.map_or(Trace::Off, Trace::Follow),
+    );
     ws.exec.merge(&out.exec);
     if let Some(cause) = out.hung {
         return Err(cause);
@@ -1698,14 +1863,14 @@ mod tests {
 
     /// Forking is a pure perf knob: a delta-forked campaign classifies
     /// every injection exactly as the same campaign without snapshots,
-    /// with the inert shortcut off so every injection really runs.
+    /// with the golden short-cuts off so every injection really runs.
     #[test]
     fn fork_strategies_are_bit_identical() {
         let w = argus_workloads::stress();
         let cold_cfg = CampaignConfig {
             injections: 40,
             seed: 0xF0_0D,
-            shortcut_inert: false,
+            golden_shortcuts: false,
             ..Default::default()
         };
         let snap_cfg = CampaignConfig { snapshot_every: Some(500), ..cold_cfg.clone() };
@@ -1724,7 +1889,7 @@ mod tests {
             injections: 30,
             seed: 0xF0_0D,
             snapshot_every: Some(500),
-            shortcut_inert: false,
+            golden_shortcuts: false,
             ..Default::default()
         }
         .sized_for(&w);
@@ -1747,8 +1912,9 @@ mod tests {
                 structural_mask: mask,
                 ..Default::default()
             };
-            let fast = run_campaign(&w, &CampaignConfig { shortcut_inert: true, ..base.clone() });
-            let slow = run_campaign(&w, &CampaignConfig { shortcut_inert: false, ..base.clone() });
+            let fast = run_campaign(&w, &CampaignConfig { golden_shortcuts: true, ..base.clone() });
+            let slow =
+                run_campaign(&w, &CampaignConfig { golden_shortcuts: false, ..base.clone() });
             assert_eq!(
                 format!("{:?}", fast.results),
                 format!("{:?}", slow.results),
@@ -1854,5 +2020,146 @@ mod tests {
         let wd = cfg.watchdog_config(1000);
         assert_eq!(wd.cycle_budget, 1600);
         assert_eq!(wd.wall_limit, cfg.inj_wall_limit);
+    }
+
+    /// A spent-transient run that sits on a golden key, except for what
+    /// `perturb` changes there. The pair replays the golden run to the
+    /// middle key, a transient fires by hand (so the injector is spent but
+    /// nothing it carries touched the pair), then `perturb` runs. Returns
+    /// whether the key still matches, and the classification and outcome
+    /// of the run finished with the trace followed and to the end.
+    fn spent_run_at_key(
+        perturb: impl FnOnce(&mut Machine, &mut Argus),
+    ) -> (bool, [(String, ExecStats); 2], u64) {
+        use argus_sim::fault::{Fault, SiteFlavor};
+        let w = argus_workloads::stress();
+        let cfg = CampaignConfig { injections: 1, ..Default::default() }.sized_for(&w);
+        let prep = prepare_campaign(&w, &cfg);
+        let mut ws = CampaignWorkspace::new();
+        let t = prep.golden_template(&cfg, &mut ws).clone();
+        let key = t.keys[t.keys.len() / 2].clone();
+        let clean_gen = prep.boot_into(&cfg, &mut ws);
+        let (m, argus) = ws.ws.pair_mut().unwrap();
+        let mut none = FaultInjector::none();
+        while m.cycle() < key.cycle {
+            match m.step(&mut none) {
+                StepOutcome::Committed(rec) => assert!(argus.on_commit(&rec, &mut none).is_empty()),
+                other => panic!("golden replay produced {other:?}"),
+            }
+        }
+        assert!(key.matches(m, argus, true), "the replay missed the golden key");
+        let site = argus_machine::sites::LSU_ST_BUS;
+        let mut inj = FaultInjector::with_fault(Fault {
+            site,
+            bit: 0,
+            kind: FaultKind::Transient,
+            arm_cycle: 0,
+            flavor: SiteFlavor::Single,
+            width: 32,
+            sensitization: 1.0,
+        });
+        inj.set_cycle(m.cycle());
+        assert_eq!(inj.tap32(site, 0), 1);
+        assert!(inj.live_faults().next().is_none());
+        perturb(m, argus);
+        let matched = key.matches(m, argus, true);
+        let point = prep.points[0];
+        let runs = [Trace::Follow(&t), Trace::Off].map(|trace| {
+            let (mut m, mut argus) = (m.clone(), argus.clone());
+            let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
+            let out = faulty_loop(
+                &mut m,
+                &mut argus,
+                &mut inj.clone(),
+                prep.window,
+                prep.prog.data_base,
+                &mut wd,
+                &prep.invariants,
+                clean_gen,
+                trace,
+            );
+            assert_eq!(out.hung, None);
+            let masked = out.halted && out.digest == prep.golden_digest;
+            let r = classify(point, 0, masked, out.detection, out.exercised_at);
+            (format!("{r:?}"), out.exec)
+        });
+        (matched, runs, t.end_cycle - key.cycle)
+    }
+
+    /// Asserts the perturbed run did not stop at the key and classified
+    /// exactly as the full run.
+    fn assert_not_short_cut(perturb: impl FnOnce(&mut Machine, &mut Argus)) -> ExecStats {
+        let (matched, [(followed, stats), (full, _)], suffix) = spent_run_at_key(perturb);
+        assert!(!matched, "the perturbed state still matches the key");
+        assert!(
+            stats.converged == 0 || stats.converged_cycles_saved < suffix,
+            "the run stopped at the perturbed key"
+        );
+        assert_eq!(followed, full);
+        stats
+    }
+
+    #[test]
+    fn reconvergence_stops_an_unperturbed_spent_run_at_the_key() {
+        let (matched, [(followed, stats), (full, _)], suffix) = spent_run_at_key(|_, _| {});
+        assert!(matched);
+        assert_eq!((stats.converged, stats.converged_cycles_saved), (1, suffix));
+        assert_eq!(followed, full);
+    }
+
+    /// A parked bad tag is invisible to the architectural digest but
+    /// caught by the end-of-run scrub: the run must not take the golden
+    /// (undetected) verdict.
+    #[test]
+    fn reconvergence_compares_edc_tags() {
+        let stats = assert_not_short_cut(|m, _| {
+            let mem = m.mem_mut().memory_mut();
+            let last = mem.size_bytes() - 4;
+            let (p, t) = mem.read(last).unwrap();
+            mem.write(last, p, !t).unwrap();
+        });
+        assert_eq!(stats.converged, 0, "nothing rewrites the last word");
+    }
+
+    /// A checker that expects a different next DCS detects at the next
+    /// block end; before detection the checker is part of the match.
+    #[test]
+    fn reconvergence_compares_checker_state() {
+        assert_not_short_cut(|_, argus| {
+            let d = argus.cfc().expected().expect("armed at a block end");
+            argus.expect_entry(d ^ 1);
+        });
+    }
+
+    /// Cache arrays decide future timing, so they are part of the match.
+    /// Only one line's tag changes; the LRU clock, stamps and counters
+    /// stay as they were, so the line array alone must break the match.
+    #[test]
+    fn reconvergence_compares_cache_lines() {
+        assert_not_short_cut(|m, _| {
+            let before = m.mem().capture_caches();
+            let mut st = before.clone();
+            let line = st.dcache.lines.iter_mut().find(|l| l.valid).expect("a valid dcache line");
+            line.tag ^= 1;
+            m.mem_mut().restore_caches(&st);
+            let after = m.mem().capture_caches();
+            assert_eq!((after.dcache.tick, after.icache), (before.dcache.tick, before.icache));
+            assert_eq!(after.dcache.stats, before.dcache.stats);
+            let changed =
+                before.dcache.lines.iter().zip(&after.dcache.lines).filter(|(a, b)| a != b);
+            assert_eq!(changed.count(), 1);
+        });
+    }
+
+    /// `retired` alone differs: no architectural effect, but the states
+    /// are not equal, so the run is not the golden suffix.
+    #[test]
+    fn reconvergence_compares_retired() {
+        let stats = assert_not_short_cut(|m, _| {
+            let mut core = m.capture_core();
+            core.retired += 1;
+            m.restore_core(&core);
+        });
+        assert_eq!(stats.converged, 0, "the retired count never realigns");
     }
 }

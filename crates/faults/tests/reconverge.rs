@@ -1,0 +1,76 @@
+//! Reconvergence ≡ running to the end, campaign level.
+//!
+//! With `golden_shortcuts` on, a spent transient stops at the first golden
+//! block end where its full state matches the campaign's no-fault run and
+//! takes that run's end. Every injection must classify exactly as with the
+//! short-cuts off, on every workload class (small `stress`, call-heavy
+//! `pegwit`, the 16 MiB `stress_xl` image), for both fault kinds, whether
+//! injections cold-boot or fork from golden-run snapshots. The transient
+//! rows must actually stop some runs early, or the identity proves
+//! nothing.
+
+use argus_faults::campaign::ExecStats;
+use argus_faults::{
+    prepare_campaign, run_injection_in, CampaignConfig, CampaignWorkspace, InjectionResult,
+    PreparedCampaign,
+};
+use argus_sim::fault::FaultKind;
+use argus_workloads::Workload;
+
+/// Runs every injection of `prep` on one reused workspace.
+fn run_all(prep: &PreparedCampaign, cfg: &CampaignConfig) -> (Vec<InjectionResult>, ExecStats) {
+    let mut ws = CampaignWorkspace::new();
+    let results = (0..prep.injections()).map(|i| run_injection_in(prep, cfg, i, &mut ws)).collect();
+    (results, ws.exec_stats())
+}
+
+fn check(w: &Workload, n: usize, seed: u64) {
+    let cold = CampaignConfig { injections: n, seed, ..Default::default() }.sized_for(w);
+    let cold_prep = prepare_campaign(w, &cold);
+    // Fork interval: one snapshot at cycle 0 and one at 3/5 of the golden
+    // run, inside the arm window (3/4); each capture of the 16 MiB
+    // `stress_xl` image is costly in a debug build.
+    let forked =
+        CampaignConfig { snapshot_every: Some(cold_prep.golden_cycles() * 3 / 5), ..cold.clone() };
+    let forked_prep = prepare_campaign(w, &forked);
+    // Neither the fault kind nor the short-cut toggle enters preparation,
+    // so one prepared campaign serves all four runs of its row.
+    for (base, prep) in [(&cold, &cold_prep), (&forked, &forked_prep)] {
+        for kind in [FaultKind::Transient, FaultKind::Permanent] {
+            let cfg = CampaignConfig { kind, ..base.clone() };
+            let what = format!("{} {kind:?} snapshot_every={:?}", w.name, cfg.snapshot_every);
+            let (on, stats) =
+                run_all(prep, &CampaignConfig { golden_shortcuts: true, ..cfg.clone() });
+            let (off, off_stats) =
+                run_all(prep, &CampaignConfig { golden_shortcuts: false, ..cfg.clone() });
+            for (i, (a, b)) in on.iter().zip(&off).enumerate() {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: injection {i}");
+            }
+            assert_eq!(off_stats.converged, 0, "{what}: short-cuts off still converged");
+            match kind {
+                FaultKind::Transient => {
+                    assert!(stats.converged > 0, "{what}: no run reconverged");
+                    assert!(stats.converged_cycles_saved > 0, "{what}");
+                }
+                FaultKind::Permanent => {
+                    assert_eq!(stats.converged, 0, "{what}: a permanent fault is never spent");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn reconvergence_is_identical_on_stress() {
+    check(&argus_workloads::stress(), 60, 0x2EC0);
+}
+
+#[test]
+fn reconvergence_is_identical_on_pegwit() {
+    check(&argus_workloads::pegwit::pegwit(), 16, 0x2EC0);
+}
+
+#[test]
+fn reconvergence_is_identical_on_stress_xl() {
+    check(&argus_workloads::stress_xl(), 12, 0x2EC0);
+}

@@ -5,8 +5,8 @@
 //! of building a new one. The reference is [`run_injection`], whose fresh
 //! workspace makes its one boot a true `Machine::new` + `Program::load`
 //! cold boot. Every injection must classify identically whatever ran on
-//! the workspace before it: forward order, reversed order, the inert
-//! shortcut's template run, and a quarantined panic mid-sequence.
+//! the workspace before it: forward order, reversed order, the golden
+//! short-cuts' template run, and a quarantined panic mid-sequence.
 
 use argus_faults::{
     prepare_campaign, run_injection, run_injection_in, run_injection_supervised_in, CampaignConfig,
@@ -15,20 +15,20 @@ use argus_faults::{
 use argus_sim::fault::FaultKind;
 use argus_workloads::Workload;
 
-fn check(w: &Workload, kind: FaultKind, shortcut_inert: bool, n: usize) {
+fn check(w: &Workload, kind: FaultKind, golden_shortcuts: bool, n: usize) {
     let panic_at = n / 2;
     let cfg = CampaignConfig {
         injections: n,
         kind,
         seed: 0x5EED_B007,
-        shortcut_inert,
+        golden_shortcuts,
         chaos: Some(ChaosConfig { panic_at: vec![panic_at], livelock_at: vec![] }),
         ..Default::default()
     }
     .sized_for(w);
     assert_eq!(cfg.snapshot_every, None, "every injection must cold-boot");
     let prep = prepare_campaign(w, &cfg);
-    let what = format!("{} {kind:?} shortcut_inert={shortcut_inert}", w.name);
+    let what = format!("{} {kind:?} golden_shortcuts={golden_shortcuts}", w.name);
     let fresh: Vec<InjectionResult> = (0..n).map(|i| run_injection(&prep, &cfg, i)).collect();
 
     let mut ws = CampaignWorkspace::new();
@@ -60,8 +60,8 @@ fn check(w: &Workload, kind: FaultKind, shortcut_inert: bool, n: usize) {
 fn resident_reset_matches_fresh_boot_on_stress() {
     let w = argus_workloads::stress();
     for kind in [FaultKind::Transient, FaultKind::Permanent] {
-        for shortcut_inert in [true, false] {
-            check(&w, kind, shortcut_inert, 40);
+        for golden_shortcuts in [true, false] {
+            check(&w, kind, golden_shortcuts, 40);
         }
     }
 }
@@ -70,8 +70,8 @@ fn resident_reset_matches_fresh_boot_on_stress() {
 fn resident_reset_matches_fresh_boot_on_pegwit() {
     let w = argus_workloads::pegwit::pegwit();
     for kind in [FaultKind::Transient, FaultKind::Permanent] {
-        for shortcut_inert in [true, false] {
-            check(&w, kind, shortcut_inert, 20);
+        for golden_shortcuts in [true, false] {
+            check(&w, kind, golden_shortcuts, 20);
         }
     }
 }

@@ -934,6 +934,7 @@ pub const CANARIES: &[&str] = &[
     "canary-tally-drop-on-steal",
     "canary-lease-double-complete",
     "canary-quarantine-drop-on-resume",
+    "canary-reconverge-skip-checker",
 ];
 
 // ---------------------------------------------------------------------------
@@ -1336,7 +1337,7 @@ mod tests {
 
     #[test]
     fn canary_list_is_stable() {
-        assert_eq!(CANARIES.len(), 8);
+        assert_eq!(CANARIES.len(), 9);
         for c in CANARIES {
             assert!(c.starts_with("canary-"), "{c} must carry the canary- prefix");
         }

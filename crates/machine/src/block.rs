@@ -439,6 +439,11 @@ pub struct ExecStats {
     pub plan_evictions: u64,
     /// Block executions that bailed mid-plan back to the interpreter.
     pub plan_fallbacks: u64,
+    /// Faulty runs stopped early because their state rejoined the golden
+    /// run (counted by the campaign engine, never by the machine).
+    pub converged: u64,
+    /// Golden-run cycles those runs did not simulate.
+    pub converged_cycles_saved: u64,
 }
 
 impl ExecStats {
@@ -451,6 +456,8 @@ impl ExecStats {
         self.plan_misses += other.plan_misses;
         self.plan_evictions += other.plan_evictions;
         self.plan_fallbacks += other.plan_fallbacks;
+        self.converged += other.converged;
+        self.converged_cycles_saved += other.converged_cycles_saved;
     }
 
     /// Whether every counter is zero.
@@ -653,6 +660,7 @@ impl Machine {
             plan_misses: std::mem::take(&mut self.plans.misses),
             plan_evictions: std::mem::take(&mut self.plans.evictions),
             plan_fallbacks: std::mem::take(&mut self.plans.fallbacks),
+            ..ExecStats::default()
         }
     }
 

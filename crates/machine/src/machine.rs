@@ -198,6 +198,11 @@ impl Machine {
         self.regs[usize::from(r)]
     }
 
+    /// The whole architectural register file, `r0` first.
+    pub fn regs(&self) -> &[u32; 32] {
+        &self.regs
+    }
+
     /// Writes an architectural register directly (setup code). Parity is
     /// kept consistent. Writes to `r0` are ignored.
     pub fn set_reg(&mut self, r: Reg, v: u32) {
@@ -311,6 +316,34 @@ impl Machine {
         h.mix(self.flag as u64);
         h.mix(self.pc as u64);
         h.mix(mem_digest);
+        h.finish()
+    }
+
+    /// A digest of the core state outside [`Machine::state_digest`] and the
+    /// cycle and retired counters: register parity, the pending branch,
+    /// the delay-slot bit, the signature buffer, the halted bit, and the
+    /// cache arrays. With those counters, the architectural digest and the
+    /// memory tags, it covers every field [`SnapshotState::state_fingerprint`]
+    /// reads — the core's share of a reconvergence check.
+    ///
+    /// [`SnapshotState::state_fingerprint`]: crate::snapshot::SnapshotState::state_fingerprint
+    pub fn microarch_digest(&self) -> u64 {
+        let mut h = crate::snapshot::Fnv64::new();
+        for &p in &self.parity {
+            h.mix(p as u64);
+        }
+        h.mix(match self.pending_branch {
+            Some(t) => 0x100_0000_0000 | t as u64,
+            None => 0,
+        });
+        h.mix(self.delay_slot as u64);
+        h.mix(self.block_bits.len() as u64);
+        for &w in self.block_bits.words() {
+            h.mix(w);
+        }
+        h.mix(self.halted as u64);
+        let mut mix = |v: u64| h.mix(v);
+        self.mem.fold_cache_state(&mut mix);
         h.finish()
     }
 
@@ -1052,6 +1085,19 @@ mod tests {
             false,
         );
         assert_ne!(a.state_digest(), b.state_digest());
+    }
+
+    #[test]
+    fn microarch_digest_sees_what_state_digest_ignores() {
+        let a = run_program(&[Instr::Halt], false);
+        let mut b = a.clone();
+        b.parity[3] = !b.parity[3];
+        assert_eq!(a.state_digest(), b.state_digest());
+        assert_ne!(a.microarch_digest(), b.microarch_digest());
+        let mut c = a.clone();
+        c.mem.fetch(0x4000);
+        assert_eq!(a.state_digest(), c.state_digest());
+        assert_ne!(a.microarch_digest(), c.microarch_digest(), "cache arrays");
     }
 
     #[test]

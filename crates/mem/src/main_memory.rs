@@ -30,12 +30,70 @@ pub struct MainMemory {
     /// Per-page generation of the most recent write (one entry per
     /// `DIRTY_PAGE_WORDS` words, last page possibly partial).
     page_gen: Vec<u64>,
-    /// Cached per-page payload hash ([`MainMemory::words_digest`] terms);
-    /// valid only where `page_hash_gen` is non-zero and no write has
-    /// landed since that stamp.
-    page_hash: Vec<u64>,
-    /// Generation at which each `page_hash` entry was computed (0 = never).
-    page_hash_gen: Vec<u64>,
+    /// Cached [`MainMemory::words_digest`] terms.
+    word_hashes: PageHashCache,
+    /// Cached [`MainMemory::tags_digest`] terms.
+    tag_hashes: PageHashCache,
+}
+
+/// Per-page hashes cached against the write stamps: an entry is valid
+/// while it is non-zero-stamped and no write has landed on its page since
+/// the stamp.
+#[derive(Debug, Clone)]
+struct PageHashCache {
+    hash: Vec<u64>,
+    /// Generation at which each `hash` entry was computed (0 = never).
+    at: Vec<u64>,
+}
+
+impl PageHashCache {
+    fn new(pages: usize) -> Self {
+        Self { hash: vec![0; pages], at: vec![0; pages] }
+    }
+
+    /// The wrapping sum of `hash_page` over every page, recomputing only
+    /// the entries whose page was written since they were taken. `g` must
+    /// be a generation no write has been stamped with yet, so later writes
+    /// invalidate exactly the pages they touch.
+    fn sum(&mut self, page_gen: &[u64], g: u64, hash_page: impl Fn(usize) -> u64) -> u64 {
+        let mut acc = 0u64;
+        for (p, &written) in page_gen.iter().enumerate() {
+            if self.at[p] == 0 || written >= self.at[p] {
+                self.hash[p] = hash_page(p);
+                self.at[p] = g;
+            }
+            acc = acc.wrapping_add(self.hash[p]);
+        }
+        acc
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Word indices of page `page` in a memory of `len` words.
+fn page_range(page: usize, len: usize) -> Range<usize> {
+    let start = page * DIRTY_PAGE_WORDS;
+    start..(start + DIRTY_PAGE_WORDS).min(len)
+}
+
+/// FNV-1a over the page index and the page's payload words.
+fn hash_words(page: usize, words: &[u32]) -> u64 {
+    let mut h = (FNV_OFFSET ^ page as u64).wrapping_mul(FNV_PRIME);
+    for &w in &words[page_range(page, words.len())] {
+        h = (h ^ w as u64).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// FNV-1a over the page index and the page's tags, 64 to a term.
+fn hash_tags(page: usize, tags: &[bool]) -> u64 {
+    let mut h = (FNV_OFFSET ^ page as u64).wrapping_mul(FNV_PRIME);
+    for chunk in tags[page_range(page, tags.len())].chunks(64) {
+        let bits = chunk.iter().enumerate().fold(0u64, |b, (i, &t)| b | u64::from(t) << i);
+        h = (h ^ bits).wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 /// Error for accesses beyond the configured memory size.
@@ -71,8 +129,8 @@ impl MainMemory {
             size_bytes,
             generation: 1,
             page_gen: vec![0; pages],
-            page_hash: vec![0; pages],
-            page_hash_gen: vec![0; pages],
+            word_hashes: PageHashCache::new(pages),
+            tag_hashes: PageHashCache::new(pages),
         }
     }
 
@@ -183,18 +241,7 @@ impl MainMemory {
     /// Word indices of dirty-tracking page `page`, which must be below
     /// [`MainMemory::page_count`] (the last page may be partial).
     pub fn page_word_range(&self, page: usize) -> Range<usize> {
-        let start = page * DIRTY_PAGE_WORDS;
-        start..(start + DIRTY_PAGE_WORDS).min(self.words.len())
-    }
-
-    /// FNV-1a over the page index and the page's payload words.
-    fn hash_page(&self, page: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = (h ^ page as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        for &w in &self.words[self.page_word_range(page)] {
-            h = (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        page_range(page, self.words.len())
     }
 
     /// Digest of the payload words: the wrapping sum of per-page hashes
@@ -203,7 +250,7 @@ impl MainMemory {
     /// it incrementally from the dirty-page stamps; this entry point is
     /// the pure definition the cached one must agree with.
     pub fn words_digest(&self) -> u64 {
-        (0..self.page_gen.len()).fold(0u64, |acc, p| acc.wrapping_add(self.hash_page(p)))
+        (0..self.page_count()).fold(0u64, |acc, p| acc.wrapping_add(hash_words(p, &self.words)))
     }
 
     /// [`MainMemory::words_digest`] served from the per-page hash cache:
@@ -212,15 +259,23 @@ impl MainMemory {
     /// the pages they touch.
     pub fn words_digest_cached(&mut self) -> u64 {
         let g = self.advance_generation();
-        let mut acc = 0u64;
-        for p in 0..self.page_gen.len() {
-            if self.page_hash_gen[p] == 0 || self.page_gen[p] >= self.page_hash_gen[p] {
-                self.page_hash[p] = self.hash_page(p);
-                self.page_hash_gen[p] = g;
-            }
-            acc = acc.wrapping_add(self.page_hash[p]);
-        }
-        acc
+        let words = &self.words;
+        self.word_hashes.sum(&self.page_gen, g, |p| hash_words(p, words))
+    }
+
+    /// Digest of the parity tags, built like [`MainMemory::words_digest`]
+    /// (a wrapping sum of per-page hashes). Kept apart from the words so
+    /// the architectural digest stays a function of payload alone.
+    pub fn tags_digest(&self) -> u64 {
+        (0..self.page_count()).fold(0u64, |acc, p| acc.wrapping_add(hash_tags(p, &self.tags)))
+    }
+
+    /// [`MainMemory::tags_digest`] served from its own per-page hash
+    /// cache, the way [`MainMemory::words_digest_cached`] serves the words.
+    pub fn tags_digest_cached(&mut self) -> u64 {
+        let g = self.advance_generation();
+        let tags = &self.tags;
+        self.tag_hashes.sum(&self.page_gen, g, |p| hash_tags(p, tags))
     }
 
     /// Initializes every word with the address-embedded encoding of zero
@@ -403,6 +458,26 @@ mod tests {
         m.restore_words(DIRTY_PAGE_WORDS, &run, &tags);
         assert_ne!(m.words_digest_cached(), d0);
         assert_eq!(m.words_digest_cached(), m.words_digest());
+    }
+
+    #[test]
+    fn tags_digest_cached_tracks_tag_only_writes() {
+        let mut m = MainMemory::new(4 * DIRTY_PAGE_WORDS as u32 * 2 + 12);
+        let words = m.words_digest_cached();
+        let d0 = m.tags_digest_cached();
+        assert_eq!(d0, m.tags_digest());
+        // Same payload, flipped tag: only the tag digest moves.
+        m.write(4 * DIRTY_PAGE_WORDS as u32 + 4, 0, true).unwrap();
+        assert_eq!(m.words_digest_cached(), words);
+        let d1 = m.tags_digest_cached();
+        assert_ne!(d1, d0);
+        assert_eq!(d1, m.tags_digest());
+        // The word cache's refresh does not hide a write from the tag cache.
+        m.write(8, 0, true).unwrap();
+        m.words_digest_cached();
+        assert_eq!(m.tags_digest_cached(), m.tags_digest());
+        m.fill_protected_zero();
+        assert_eq!(m.tags_digest_cached(), d0);
     }
 
     #[test]

@@ -297,6 +297,8 @@ fn exec_json(e: &ExecStats) -> Json {
         .set("plan_misses", e.plan_misses)
         .set("plan_evictions", e.plan_evictions)
         .set("plan_fallbacks", e.plan_fallbacks)
+        .set("converged", e.converged)
+        .set("converged_cycles_saved", e.converged_cycles_saved)
 }
 
 impl ShardedReport {

@@ -85,7 +85,7 @@ fn forked_campaigns_match_cold_boot_across_shard_counts_and_crash_resume() {
 
 #[test]
 fn fork_strategy_chunk_and_worker_count_never_change_the_report() {
-    // Disable the inert shortcut so the forked and cold-boot paths both do
+    // Disable the golden short-cuts so the forked and cold-boot paths do
     // real work for every injection, then sweep the perf knobs: every
     // cell of the (snapshots on/off × workers × chunk) grid must render
     // the same deterministic JSON payload.
@@ -93,7 +93,7 @@ fn fork_strategy_chunk_and_worker_count_never_change_the_report() {
         injections: 48,
         seed: 0xF0CA,
         snapshot_every: Some(500),
-        shortcut_inert: false,
+        golden_shortcuts: false,
         ..Default::default()
     };
 

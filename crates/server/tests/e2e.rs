@@ -19,6 +19,14 @@ fn state_dir(name: &str) -> PathBuf {
 }
 
 fn start(name: &str, workers: usize) -> (Server, SocketAddr, PathBuf) {
+    start_with_ttl(name, workers, Duration::from_secs(2))
+}
+
+fn start_with_ttl(
+    name: &str,
+    workers: usize,
+    lease_ttl: Duration,
+) -> (Server, SocketAddr, PathBuf) {
     let dir = state_dir(name);
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -26,7 +34,7 @@ fn start(name: &str, workers: usize) -> (Server, SocketAddr, PathBuf) {
         http_threads: 2,
         state_dir: dir.clone(),
         checkpoint_interval: Duration::from_millis(100),
-        lease_ttl: Duration::from_secs(2),
+        lease_ttl,
     })
     .unwrap();
     let addr = server.addr();
@@ -285,14 +293,74 @@ fn high_priority_preempts_and_both_finish_correct() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A remote worker pinned to `job`, stopped by `stop`.
+fn spawn_worker(
+    addr: SocketAddr,
+    job: u64,
+    name: &str,
+    stop: &'static AtomicBool,
+) -> std::thread::JoinHandle<argus_remote::WorkerSummary> {
+    let wcfg = argus_remote::WorkerConfig {
+        connect: addr,
+        workers: 1,
+        poll: Duration::from_millis(25),
+        job: Some(job),
+        name: name.to_owned(),
+        cache_dir: None,
+    };
+    std::thread::spawn(move || argus_remote::run_worker(&wcfg, stop).expect("worker run"))
+}
+
+/// The job's committed injection count, as its latest progress event
+/// reports it (0 before the first one).
+fn job_done(addr: SocketAddr, id: u64) -> u64 {
+    let (status, doc) = get(addr, &format!("/jobs/{id}"));
+    assert_eq!(status, 200, "{doc:?}");
+    doc.get("progress").and_then(|p| p.get("done")).and_then(Json::as_u64).unwrap_or(0)
+}
+
 #[test]
 fn drain_persists_and_restart_resumes_to_identical_report() {
-    let (mut server, addr, dir) = start("resume", 2);
-
-    let id = submit(addr, r#"{"n": 900, "seed": 41, "chunk": 4}"#);
-    wait_for(addr, id, "running", Duration::from_secs(60));
-    // Let it make some checkpointed progress before draining.
-    std::thread::sleep(Duration::from_millis(400));
+    static STOP: AtomicBool = AtomicBool::new(false);
+    static STOP_AFTER_RESTART: AtomicBool = AtomicBool::new(false);
+    const N: u64 = 900;
+    const HELD: u64 = 300;
+    // The job is remote-only (`budget: 0`): it moves only when a worker
+    // completes a chunk, so the drain below finds it running at a fixed
+    // completion count however fast the host is. A zombie leases the
+    // first HELD injections and never reports (the long TTL keeps its
+    // leases from reissuing); a real worker runs the rest.
+    let (mut server, addr, dir) = start_with_ttl("resume", 2, Duration::from_secs(600));
+    let id = submit(
+        addr,
+        &format!(r#"{{"n": {N}, "seed": 41, "chunk": 4, "distributed": true, "budget": 0}}"#),
+    );
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut held = 0;
+    while held < HELD {
+        let (status, grant) = post(addr, &format!("/jobs/{id}/lease"), r#"{"worker":"zombie"}"#);
+        match (status, grant.get("start").and_then(Json::as_u64)) {
+            (200, Some(start)) => {
+                assert_eq!(start, held, "leases carve the lowest indices first: {grant:?}");
+                held = grant.get("end").and_then(Json::as_u64).unwrap();
+            }
+            // The lease pool is not open yet.
+            _ => {
+                assert!(Instant::now() < deadline, "job {id} never became leasable: {grant:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
+    let worker = spawn_worker(addr, id, "runner", &STOP);
+    let deadline = Instant::now() + Duration::from_secs(600);
+    while job_done(addr, id) < N - held {
+        assert!(Instant::now() < deadline, "the worker never finished the unheld chunks");
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    STOP.store(true, std::sync::atomic::Ordering::Relaxed);
+    worker.join().unwrap();
+    assert_eq!(job_done(addr, id), N - held);
+    assert_eq!(job_state(addr, id), "running");
 
     // Graceful drain: stop leasing, checkpoint, persist, exit.
     let (status, doc) = post(addr, "/drain", "");
@@ -315,16 +383,17 @@ fn drain_persists_and_restart_resumes_to_identical_report() {
     })
     .unwrap();
     let addr2 = server2.addr();
+    let worker = spawn_worker(addr2, id, "finisher", &STOP_AFTER_RESTART);
     wait_for(addr2, id, "done", Duration::from_secs(600));
+    worker.join().unwrap();
     let report = fetch_report(addr2, id);
-    assert_eq!(payload_of(&report), one_shot_payload(900, 41));
-    // And it genuinely resumed rather than restarting from scratch:
-    // the volatile section shows fewer completions in the final run
-    // than the campaign total.
+    assert_eq!(payload_of(&report), one_shot_payload(N as usize, 41));
+    // And it genuinely resumed rather than restarting from scratch: the
+    // final run completed exactly the injections the zombie held.
     let doc = Json::parse(&report).unwrap();
     let this_run =
         doc.get("run").and_then(|r| r.get("completed_this_run")).and_then(Json::as_u64).unwrap();
-    assert!(this_run < 900, "expected a resumed run, got completed_this_run={this_run}");
+    assert_eq!(this_run, held, "expected a resumed run, got completed_this_run={this_run}");
 
     drop(server2);
     let _ = std::fs::remove_dir_all(dir);

@@ -93,6 +93,12 @@ impl InjectionWatchdog {
         }
     }
 
+    /// Step-loop iterations left in the cycle budget: a run that needs at
+    /// most this many more ticks cannot fire [`HangCause::CycleBudget`].
+    pub fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
     /// Accounts one step-loop iteration; `Some` means the run is hung and
     /// must be abandoned. The cycle budget is checked every tick, the wall
     /// clock only every [`WALL_CHECK_INTERVAL`] ticks.
@@ -304,7 +310,9 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(wd.tick_many(0), None);
         }
+        assert_eq!(wd.remaining(), 2);
         assert_eq!(wd.tick_many(2), None);
+        assert_eq!(wd.remaining(), 0);
         assert_eq!(wd.tick_many(1), Some(HangCause::CycleBudget));
     }
 

@@ -3,8 +3,8 @@
 # registry is blind by design, campaign divergence) actually detects
 # real checker bugs — not just that it stays quiet on healthy runs.
 #
-# The `canary` cargo feature compiles ~8 deliberately seeded bugs into
-# the checkers and orchestrator, each dormant until its name is set in
+# The `canary` cargo feature compiles ~9 deliberately seeded bugs into
+# the checkers, orchestrator and campaign engine, each dormant until its name is set in
 # ARGUS_CANARY. This script builds that binary once, proves it is
 # byte-identical to the clean binary while dormant, then arms each
 # canary in turn and asserts it is caught either by a *named* invariant
@@ -107,6 +107,14 @@ echo "== checker canaries: campaign-divergence detection =="
 check_divergence canary-parity-skip-loads   -n 400 --seed 9
 check_divergence canary-dcs-skip-last-block -n 500 --seed 123
 
+echo "== campaign canary: reconvergence match without the checker term =="
+# A spent transient whose machine state rejoins the golden run while its
+# checker still holds a pending detection must run on and detect; taking
+# the golden (undetected) verdict moves it between quadrants. Such runs
+# are rare (seed 9 first shows one between 500 and 1000 injections), so
+# the campaign is twice that size.
+check_divergence canary-reconverge-skip-checker -n 2000 --seed 9
+
 echo "== orchestrator canaries: ledger-invariant detection =="
 # chunk=1 with 4 shards forces work-stealing on every injection.
 check_invariant canary-tally-drop-on-steal tally-accounts-done \
@@ -189,4 +197,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 8 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
+echo "PASS: all 9 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"

@@ -17,6 +17,9 @@ fi
 
 N_BIG=20000
 N_SMALL=400
+# The daemon is killed once the big job's checkpoint records this many
+# completed injections: a cut by completion count, not by wall clock.
+KILL_AT=2000
 SEED_BIG=4242
 SEED_SMALL=99
 WORK="$(mktemp -d)"
@@ -42,7 +45,7 @@ EOF
 
 start_daemon() {
     "$BIN" serve --addr 127.0.0.1:0 --workers 2 --state-dir "$STATE" \
-        --checkpoint-interval-ms 100 2> "$WORK/serve.log" &
+        --checkpoint-interval-ms 20 2> "$WORK/serve.log" &
     SERVE_PID=$!
     # The daemon prints its bound address to stderr; extract the port.
     for _ in $(seq 1 100); do
@@ -83,27 +86,47 @@ echo "== one-shot reference runs =="
 "$BIN" campaign -n "$N_SMALL" --seed "$SEED_SMALL" --shards 2 --json --quiet \
     > "$WORK/ref_small.json"
 
-echo "== start daemon, submit two campaigns at different priorities =="
+echo "== start daemon, submit two campaigns at different priorities, SIGKILL the"
+echo "   daemon once the big job has checkpointed $KILL_AT injections =="
 start_daemon
-out="$(api POST /jobs "{\"n\": $N_BIG, \"seed\": $SEED_BIG, \"priority\": 1}")"
-[[ "$(head -n1 <<<"$out")" == 201 ]] || { echo "submit big failed: $out" >&2; exit 1; }
-BIG_ID="$(tail -n1 <<<"$out" | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')"
-out="$(api POST /jobs "{\"n\": $N_SMALL, \"seed\": $SEED_SMALL, \"priority\": 8}")"
-[[ "$(head -n1 <<<"$out")" == 201 ]] || { echo "submit small failed: $out" >&2; exit 1; }
-SMALL_ID="$(tail -n1 <<<"$out" | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')"
-echo "submitted big=$BIG_ID (priority 1), small=$SMALL_ID (priority 8)"
+# One process submits both jobs and then polls the big job's checkpoint
+# tightly, killing from the same process: the kill lands within one
+# poll of the count being reached, with no process start in between.
+python3 - "$(cat "$PORT_FILE")" "$STATE" "$SERVE_PID" "$KILL_AT" \
+    "$N_BIG" "$SEED_BIG" "$N_SMALL" "$SEED_SMALL" > "$WORK/ids" <<'EOF'
+import http.client, json, os, signal, sys, time
+port, state, pid, kill_at = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+n_big, seed_big, n_small, seed_small = map(int, sys.argv[5:9])
 
-echo "== SIGKILL the daemon once the big job is checkpointing =="
-wait_state "$BIG_ID" running 150
-for _ in $(seq 1 300); do
-    [[ -s "$STATE/job-$BIG_ID.ckpt.json" ]] && break
-    sleep 0.1
-done
-[[ -s "$STATE/job-$BIG_ID.ckpt.json" ]] || {
-    echo "error: no checkpoint appeared for job $BIG_ID within 30s" >&2; exit 1;
-}
-sleep 0.2
-kill -9 "$SERVE_PID"
+def submit(spec):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    conn.request("POST", "/jobs", body=json.dumps(spec))
+    resp = conn.getresponse()
+    body = resp.read().decode()
+    if resp.status != 201:
+        sys.exit(f"error: submit {spec} failed: {resp.status} {body}")
+    return json.loads(body)["id"]
+
+big = submit({"n": n_big, "seed": seed_big, "priority": 1})
+small = submit({"n": n_small, "seed": seed_small, "priority": 8})
+print(big, small)
+path = os.path.join(state, f"job-{big}.ckpt.json")
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    try:
+        with open(path) as f:
+            done = sum(end - start for start, end in json.load(f)["body"]["done"])
+    except (OSError, ValueError, KeyError):
+        done = 0  # not written yet, or mid-rotation
+    if done >= kill_at:
+        os.kill(pid, signal.SIGKILL)
+        print(f"checkpoint records {done} completed injections", file=sys.stderr)
+        sys.exit(0)
+    time.sleep(0.002)
+sys.exit(f"error: the checkpoint never recorded {kill_at} completed injections within 30s")
+EOF
+read -r BIG_ID SMALL_ID < "$WORK/ids"
+echo "submitted big=$BIG_ID (priority 1), small=$SMALL_ID (priority 8)"
 wait "$SERVE_PID" 2>/dev/null || true
 echo "killed daemon pid $SERVE_PID mid-campaign"
 
