@@ -1,9 +1,9 @@
 //! Daemon-overhead gate: campaign-as-a-service must cost (almost)
 //! nothing over the bare engine.
 //!
-//! The `argus serve` daemon wraps `run_sharded` in a job queue, an HTTP
-//! API, a progress sampler, per-transition job-table persistence, and
-//! continuous checkpointing. All of that is bookkeeping around the same
+//! The `argus serve` daemon wraps the engine in a job queue, an HTTP
+//! API, progress events published from the engine's ticks,
+//! per-transition job-table persistence, and continuous checkpointing. All of that is bookkeeping around the same
 //! injection loop, so a campaign submitted over HTTP must complete in at
 //! most [`MAX_OVERHEAD`] more wall-clock time than the identical
 //! campaign run directly on the engine — measured end to end, including
@@ -11,7 +11,7 @@
 //! checkpoint at the daemon's interval: every daemon job checkpoints (it
 //! is the durability contract behind crash resume), so the reference run
 //! gets the same `--checkpoint` the one-shot CLI would use, and the gate
-//! isolates the *service* overhead — queue, HTTP, sampling, persistence
+//! isolates the *service* overhead — queue, HTTP, events, persistence
 //! — instead of charging the daemon for durability itself.
 //!
 //! The run also re-checks the identity guarantee while it is at it: the

@@ -615,14 +615,19 @@ impl PreparedCampaign {
 
     /// The campaign's entry state: a fresh machine with the compiled image
     /// loaded and a checker armed with the entry DCS, at cycle 0 — exactly
-    /// what every cold-booted injection starts from. Distributed campaigns
-    /// serialize this pair as the content-addressed `golden-entry` artifact
-    /// so a remote worker can verify that its locally reconstructed state
-    /// is bit-identical to the coordinator's before leasing any work
-    /// (catching version skew, a different workload, or a diverging
-    /// compiler).
+    /// what every cold-booted injection starts from.
     pub fn entry_state(&self, cfg: &CampaignConfig) -> (Machine, Argus) {
         boot(&self.prog, cfg)
+    }
+
+    /// `combined_fingerprint` of [`PreparedCampaign::entry_state`].
+    /// Distributed campaigns put it in the manifest so a remote worker can
+    /// verify that its locally reconstructed state is bit-identical to the
+    /// coordinator's before leasing any work (catching version skew, a
+    /// different workload, or a diverging compiler).
+    pub fn entry_fingerprint(&self, cfg: &CampaignConfig) -> u64 {
+        let (m, argus) = self.entry_state(cfg);
+        combined_fingerprint(&m, &argus)
     }
 
     /// Puts `ws`'s resident pair at the entry state and returns the memory

@@ -45,7 +45,9 @@
 //!   checkpoint is flushed before returning;
 //! * **live observability** — workers publish to a shared [`Progress`]
 //!   (atomics only on the hot path) including scheduler utilization
-//!   (leases, steals, busy time) that any thread can snapshot;
+//!   (leases, steals, busy time) that any thread can snapshot, and an
+//!   [`Observer`] is called on every tick of the caller's thread (a daemon
+//!   publishes its job events from there);
 //! * **golden-run forking** — when `CampaignConfig::snapshot_every` is
 //!   set, each worker forks injections from the shared read-only snapshot
 //!   store into its private reusable workspace (delta restore: only pages
@@ -77,6 +79,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Orchestration knobs on top of a [`CampaignConfig`].
@@ -242,6 +245,8 @@ pub struct RemoteRunStats {
     pub expired_leases: u64,
     /// Duplicate `complete` posts dropped by chunk/range dedup.
     pub duplicate_completes: u64,
+    /// Manifests served to cold-starting workers.
+    pub manifest_fetches: u64,
     /// Artifact bodies served to cold-starting workers.
     pub artifact_fetches: u64,
     /// Artifact bodies workers resolved from their on-disk CRC-keyed
@@ -258,6 +263,7 @@ impl RemoteRunStats {
             .set("local_chunks", self.local_chunks)
             .set("expired_leases", self.expired_leases)
             .set("duplicate_completes", self.duplicate_completes)
+            .set("manifest_fetches", self.manifest_fetches)
             .set("artifact_fetches", self.artifact_fetches)
             .set("artifact_cache_hits", self.artifact_cache_hits)
     }
@@ -576,29 +582,37 @@ pub fn ledger_view(total: usize, done: &[Range<usize>], tally: &CampaignTally) -
 
 /// Decrements the live-worker count when the worker exits — including by
 /// unwinding in strict mode, so the checkpoint coordinator's wait loop
-/// always terminates.
-struct LiveGuard<'a>(&'a AtomicUsize);
+/// always terminates — and wakes the caller's thread so it settles now
+/// rather than at its next tick.
+struct LiveGuard<'a> {
+    live: &'a AtomicUsize,
+    caller: &'a Thread,
+}
 
 impl Drop for LiveGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
+        self.live.fetch_sub(1, Ordering::Release);
+        self.caller.unpark();
     }
 }
 
-/// Opens a campaign's lease pool to executors outside this process.
-pub struct OpenPool<'a> {
-    /// Lease time-to-live: a holder silent this long forfeits its chunks.
-    pub ttl: Duration,
-    /// Publishes the leasable ledger (a daemon registers it with its HTTP
-    /// router). Called once, after the golden run and before any local
-    /// work starts.
-    #[allow(clippy::type_complexity)]
-    pub publish: &'a dyn Fn(
-        &PreparedCampaign,
-        &CampaignConfig,
-        &Arc<Ledger>,
-    ) -> Result<(), OrchestratorError>,
+/// Watches a campaign from the engine's caller thread. Both hooks run on
+/// that thread, between the engine's own bookkeeping steps.
+pub trait Observer {
+    /// The campaign is prepared and its ledger exists; no injection has
+    /// run yet. A caller that opened the pool publishes the ledger to
+    /// remote executors here (a daemon registers it with its router).
+    fn ready(&self, prep: &PreparedCampaign, cfg: &CampaignConfig, ledger: &Arc<Ledger>);
+
+    /// One engine tick: on every pass of the caller's loop while workers
+    /// run (every 10 ms at most, sooner when a local worker exits), and
+    /// once more with `last` after every worker has settled, before the
+    /// final checkpoint flush.
+    fn tick(&self, last: bool);
 }
+
+/// Longest sleep of the caller's bookkeeping loop between two ticks.
+const TICK: Duration = Duration::from_millis(10);
 
 /// Runs a checkpointable, cancellable campaign on `ocfg.shards` local
 /// worker threads: [`run_campaign`] with the pool closed to the network.
@@ -613,20 +627,21 @@ pub fn run_sharded(
     stop: &AtomicBool,
     progress: &Progress,
 ) -> Result<ShardedReport, OrchestratorError> {
-    run_campaign(w, cfg, ocfg, stop, progress, None)
+    run_campaign(w, cfg, ocfg, stop, progress, None, None)
 }
 
 /// The campaign engine: one-shot, daemon and distributed runs all go
 /// through here.
 ///
 /// `ocfg.shards` local threads lease chunks from the campaign's
-/// [`Ledger`] and commit each one whole. With `open`, the pool is also
-/// leasable by remote executors (then `ocfg.shards` may be 0): leases
-/// carry `open.ttl`, and the caller's thread sweeps expiries and replays
-/// remote completions into shard 0 of `progress`. `stop` is polled
-/// between injections on every local worker; once set, workers release
-/// their in-flight chunks and a final checkpoint is written. `progress`
-/// must have `max(shards, 1)` shards.
+/// [`Ledger`] and commit each one whole. With a `lease_ttl`, the pool is
+/// open: also leasable by remote executors (then `ocfg.shards` may be 0),
+/// whose leases carry that TTL, and the caller's thread sweeps expiries and
+/// replays remote completions into shard 0 of `progress`. `observer` sees
+/// the ledger before any work runs and every tick of the caller's thread
+/// after that. `stop` is polled between injections on every local worker;
+/// once set, workers release their in-flight chunks and a final checkpoint
+/// is written. `progress` must have `max(shards, 1)` shards.
 ///
 /// # Panics
 ///
@@ -639,15 +654,17 @@ pub fn run_campaign(
     ocfg: &OrchestratorConfig,
     stop: &AtomicBool,
     progress: &Progress,
-    open: Option<OpenPool<'_>>,
+    lease_ttl: Option<Duration>,
+    observer: Option<&dyn Observer>,
 ) -> Result<ShardedReport, OrchestratorError> {
-    if ocfg.shards == 0 && open.is_none() {
+    let open = lease_ttl.is_some();
+    if ocfg.shards == 0 && !open {
         return Err(OrchestratorError::Config("shards must be >= 1".into()));
     }
     if ocfg.chunk == 0 {
         return Err(OrchestratorError::Config("chunk must be >= 1".into()));
     }
-    if ocfg.strict && open.is_some() {
+    if ocfg.strict && open {
         return Err(OrchestratorError::Config(
             "strict mode is a local-debugging tool; distributed runs always supervise".into(),
         ));
@@ -729,17 +746,17 @@ pub fn run_campaign(
         complement(&initial.done, cfg.injections),
         ocfg.chunk,
         ocfg.shards,
-        open.as_ref().map(|o| o.ttl),
+        lease_ttl,
     );
     let ledger =
         Arc::new(Ledger::new(pool, initial.done, initial.tally, cfg.injections, Arc::clone(&inv)));
-    if let Some(open) = &open {
-        (open.publish)(&prep, cfg, &ledger)?;
+    if let Some(observer) = observer {
+        observer.ready(&prep, cfg, &ledger);
     }
-    let open = open.is_some();
 
     let homes = shard_ranges(cfg.injections, ocfg.shards.max(1));
     let live_workers = AtomicUsize::new(ocfg.shards);
+    let caller = std::thread::current();
     let flush_failures = AtomicU64::new(0);
     let flush_degraded = AtomicBool::new(false);
     // Per-worker (busy time, out-of-work instant, exec-cache counters) for
@@ -783,11 +800,12 @@ pub fn run_campaign(
             let prep = &prep;
             let inv = &inv;
             let live_workers = &live_workers;
+            let caller = &caller;
             let strict_panic = &strict_panic;
             let worker_stats = &worker_stats;
             let check_limits = &check_limits;
             scope.spawn(move || {
-                let _live = LiveGuard(live_workers);
+                let _live = LiveGuard { live: live_workers, caller };
                 let worker = format!("{LOCAL_PREFIX}{k}");
                 // One reusable machine per worker: consecutive leases
                 // delta-restore or reset the same warm Machine/Argus pair.
@@ -889,9 +907,10 @@ pub fn run_campaign(
 
         // The caller's thread keeps the books while workers run: expiry
         // sweeps and remote progress replay when the pool is open, periodic
-        // checkpoint flushes when one is configured. A local-only run
-        // without a checkpoint has nothing to tick and just joins.
-        if !open && ocfg.checkpoint_path.is_none() {
+        // checkpoint flushes when one is configured, and the observer's
+        // ticks. A local-only run with neither a checkpoint nor an observer
+        // has nothing to tick and just joins.
+        if !open && ocfg.checkpoint_path.is_none() && observer.is_none() {
             return;
         }
         let mut last_flush = Instant::now();
@@ -929,7 +948,15 @@ pub fn run_campaign(
             if settled {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            if let Some(observer) = observer {
+                observer.tick(false);
+            }
+            // A worker's exit unparks this thread, so the run settles as
+            // soon as its last worker is done.
+            std::thread::park_timeout(TICK);
+        }
+        if let Some(observer) = observer {
+            observer.tick(true);
         }
     });
 

@@ -226,6 +226,11 @@ impl Ledger {
         (g.remote_outcomes, g.remote_anomalies)
     }
 
+    /// Records a manifest served to a cold-starting worker.
+    pub fn note_manifest_fetch(&self) {
+        self.lock().stats.manifest_fetches += 1;
+    }
+
     /// Records artifact bodies served to cold-starting workers.
     pub fn note_artifact_fetch(&self) {
         self.lock().stats.artifact_fetches += 1;

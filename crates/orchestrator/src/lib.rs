@@ -50,7 +50,7 @@ pub use checkpoint::{
 };
 pub use engine::{
     complement, ledger_view, mark_done, mark_range_done, range_overlap, run_campaign, run_sharded,
-    shard_ranges, OpenPool, OrchestratorConfig, OrchestratorError, RemoteRunStats, ShardedReport,
+    shard_ranges, Observer, OrchestratorConfig, OrchestratorError, RemoteRunStats, ShardedReport,
 };
 pub use json::Json;
 pub use lease::{LeaseGrant, LeasePool};

@@ -25,10 +25,11 @@
 //! * the orchestrator's `Ledger` dedup gate, which every completion
 //!   (local, remote, duplicate, stale) crosses under one lock, wrapped
 //!   here in a [`share::CampaignShare`] with what remote workers need;
-//! * content-addressed artifacts ([`protocol::ArtifactRef`]) — workers
-//!   cold-start from a URL and fingerprint-check their reconstruction
-//!   against the coordinator's golden-entry snapshot before running
-//!   anything.
+//! * a fingerprinted manifest ([`protocol::Manifest`]) — workers
+//!   cold-start from a URL and check the fingerprint of their rebuilt
+//!   entry state against the coordinator's `entry_fingerprint` before
+//!   running anything; a snapshot campaign's store rides along as a
+//!   content-addressed artifact ([`protocol::ArtifactRef`]).
 //!
 //! The result: a distributed run's report is byte-identical to one-shot
 //! `argus campaign --json` modulo the volatile `"run"` section, which
@@ -41,7 +42,7 @@ pub mod protocol;
 pub mod share;
 pub mod worker;
 
-pub use coordinator::{run_distributed, DistributedConfig};
+pub use coordinator::{open_share, DistributedConfig};
 pub use protocol::{
     ArtifactRef, CompleteReply, CompleteRequest, LeaseReply, Manifest, PROTOCOL_VERSION,
 };

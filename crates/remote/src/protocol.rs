@@ -1,10 +1,12 @@
 //! Wire messages of the distributed lease protocol.
 //!
 //! Everything except artifact bodies travels as hand-rolled JSON (the
-//! repo's `argus_orchestrator::Json`, no external parsers). Artifact
-//! bodies are raw ARGSTORE images — a CRC-carrying binary envelope of
-//! their own — addressed by the CRC-32 of the whole body, so the URL
-//! *is* the integrity check.
+//! repo's `argus_orchestrator::Json`, no external parsers). The manifest
+//! carries the fingerprint of the campaign's entry state, so a worker
+//! proves its reconstruction without fetching any state. The only
+//! artifact left is a snapshot campaign's `store`: a raw ARGSTORE image —
+//! a CRC-carrying binary envelope of its own — addressed by the CRC-32 of
+//! the whole body, so the URL *is* the integrity check.
 //!
 //! The protocol, all rooted under the daemon's `/jobs/<id>` tree:
 //!
@@ -24,16 +26,15 @@ use std::ops::Range;
 
 /// Protocol revision. A worker refuses a manifest whose version it does
 /// not speak rather than silently misinterpreting chunk boundaries or
-/// artifact bodies. v2: the `entry` artifact is a one-snapshot ARGSTORE
-/// image, like the `store` artifact.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// artifact bodies. v3: the manifest carries `entry_fingerprint` in place
+/// of the `entry` artifact.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// One content-addressed artifact a cold-starting worker must fetch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactRef {
-    /// Role of the artifact: `"entry"` (the golden-entry snapshot used to
-    /// fingerprint-check the worker's reconstruction) or `"store"` (the
-    /// campaign's snapshot store, for snapshot campaigns).
+    /// Role of the artifact: `"store"` (the campaign's snapshot store, for
+    /// snapshot campaigns).
     pub name: String,
     /// CRC-32 (IEEE) of the whole body — also its address in the URL.
     pub crc32: u32,
@@ -43,7 +44,8 @@ pub struct ArtifactRef {
 
 /// Everything a worker needs to reconstruct the campaign from nothing
 /// but a URL: the workload by name (workloads are compiled into every
-/// binary), the campaign spec, and the artifact list to verify against.
+/// binary), the campaign spec, the fingerprints to verify the
+/// reconstruction against, and the artifact list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     pub version: u64,
@@ -65,6 +67,12 @@ pub struct Manifest {
     /// Invariant-checking density the coordinator runs under; workers
     /// adopt the same mode so both halves audit the campaign equally.
     pub invariants: InvariantMode,
+    /// `combined_fingerprint` of the coordinator's entry state (image
+    /// loaded, entry DCS armed, cycle 0). A worker's rebuilt entry state
+    /// must hash the same, or its binary or config differs. On the wire it
+    /// is a 16-digit hex string: JSON numbers here are `f64`, which cannot
+    /// carry 64 bits.
+    pub entry_fingerprint: u64,
     pub artifacts: Vec<ArtifactRef>,
 }
 
@@ -81,6 +89,7 @@ impl Manifest {
             .set("golden_cycles", self.golden_cycles)
             .set("lease_ttl_ms", self.lease_ttl_ms)
             .set("invariants", self.invariants.label())
+            .set("entry_fingerprint", format!("{:016x}", self.entry_fingerprint).as_str())
             .set(
                 "artifacts",
                 Json::Arr(
@@ -136,6 +145,12 @@ impl Manifest {
                 InvariantMode::parse(s).ok_or("manifest invariants must be off|sampled|full")?
             }
         };
+        let hex = doc
+            .get("entry_fingerprint")
+            .and_then(Json::as_str)
+            .ok_or("manifest missing entry_fingerprint")?;
+        let entry_fingerprint = u64::from_str_radix(hex, 16)
+            .map_err(|_| format!("manifest entry_fingerprint `{hex}` is not hex"))?;
         let mut artifacts = Vec::new();
         for a in doc.get("artifacts").and_then(Json::as_arr).ok_or("manifest missing artifacts")? {
             let name =
@@ -157,6 +172,7 @@ impl Manifest {
             golden_cycles,
             lease_ttl_ms,
             invariants,
+            entry_fingerprint,
             artifacts,
         })
     }
@@ -377,9 +393,8 @@ impl CompleteReply {
 mod tests {
     use super::*;
 
-    #[test]
-    fn manifest_roundtrips() {
-        let m = Manifest {
+    fn manifest() -> Manifest {
+        Manifest {
             version: PROTOCOL_VERSION,
             job: 7,
             workload: "stress".into(),
@@ -390,36 +405,55 @@ mod tests {
             golden_cycles: 12345,
             lease_ttl_ms: 10_000,
             invariants: InvariantMode::Full,
-            artifacts: vec![ArtifactRef { name: "entry".into(), crc32: 0xdead_beef, len: 4096 }],
-        };
+            entry_fingerprint: 0x0123_4567_89ab_cdef,
+            artifacts: vec![ArtifactRef { name: "store".into(), crc32: 0xdead_beef, len: 4096 }],
+        }
+    }
+
+    /// The manifest as JSON with one top-level field removed.
+    fn without(doc: Json, field: &str) -> Json {
+        let Json::Obj(pairs) = doc else { panic!("manifest serializes to an object") };
+        Json::Obj(pairs.into_iter().filter(|(k, _)| k != field).collect())
+    }
+
+    #[test]
+    fn manifest_roundtrips() {
+        let m = manifest();
         let back = Manifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
         // A manifest from an older coordinator carries no invariants
         // field; the worker defaults rather than refusing it.
-        let legacy = {
-            let Json::Obj(pairs) = m.to_json() else { panic!("manifest serializes to an object") };
-            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "invariants").collect())
-        };
+        let legacy = without(m.to_json(), "invariants");
         assert_eq!(Manifest::from_json(&legacy).unwrap().invariants, InvariantMode::default());
     }
 
     #[test]
+    fn entry_fingerprint_survives_the_wire_bit_exact() {
+        // 2^53 + 1 is the first integer an f64 JSON number would round.
+        for fp in [0, u64::MAX, (1u64 << 53) + 1, 0x8000_0000_0000_0001] {
+            let m = Manifest { entry_fingerprint: fp, ..manifest() };
+            let wire = m.to_json().to_string_compact();
+            let back = Manifest::from_json(&Json::parse(&wire).unwrap()).unwrap();
+            assert_eq!(back.entry_fingerprint, fp, "{wire}");
+        }
+    }
+
+    #[test]
     fn manifest_rejects_future_protocol() {
-        let m = Manifest {
-            version: PROTOCOL_VERSION,
-            job: 1,
-            workload: "stress".into(),
-            injections: 1,
-            seed: 0,
-            kind: FaultKind::Transient,
-            snapshot_every: None,
-            golden_cycles: 1,
-            lease_ttl_ms: 1000,
-            invariants: InvariantMode::default(),
-            artifacts: vec![],
-        };
-        let doc = m.to_json().set("version", PROTOCOL_VERSION + 1);
+        let doc = manifest().to_json().set("version", PROTOCOL_VERSION + 1);
         assert!(Manifest::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn manifest_rejects_v2_and_a_missing_entry_fingerprint() {
+        let v2 = manifest().to_json().set("version", 2u64);
+        let err = Manifest::from_json(&v2).unwrap_err();
+        assert!(err.contains("v2"), "{err}");
+        let err =
+            Manifest::from_json(&without(manifest().to_json(), "entry_fingerprint")).unwrap_err();
+        assert!(err.contains("entry_fingerprint"), "{err}");
+        let bad = manifest().to_json().set("entry_fingerprint", 12u64);
+        assert!(Manifest::from_json(&bad).is_err(), "a number is not the wire form");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The coordinator-side face of a distributed campaign: the engine's
-//! [`Ledger`] plus what a cold-starting worker needs — the manifest and
-//! the content-addressed artifact bodies.
+//! [`Ledger`] plus what a cold-starting worker needs — the manifest and,
+//! for snapshot campaigns, the content-addressed store body.
 //!
 //! This is what a daemon job *is* while its pool is open: HTTP handler
 //! threads call [`CampaignShare::lease`] and the ledger's `complete` /
@@ -12,7 +12,7 @@
 //! how many duplicate completions arrived.
 
 use crate::protocol::{CompleteReply, LeaseReply, Manifest};
-use argus_orchestrator::{CompleteVerdict, LeaseGrant, Ledger};
+use argus_orchestrator::{CompleteVerdict, Json, LeaseGrant, Ledger};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,6 +30,12 @@ pub struct CampaignShare {
 impl CampaignShare {
     pub fn new(manifest: Manifest, artifacts: Vec<(u32, Vec<u8>)>, ledger: Arc<Ledger>) -> Self {
         Self { manifest, artifacts, ledger }
+    }
+
+    /// Serves the manifest to a cold-starting worker.
+    pub fn serve_manifest(&self) -> Json {
+        self.ledger.note_manifest_fetch();
+        self.manifest.to_json()
     }
 
     /// Serves an artifact body by its CRC-32 hex address.
@@ -91,6 +97,7 @@ mod tests {
             golden_cycles: 100,
             lease_ttl_ms: 10_000,
             invariants: Default::default(),
+            entry_fingerprint: 0,
             artifacts: vec![],
         }
     }

@@ -4,11 +4,11 @@
 //! `/work` for running distributed jobs, fetches the job manifest,
 //! rebuilds the campaign locally (workloads are compiled into every
 //! binary; the manifest names one), and *proves* its reconstruction
-//! matches the coordinator's by fingerprint-checking it against the
-//! content-addressed golden-entry artifact. Only then does it start
-//! leasing chunks. A mismatch — skewed binary, different config
-//! defaults — is a hard error before a single injection runs against
-//! the wrong campaign.
+//! matches the coordinator's: its golden run must take the manifest's
+//! `golden_cycles` and its entry state must hash to the manifest's
+//! `entry_fingerprint`. Only then does it start leasing chunks. A
+//! mismatch — skewed binary, different config defaults — is a hard error
+//! before a single injection runs against the wrong campaign.
 //!
 //! Fault model: the daemon may restart, the network may drop, this
 //! process may be SIGKILLed. The first two are handled by
@@ -21,12 +21,12 @@ use crate::client::{fetch, fetch_text};
 use crate::protocol::{CompleteRequest, LeaseReply, Manifest};
 use argus_faults::campaign::{
     prepare_campaign, prepare_campaign_with_store, run_injection_supervised_in, CampaignConfig,
-    CampaignWorkspace, SupervisedOutcome,
+    CampaignWorkspace, PreparedCampaign, SupervisedOutcome,
 };
 use argus_invariants::InvariantStats;
 use argus_orchestrator::{CampaignTally, Json, LOCAL_PREFIX};
 use argus_sim::crc::crc32;
-use argus_snapshot::{combined_fingerprint, MappedStore, PageCache};
+use argus_snapshot::MappedStore;
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
@@ -216,7 +216,7 @@ fn serve_job(
             ),
         ));
     }
-    verify_entry_artifact(&fetched, &prep, &cfg)?;
+    check_entry_fingerprint(&prep, &cfg, manifest.entry_fingerprint)?;
     let cache_hits_unreported = AtomicU64::new(fetched.cache_hits);
     drop(fetched);
 
@@ -547,32 +547,24 @@ fn adopt_store(fetched: &FetchedArtifacts) -> Option<Arc<MappedStore>> {
     store.ok().map(Arc::new)
 }
 
-/// Restores the one-snapshot `entry` image (verified against its own
-/// recorded fingerprint) and compares it to the locally rebuilt entry
-/// state — the proof that this binary reconstructed the coordinator's
-/// campaign exactly.
-fn verify_entry_artifact(
-    fetched: &FetchedArtifacts,
-    prep: &argus_faults::campaign::PreparedCampaign,
+/// Compares the fingerprint of the locally rebuilt entry state with the
+/// coordinator's — the proof that this binary reconstructed the
+/// coordinator's campaign exactly. A mismatch is `InvalidData`, which
+/// makes the worker exit instead of injecting.
+fn check_entry_fingerprint(
+    prep: &PreparedCampaign,
     cfg: &CampaignConfig,
+    theirs: u64,
 ) -> io::Result<()> {
-    for art in fetched.artifacts.iter().filter(|a| a.name == "entry") {
-        let entry = MappedStore::from_bytes(art.body.clone())?;
-        let (m, argus) = entry
-            .try_restore_fresh(0, &mut PageCache::default())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let theirs = combined_fingerprint(&m, &argus);
-        let (lm, largus) = prep.entry_state(cfg);
-        let ours = combined_fingerprint(&lm, &largus);
-        if theirs != ours {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "entry-state fingerprint mismatch (coordinator {theirs:016x}, local \
-                     {ours:016x}) — refusing to inject against a skewed campaign"
-                ),
-            ));
-        }
+    let ours = prep.entry_fingerprint(cfg);
+    if ours != theirs {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "entry-state fingerprint mismatch (coordinator {theirs:016x}, local \
+                 {ours:016x}) — refusing to inject against a skewed campaign"
+            ),
+        ));
     }
     Ok(())
 }
@@ -586,4 +578,20 @@ fn resolve_workload(name: &str) -> Option<argus_workloads::Workload> {
         return Some(argus_workloads::stress_xl());
     }
     argus_workloads::suite().into_iter().find(|w| w.name == name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entry_fingerprint_check_passes_a_match_and_refuses_skew() {
+        let w = argus_workloads::stress();
+        let cfg = CampaignConfig { injections: 4, ..Default::default() }.sized_for(&w);
+        let prep = prepare_campaign(&w, &cfg);
+        let fp = prep.entry_fingerprint(&cfg);
+        check_entry_fingerprint(&prep, &cfg, fp).expect("own fingerprint matches");
+        let err = check_entry_fingerprint(&prep, &cfg, fp ^ 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
 }

@@ -69,6 +69,7 @@ fn fresh_share(open: bool) -> (CampaignShare, Arc<InvariantEngine>) {
         golden_cycles: 1,
         lease_ttl_ms: TTL.as_millis() as u64,
         invariants: Default::default(),
+        entry_fingerprint: 0,
         artifacts: vec![],
     };
     let whole = 0..N;

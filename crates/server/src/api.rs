@@ -272,7 +272,7 @@ fn worker_name(doc: &Json) -> Result<String, Response> {
 
 fn manifest(daemon: &Arc<Daemon>, id: JobId) -> Response {
     match open_share(daemon, id) {
-        Ok(share) => ok(share.manifest.to_json()),
+        Ok(share) => ok(share.serve_manifest()),
         Err(resp) => resp,
     }
 }

@@ -25,26 +25,42 @@
 //! at most one checkpoint interval of work: on restart, every
 //! non-terminal job re-enters the queue and resumes from its
 //! checkpoint, and finished reports are served from disk.
+//!
+//! ## Events
+//!
+//! A job's runner thread is the engine's caller thread, so the job's
+//! `JobObserver` publishes its events from the engine's ticks: progress
+//! (and, for distributed jobs, `worker_connected` / `lease_expired`, and
+//! `invariant_violation` whenever those numbers move) at most every
+//! `EVENT_INTERVAL`, plus one final publish once the run settles. The
+//! job needs no thread of its own, and its last progress event comes
+//! before its terminal state event.
 
 use crate::http::{Handler, HttpServer};
 use crate::jobs::{checkpoint_path, report_path, JobId, JobRow, JobSpec, JobState, JobTable};
 use crate::queue::{JobQueue, QueueEntry};
+use argus_faults::campaign::PreparedCampaign;
 use argus_faults::CampaignConfig;
-use argus_orchestrator::{Json, OrchestratorConfig, Progress, RemoteRunStats};
-use argus_remote::{run_distributed, CampaignShare, DistributedConfig};
+use argus_orchestrator::{
+    run_campaign, Json, Ledger, Observer, OrchestratorConfig, Progress, RemoteRunStats,
+};
+use argus_remote::{open_share, CampaignShare, DistributedConfig};
+use argus_workloads::Workload;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-job event ring capacity. Events beyond this are dropped oldest
 /// first; `events` responses flag the truncation.
 const EVENT_CAP: usize = 4096;
 
-/// How often the progress sampler looks for fresh numbers to publish.
-const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
+/// Least time between two of a running job's published progress events
+/// (the final one is always published).
+const EVENT_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -427,37 +443,28 @@ impl Daemon {
         // pool opens to remote workers. The progress tracker always has at
         // least one shard because remote completions are replayed into
         // shard 0 even when alloc == 0.
-        let dcfg = DistributedConfig { job: id, lease_ttl: self.cfg.lease_ttl };
-        let register = |share: &Arc<CampaignShare>| {
-            self.remote.lock().unwrap_or_else(|p| p.into_inner()).insert(id, Arc::clone(share));
-            let mut st = self.state.lock().unwrap();
-            if let Some(job) = st.job_mut(id) {
-                job.push_event(
-                    Json::obj()
-                        .set("kind", "distributed_open")
-                        .set("lease_ttl_ms", self.cfg.lease_ttl.as_millis() as u64),
-                );
-            }
-            self.wake.notify_all();
-        };
+        let w = argus_workloads::stress();
         let progress = Progress::new(alloc.max(1));
-        let sampler_stop = AtomicBool::new(false);
-        let result = std::thread::scope(|scope| {
-            scope.spawn(|| self.sample_progress(id, &progress, &sampler_stop));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_distributed(
-                    &argus_workloads::stress(),
-                    &cfg,
-                    &ocfg,
-                    spec.distributed.then_some(&dcfg),
-                    &stop,
-                    &progress,
-                    &register,
-                )
-            }));
-            sampler_stop.store(true, Ordering::Relaxed);
-            result
-        });
+        let observer = JobObserver {
+            daemon: self,
+            id,
+            workload: &w,
+            distributed: spec
+                .distributed
+                .then(|| DistributedConfig { job: id, lease_ttl: self.cfg.lease_ttl }),
+            progress: &progress,
+            share: OnceCell::new(),
+            published: RefCell::new(Published {
+                at: Instant::now(),
+                done: u64::MAX,
+                remote: None,
+                violations: 0,
+            }),
+        };
+        let lease_ttl = observer.distributed.as_ref().map(|d| d.lease_ttl);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_campaign(&w, &cfg, &ocfg, &stop, &progress, lease_ttl, Some(&observer))
+        }));
         self.remote.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
 
         let mut st = self.state.lock().unwrap();
@@ -514,81 +521,128 @@ impl Daemon {
         self.persist(&st);
         self.wake.notify_all();
     }
+}
 
-    /// Publishes a progress event whenever the numbers move, until the
-    /// runner raises `done`. For distributed jobs it also watches the
-    /// share's remote accounting and turns deltas into discrete
-    /// `worker_connected` / `lease_expired` events.
-    fn sample_progress(&self, id: JobId, progress: &Progress, done: &AtomicBool) {
-        let mut last_done = u64::MAX;
-        let mut last_remote: Option<RemoteRunStats> = None;
-        let mut last_violations = 0u64;
-        while !done.load(Ordering::Relaxed) {
-            std::thread::sleep(SAMPLE_INTERVAL);
-            let snap = progress.snapshot();
-            let remote = self.share(id).map(|s| (s.ledger.stats(), s.ledger.outstanding()));
-            let remote_moved = remote.as_ref().map(|(s, _)| s) != last_remote.as_ref();
-            let violations_moved = snap.invariant_violations > last_violations;
-            if snap.done == last_done && !remote_moved && !violations_moved {
-                continue;
-            }
-            last_done = snap.done;
-            let mut payload = Json::obj()
-                .set("kind", "progress")
-                .set("done", snap.done)
-                .set("total", snap.total)
-                .set("rate", snap.rate)
-                .set("leases", snap.leases)
-                .set("steals", snap.steals)
-                .set("busy_pct", snap.busy_pct)
-                .set("elapsed_ms", snap.elapsed.as_millis() as u64);
-            if snap.invariant_violations > 0 {
-                payload = payload.set("invariant_violations", snap.invariant_violations);
-            }
-            let mut extra: Vec<Json> = Vec::new();
-            // Violations become discrete events so a streaming client
-            // sees them the moment they happen — identical for local,
-            // hybrid, and remote execution, since remote workers' deltas
-            // funnel through the same progress counter.
-            if violations_moved {
+/// What a job last published, for pacing and for turning counter deltas
+/// into discrete events.
+struct Published {
+    at: Instant,
+    done: u64,
+    remote: Option<RemoteRunStats>,
+    violations: u64,
+}
+
+/// Watches one job's campaign from its runner thread: registers a
+/// distributed job's share with the router once its pool opens, and turns
+/// engine ticks into the job's events.
+struct JobObserver<'a> {
+    daemon: &'a Daemon,
+    id: JobId,
+    workload: &'a Workload,
+    /// Set for a distributed job: its pool opens to remote workers.
+    distributed: Option<DistributedConfig>,
+    progress: &'a Progress,
+    /// The open share of a distributed job.
+    share: OnceCell<Arc<CampaignShare>>,
+    published: RefCell<Published>,
+}
+
+impl Observer for JobObserver<'_> {
+    fn ready(&self, prep: &PreparedCampaign, cfg: &CampaignConfig, ledger: &Arc<Ledger>) {
+        let Some(dcfg) = &self.distributed else {
+            return;
+        };
+        let (daemon, id) = (self.daemon, self.id);
+        let share = open_share(self.workload, prep, cfg, ledger, dcfg);
+        daemon.remote.lock().unwrap_or_else(|p| p.into_inner()).insert(id, Arc::clone(&share));
+        let _ = self.share.set(share);
+        let mut st = daemon.state.lock().unwrap();
+        if let Some(job) = st.job_mut(id) {
+            job.push_event(
+                Json::obj()
+                    .set("kind", "distributed_open")
+                    .set("lease_ttl_ms", daemon.cfg.lease_ttl.as_millis() as u64),
+            );
+        }
+        daemon.wake.notify_all();
+    }
+
+    /// Publishes a progress event when the numbers moved and
+    /// [`EVENT_INTERVAL`] has passed since the last one, and always on the
+    /// `last` tick. For distributed jobs it also turns deltas in the
+    /// share's remote accounting into discrete `worker_connected` /
+    /// `lease_expired` events.
+    fn tick(&self, last: bool) {
+        let mut prev = self.published.borrow_mut();
+        if !last && prev.at.elapsed() < EVENT_INTERVAL {
+            return;
+        }
+        let snap = self.progress.snapshot();
+        let remote = self.share.get().map(|s| (s.ledger.stats(), s.ledger.outstanding()));
+        let remote_moved = remote.as_ref().map(|(s, _)| s) != prev.remote.as_ref();
+        let violations_moved = snap.invariant_violations > prev.violations;
+        if !last && snap.done == prev.done && !remote_moved && !violations_moved {
+            return;
+        }
+        let mut payload = Json::obj()
+            .set("kind", "progress")
+            .set("done", snap.done)
+            .set("total", snap.total)
+            .set("rate", snap.rate)
+            .set("leases", snap.leases)
+            .set("steals", snap.steals)
+            .set("busy_pct", snap.busy_pct)
+            .set("elapsed_ms", snap.elapsed.as_millis() as u64);
+        if snap.invariant_violations > 0 {
+            payload = payload.set("invariant_violations", snap.invariant_violations);
+        }
+        let mut extra: Vec<Json> = Vec::new();
+        // Violations become discrete events so a streaming client sees
+        // them the moment they happen — identical for local, hybrid, and
+        // remote execution, since remote workers' deltas funnel through
+        // the same progress counter.
+        if violations_moved {
+            extra.push(
+                Json::obj()
+                    .set("kind", "invariant_violation")
+                    .set("violations", snap.invariant_violations)
+                    .set("new", snap.invariant_violations - prev.violations),
+            );
+        }
+        if let Some((stats, outstanding)) = &remote {
+            payload =
+                payload.set("remote", stats.to_json().set("outstanding", *outstanding as u64));
+            let seen = prev.remote.clone().unwrap_or_default();
+            if stats.workers_seen > seen.workers_seen {
                 extra.push(
                     Json::obj()
-                        .set("kind", "invariant_violation")
-                        .set("violations", snap.invariant_violations)
-                        .set("new", snap.invariant_violations - last_violations),
+                        .set("kind", "worker_connected")
+                        .set("workers_seen", stats.workers_seen),
                 );
-                last_violations = snap.invariant_violations;
             }
-            if let Some((stats, outstanding)) = &remote {
-                payload =
-                    payload.set("remote", stats.to_json().set("outstanding", *outstanding as u64));
-                let prev = last_remote.take().unwrap_or_default();
-                if stats.workers_seen > prev.workers_seen {
-                    extra.push(
-                        Json::obj()
-                            .set("kind", "worker_connected")
-                            .set("workers_seen", stats.workers_seen),
-                    );
-                }
-                if stats.expired_leases > prev.expired_leases {
-                    extra.push(
-                        Json::obj()
-                            .set("kind", "lease_expired")
-                            .set("expired_leases", stats.expired_leases),
-                    );
-                }
-                last_remote = Some(stats.clone());
+            if stats.expired_leases > seen.expired_leases {
+                extra.push(
+                    Json::obj()
+                        .set("kind", "lease_expired")
+                        .set("expired_leases", stats.expired_leases),
+                );
             }
-            let mut st = self.state.lock().unwrap();
-            if let Some(job) = st.job_mut(id) {
-                job.last_progress = Some(payload.clone());
-                for ev in extra {
-                    job.push_event(ev);
-                }
-                job.push_event(payload);
-            }
-            self.wake.notify_all();
         }
+        *prev = Published {
+            at: Instant::now(),
+            done: snap.done,
+            remote: remote.map(|(stats, _)| stats),
+            violations: snap.invariant_violations.max(prev.violations),
+        };
+        let mut st = self.daemon.state.lock().unwrap();
+        if let Some(job) = st.job_mut(self.id) {
+            job.last_progress = Some(payload.clone());
+            for ev in extra {
+                job.push_event(ev);
+            }
+            job.push_event(payload);
+        }
+        self.daemon.wake.notify_all();
     }
 }
 
@@ -710,5 +764,143 @@ impl Drop for Server {
         if self.http.is_some() {
             self.drain();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Scheduling checks that need a pool worker held while jobs queue.
+    //! They take the worker out of `free` under the state lock, as a
+    //! running job would hold it, so what they see never depends on how
+    //! fast a job runs.
+
+    use super::*;
+    use crate::http::http_request;
+    use std::net::SocketAddr;
+
+    fn start(name: &str) -> (Server, SocketAddr, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("argus-daemon-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            http_threads: 2,
+            state_dir: dir.clone(),
+            checkpoint_interval: Duration::from_millis(100),
+            lease_ttl: Duration::from_secs(600),
+        })
+        .unwrap();
+        let addr = server.addr();
+        (server, addr, dir)
+    }
+
+    fn call(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
+        let (status, body) = http_request(addr, method, path, body).unwrap();
+        (status, Json::parse(&body).unwrap_or(Json::Null))
+    }
+
+    fn submit(addr: SocketAddr, spec: &str) -> u64 {
+        let (status, doc) = call(addr, "POST", "/jobs", Some(spec));
+        assert_eq!(status, 201, "{doc:?}");
+        doc.get("id").and_then(Json::as_u64).unwrap()
+    }
+
+    fn job_state(addr: SocketAddr, id: u64) -> String {
+        let (status, doc) = call(addr, "GET", &format!("/jobs/{id}"), None);
+        assert_eq!(status, 200, "{doc:?}");
+        doc.get("state").and_then(Json::as_str).unwrap().to_owned()
+    }
+
+    fn wait_for(addr: SocketAddr, id: u64, want: &str) {
+        let deadline = Instant::now() + Duration::from_secs(240);
+        loop {
+            let state = job_state(addr, id);
+            if state == want {
+                return;
+            }
+            assert!(Instant::now() < deadline, "job {id} stuck in `{state}` waiting for `{want}`");
+            std::thread::sleep(Duration::from_millis(30));
+        }
+    }
+
+    /// Takes the only pool worker, as a running job would hold it.
+    fn hold_worker(daemon: &Daemon) {
+        let mut st = daemon.state.lock().unwrap();
+        assert_eq!(st.free, 1, "the pool worker is free before the hold");
+        st.free = 0;
+    }
+
+    /// Gives the held worker back and wakes the scheduler.
+    fn release_worker(daemon: &Daemon) {
+        daemon.state.lock().unwrap().free += 1;
+        daemon.wake.notify_all();
+    }
+
+    #[test]
+    fn queued_jobs_dispatch_by_priority_then_fifo() {
+        let (mut server, addr, dir) = start("ordering");
+        hold_worker(server.daemon());
+
+        // With the only worker held, every job queues. The queue must
+        // order them priority-first, FIFO within a priority.
+        let low_a = submit(addr, r#"{"n": 5, "seed": 2, "priority": 1}"#);
+        let low_b = submit(addr, r#"{"n": 5, "seed": 3, "priority": 1}"#);
+        let mid = submit(addr, r#"{"n": 5, "seed": 4, "priority": 4}"#);
+        let (_, status_doc) = call(addr, "GET", "/status", None);
+        let queue: Vec<u64> = status_doc
+            .get("queue")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|v| v.as_u64().unwrap())
+            .collect();
+        assert_eq!(queue, vec![mid, low_a, low_b], "{status_doc:?}");
+
+        // Everything completes once the worker is back: saturation is not
+        // starvation.
+        release_worker(server.daemon());
+        for id in [mid, low_a, low_b] {
+            wait_for(addr, id, "done");
+        }
+
+        server.drain();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn cancel_works_on_queued_and_running_jobs() {
+        let (mut server, addr, dir) = start("cancel");
+        hold_worker(server.daemon());
+
+        // A remote-only job holds no pool worker, so it dispatches; with no
+        // remote worker attached it stays running until cancelled. The
+        // local job behind the held worker stays queued.
+        let running = submit(addr, r#"{"n": 50, "seed": 5, "distributed": true, "budget": 0}"#);
+        let queued = submit(addr, r#"{"n": 50, "seed": 6}"#);
+        wait_for(addr, running, "running");
+        assert_eq!(job_state(addr, queued), "queued");
+
+        // Cancelling a queued job is immediate.
+        let (status, doc) = call(addr, "POST", &format!("/jobs/{queued}/cancel"), None);
+        assert_eq!(status, 200, "{doc:?}");
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("cancelled"));
+
+        // Cancelling the running job stops it at the next lease boundary.
+        let (status, _) = call(addr, "POST", &format!("/jobs/{running}/cancel"), None);
+        assert_eq!(status, 200);
+        wait_for(addr, running, "cancelled");
+
+        // No report for a cancelled job.
+        let (status, _) = call(addr, "GET", &format!("/jobs/{running}/report"), None);
+        assert_eq!(status, 409);
+
+        // Cancelling again conflicts.
+        let (status, _) = call(addr, "POST", &format!("/jobs/{running}/cancel"), None);
+        assert_eq!(status, 409);
+
+        release_worker(server.daemon());
+        server.drain();
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

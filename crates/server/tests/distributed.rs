@@ -129,6 +129,27 @@ fn spawn_worker(
     std::thread::spawn(move || argus_remote::run_worker(&wcfg, stop).expect("worker run"))
 }
 
+/// The `kind` of every event, in order.
+fn kinds(events: &[Json]) -> Vec<&str> {
+    events.iter().map(|e| e.get("kind").and_then(Json::as_str).unwrap()).collect()
+}
+
+/// Asserts that a progress event with `done == total == n` comes before
+/// the terminal `done` state event (the job's final publish).
+fn assert_final_progress_precedes_done(events: &[Json], n: u64) {
+    let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_u64);
+    let full = events.iter().position(|e| {
+        e.get("kind").and_then(Json::as_str) == Some("progress")
+            && field(e, "done") == Some(n)
+            && field(e, "total") == Some(n)
+    });
+    let done = events.iter().position(|e| e.get("state").and_then(Json::as_str) == Some("done"));
+    match (full, done) {
+        (Some(p), Some(d)) => assert!(p < d, "final progress after the state event: {events:?}"),
+        _ => panic!("no full progress event before `done`: {events:?}"),
+    }
+}
+
 /// The tentpole identity bar: a hybrid run (1 daemon worker + 2 remote
 /// workers over loopback, plus one zombie worker that leases chunks and
 /// vanishes) stores a report byte-identical to a one-shot `argus
@@ -180,7 +201,24 @@ fn hybrid_run_with_zombie_worker_matches_one_shot() {
     assert!(stat("workers_seen") >= 3, "alpha, beta, zombie: {remote:?}");
     assert!(stat("expired_leases") >= 1, "zombie lease must expire: {remote:?}");
     assert!(stat("remote_chunks") >= 1, "{remote:?}");
-    assert!(stat("artifact_fetches") >= 2, "both live workers cold-start: {remote:?}");
+    // Both live workers cold-start from the manifest alone: a cold-boot
+    // campaign ships no artifact body.
+    assert!(stat("manifest_fetches") >= 2, "both live workers cold-start: {remote:?}");
+    assert_eq!(stat("artifact_fetches"), 0, "no entry body crosses the wire: {remote:?}");
+
+    // The event stream, published from the engine's ticks, tells the
+    // whole story.
+    let (status, ev) = get(addr, &format!("/jobs/{id}/events?since=0"));
+    assert_eq!(status, 200);
+    let events = ev.get("events").and_then(Json::as_arr).unwrap();
+    let kinds = kinds(events);
+    for kind in ["distributed_open", "worker_connected", "lease_expired"] {
+        assert!(kinds.contains(&kind), "no `{kind}` event: {kinds:?}");
+    }
+    let states: Vec<&str> =
+        events.iter().filter_map(|e| e.get("state").and_then(Json::as_str)).collect();
+    assert_eq!(states, vec!["queued", "running", "done"], "{kinds:?}");
+    assert_final_progress_precedes_done(events, n as u64);
 
     server.drain();
     let _ = std::fs::remove_dir_all(dir);
@@ -226,22 +264,35 @@ fn manifest_and_artifact_endpoints() {
     assert_eq!(man.get("workload").and_then(Json::as_str), Some("stress"));
     assert_eq!(man.get("n").and_then(Json::as_u64), Some(16));
 
-    // Every advertised artifact is fetchable at its hash, and the body
-    // checks out against the advertised length.
+    // The entry state travels as its fingerprint, 16 hex digits, and a
+    // cold-boot campaign ships no artifact body at all.
+    let fp = man.get("entry_fingerprint").and_then(Json::as_str).unwrap();
+    assert!(fp.len() == 16 && u64::from_str_radix(fp, 16).is_ok(), "{man:?}");
+    assert_eq!(man.get("artifacts").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
+
+    // A snapshot campaign advertises its store. Every advertised artifact
+    // is fetchable at its hash, and the body checks out against the
+    // advertised length.
+    let snap = submit(
+        addr,
+        r#"{"n": 16, "seed": 5, "distributed": true, "budget": 0, "snapshot_every": 500}"#,
+    );
+    wait_leasable(addr, snap, Duration::from_secs(120));
+    let (status, man) = get(addr, &format!("/jobs/{snap}/manifest"));
+    assert_eq!(status, 200, "{man:?}");
     let artifacts = man.get("artifacts").and_then(Json::as_arr).unwrap();
-    assert!(!artifacts.is_empty(), "manifest must advertise the entry snapshot");
+    assert_eq!(artifacts.len(), 1, "the store: {man:?}");
     // Artifact bodies are binary ARGSTORE images, so this goes through
     // the worker's binary-safe client, not the text-only test helper.
     for a in artifacts {
         let crc = a.get("crc32").and_then(Json::as_str).unwrap();
         let len = a.get("len").and_then(Json::as_u64).unwrap();
-        let (status, body) =
-            argus_remote::client::fetch(addr, "GET", &format!("/jobs/{id}/artifacts/{crc}"), None)
-                .unwrap();
+        let path = format!("/jobs/{snap}/artifacts/{crc}");
+        let (status, body) = argus_remote::client::fetch(addr, "GET", &path, None).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body.len() as u64, len);
     }
-    let (status, _) = get(addr, &format!("/jobs/{id}/artifacts/00000000"));
+    let (status, _) = get(addr, &format!("/jobs/{snap}/artifacts/00000000"));
     assert_eq!(status, 404);
 
     // Unknown job vs. known-but-not-leasable job.
@@ -255,10 +306,12 @@ fn manifest_and_artifact_endpoints() {
     let (status, _) = post(addr, &format!("/jobs/{id}/lease"), r#"{"worker":"local:9"}"#);
     assert_eq!(status, 400);
 
-    // Drain the distributed job so shutdown is clean.
-    let w = spawn_worker(addr, id, "finisher", &STOP);
-    wait_for_state(addr, id, "done", Duration::from_secs(300));
-    w.join().unwrap();
+    // Drain the distributed jobs so shutdown is clean.
+    for job in [id, snap] {
+        let w = spawn_worker(addr, job, "finisher", &STOP);
+        wait_for_state(addr, job, "done", Duration::from_secs(300));
+        w.join().unwrap();
+    }
     server.drain();
     let _ = std::fs::remove_dir_all(dir);
 }

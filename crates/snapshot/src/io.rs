@@ -330,7 +330,7 @@ fn get_words(r: &mut dyn Read) -> io::Result<Vec<u64>> {
 }
 
 /// The codec seen whole: one-snapshot ARGSTORE images — the format of
-/// `argus snapshot save` files and the distributed `entry` artifact.
+/// `argus snapshot save` files.
 #[cfg(test)]
 mod tests {
     use crate::mapped::{combined_fingerprint, MappedStore, MappedStoreWriter, PageCache};

@@ -342,7 +342,7 @@ impl MappedStoreWriter {
     /// A writer whose image stays in an owned buffer: no filesystem, the
     /// whole store resident. What a campaign falls back to when it cannot
     /// write a temp file, and how one-snapshot images (`argus snapshot
-    /// save`, the distributed `entry` artifact) are built.
+    /// save`) are built.
     ///
     /// # Panics
     ///

@@ -1,8 +1,7 @@
 //! Round trips of a store through the crate's public surface, the way
 //! callers outside it use one: a one-snapshot image built in memory,
-//! shipped as bytes (the `argus snapshot save` file, the distributed
-//! `entry` artifact), parsed again on the receiving side and forked onto
-//! a fresh machine.
+//! shipped as bytes (the `argus snapshot save` file), parsed again on the
+//! receiving side and forked onto a fresh machine.
 
 #[cfg(test)]
 mod tests {
