@@ -533,8 +533,10 @@ impl Argus {
     ///   fault armed on a machine site is fine — the machine's gate already
     ///   proved the block cannot tap it;
     /// * the plan is canonical (`argus_simple`: one CTI right before the
-    ///   delay slot, or none) and store-free, so its execution is
-    ///   guaranteed complete and the slot-parse order is static;
+    ///   delay slot, or none), so the slot-parse order is static. A plan
+    ///   with a store may still bail mid-block after storing over one of
+    ///   its own upcoming words; [`Argus::on_block`] then folds only the
+    ///   ops it retired and the interpreter finishes the block;
     /// * the block respects the CFC length bound (a longer block must
     ///   raise `block_length_exceeded` per-op);
     /// * the watchdog is idle and no single op can stall it to saturation;
@@ -543,7 +545,7 @@ impl Argus {
         if inj.first_flip_cycle().is_some() || gate.armed.has_foreign() {
             return false;
         }
-        if !gate.argus_simple || gate.has_store || gate.len > self.cfg.max_block_len {
+        if !gate.argus_simple || gate.len > self.cfg.max_block_len {
             return false;
         }
         if self.cfg.enable_watchdog
@@ -567,13 +569,22 @@ impl Argus {
     /// flag-shadow and watchdog hand-off, and parity on any out-of-range
     /// load — bit-identical, events included, to feeding every commit
     /// record one at a time.
+    ///
+    /// A bailed execution (`commit.complete == false`: a store rewrote an
+    /// upcoming word of the block) retired a prefix that holds no CTI: an
+    /// `argus_simple` block's only CTI sits right before its last op, and
+    /// a store in the last op leaves nothing to bail over. Its ops are
+    /// folded as `on_commit` would fold them: their static SHS
+    /// applications on the live file, their embedded bits into the CFC,
+    /// the flag shadow, the watchdog reset and any out-of-range load. No
+    /// block-end compare: the block ends in `on_commit`, which the caller
+    /// runs for the rest of it.
     pub fn on_block(
         &mut self,
         plan: &BlockPlan,
         commit: &BlockCommit,
         inj: &mut FaultInjector,
     ) -> Vec<DetectionEvent> {
-        debug_assert!(commit.complete, "on_block requires a complete block execution");
         let mut evs: Vec<DetectionEvent> = Vec::new();
 
         // Per-op: stall(n) then progress() on every commit; from an idle
@@ -599,7 +610,18 @@ impl Argus {
             }
         }
 
-        if self.cfg.enable_dcs {
+        if !commit.complete {
+            if self.cfg.enable_dcs {
+                for i in 0..commit.executed as usize {
+                    debug_assert!(!plan.instr(i).is_cti(), "a bailed prefix holds no CTI");
+                    self.engine.apply_static(&mut self.file, &plan.instr(i));
+                    // Within the length bound `block_ready` checked.
+                    self.cfc.note_instr(plan.embedded(i));
+                }
+                // On a pristine run the shadow tracks every flag write.
+                self.cfc.on_flag_write(commit.flag_after);
+            }
+        } else if self.cfg.enable_dcs {
             let memo = self.block_memo(plan);
             // Successor selection, exactly as Cfc::on_cti/finish_block
             // would: the CFC parses only the slot it selects.
@@ -1126,6 +1148,82 @@ mod tests {
         let ref_events = run_clean(&prog);
         assert!(!ref_events.is_empty(), "per-op path must flag the bad DCS");
         assert_eq!(a.events(), &ref_events[..], "batched events must match per-op exactly");
+    }
+
+    /// A pristine self-modifying block: its store rewrites an upcoming
+    /// word of the same block, so the batched execution bails mid-block,
+    /// `on_block` folds the retired prefix, and `on_commit` finishes the
+    /// block. Checker state and events must equal per-op checking, both
+    /// when the patched block ends (its DCS compare runs over the folded
+    /// prefix) and at halt.
+    #[test]
+    fn batched_store_block_bail_matches_per_op() {
+        use argus_isa::instr::{Cond, MemSize};
+        use argus_machine::SnapshotState;
+        let cfg = ArgusConfig::default();
+        let patched = Instr::AluImm { op: AluImmOp::Addi, rd: r(5), ra: Reg::ZERO, imm: 7 };
+        // Argus-mode stores write `data ^ address`; fetch reads the raw
+        // word, so store the patch pre-scrambled with its address (20).
+        let stored = encode(&patched) ^ 20;
+        let bb1 = vec![Instr::Alu { op: AluOp::Add, rd: r(6), ra: r(5), rb: r(5) }, Instr::Halt];
+        let next = static_dcs(&bb1, &cfg);
+        let bb0 = |slot5: Instr| {
+            vec![
+                Instr::Movhi { rd: r(3), imm: (stored >> 16) as u16 },
+                // Sets the flag inside the prefix the bail leaves behind.
+                Instr::SetFlagImm { cond: Cond::Eq, ra: Reg::ZERO, imm: 0 },
+                Instr::AluImm { op: AluImmOp::Ori, rd: r(3), ra: r(3), imm: stored as u16 },
+                Instr::Store { size: MemSize::Word, ra: Reg::ZERO, rb: r(3), off: 20 },
+                Instr::Nop,
+                slot5, // word 5 (byte 20): rewritten by the store above
+                Instr::Sig { nslots: 1, eob: true, payload: next as u16 },
+            ]
+        };
+        let entry = static_dcs(&bb0(patched), &cfg);
+        let mut prog = bb0(Instr::Nop);
+        prog.extend(bb1);
+        let mut words: Vec<u32> = prog.iter().map(encode).collect();
+        // The block's first embedded slot is the movhi's five unused bits
+        // [16, 21): carry the successor DCS there, in the bailed prefix.
+        words[0] |= next << 16;
+        let boot = |block_exec| {
+            let mut m = Machine::new(MachineConfig { block_exec, ..Default::default() });
+            m.load_code(0, &words);
+            let mut a = Argus::new(cfg);
+            a.expect_entry(entry);
+            (m, a, FaultInjector::none())
+        };
+        let (mut m_blk, mut a_blk, mut inj_blk) = boot(true);
+        let (mut m_ref, mut a_ref, mut inj_ref) = boot(false);
+        let mut bailed = 0;
+        for retired in [7, u64::MAX] {
+            while m_blk.retired() < retired && !m_blk.halted() {
+                let gate = m_blk.plan_block(&inj_blk, u64::MAX);
+                if let Some(gate) = gate.filter(|g| a_blk.block_ready(g, &inj_blk)) {
+                    let commit = m_blk.exec_block(&mut inj_blk, &gate).expect("gated");
+                    bailed += u32::from(!commit.complete);
+                    let plan =
+                        m_blk.plan_at(commit.addr).expect("an executed block keeps its plan");
+                    a_blk.on_block(plan, &commit, &mut inj_blk);
+                    continue;
+                }
+                if let StepOutcome::Committed(rec) = m_blk.step(&mut inj_blk) {
+                    a_blk.on_commit(&rec, &mut inj_blk);
+                }
+            }
+            while m_ref.retired() < retired && !m_ref.halted() {
+                if let StepOutcome::Committed(rec) = m_ref.step(&mut inj_ref) {
+                    a_ref.on_commit(&rec, &mut inj_ref);
+                }
+            }
+            assert_eq!(m_blk.retired(), m_ref.retired());
+            assert_eq!(m_blk.state_fingerprint(), m_ref.state_fingerprint());
+            assert_eq!(a_blk.state_fingerprint(), a_ref.state_fingerprint());
+            assert_eq!(a_blk.events(), a_ref.events());
+        }
+        assert_eq!(bailed, 1, "the store block must be batched and bail");
+        assert_eq!(m_blk.reg(r(6)), 14, "the patched instruction must have run");
+        assert!(a_blk.events().is_empty(), "false positive: {:?}", a_blk.events());
     }
 
     #[test]

@@ -68,6 +68,18 @@ mod tests {
         }
     }
 
+    /// Every checker site resolves to the machine's foreign tap bit, so no
+    /// checker site can share a bit with (and hide a tap of) a machine
+    /// site.
+    #[test]
+    fn checker_sites_resolve_to_the_foreign_tap_bit() {
+        use argus_machine::TapSet;
+        for s in argus_sites() {
+            let bits: Vec<usize> = TapSet::site(s.name).bits().collect();
+            assert_eq!(bits, [TapSet::BITS - 1], "{} is not foreign to the machine", s.name);
+        }
+    }
+
     #[test]
     fn names_are_unique() {
         let sites = argus_sites();

@@ -8,8 +8,8 @@ use argus_invariants::{
 };
 use argus_machine::snapshot::Fnv64;
 pub use argus_machine::ExecStats;
-use argus_machine::{CoreState, Machine, MachineConfig, SnapshotState, StepOutcome};
-use argus_sim::fault::{FaultInjector, FaultKind};
+use argus_machine::{CoreState, Machine, MachineConfig, SnapshotState, StepOutcome, TapSet};
+use argus_sim::fault::{Fault, FaultInjector, FaultKind};
 use argus_sim::rng::SplitMix64;
 use argus_sim::stats::CounterSet;
 use argus_sim::supervise::{catch_supervised, HangCause, InjectionWatchdog, WatchdogConfig};
@@ -77,10 +77,14 @@ pub struct CampaignConfig {
     /// untouched.
     pub chaos: Option<ChaosConfig>,
     /// Read verdicts off the campaign's no-fault run instead of simulating
-    /// what is provably its suffix. Two short-cuts share the toggle:
+    /// what is provably its suffix. Three short-cuts share the toggle:
     /// - a structurally masked injection (`sensitization == 0`) never
     ///   fires (`FaultInjector::fire_mask` draws against a zero
     ///   sensitization), so its whole run is the no-fault run;
+    /// - a fault on a *dead site* — a machine site the no-fault run never
+    ///   taps at or after the fault's arm cycle — never fires either (a
+    ///   fault draws, expires and flips only on a tap of its own site), so
+    ///   its whole run is the no-fault run too (see DESIGN.md);
     /// - a spent transient (flipped, nothing left armed) stops at the
     ///   first golden block end where its full state matches the no-fault
     ///   run's (reconvergence, see DESIGN.md), and takes that run's end.
@@ -370,7 +374,7 @@ pub struct PreparedCampaign {
     snapshot_fallbacks: AtomicU64,
     /// Human-readable warnings from snapshot verification failures.
     snapshot_warnings: Mutex<Vec<String>>,
-    /// Lazily computed no-fault run backing both golden short-cuts (see
+    /// Lazily computed no-fault run backing the golden short-cuts (see
     /// [`CampaignConfig::golden_shortcuts`]). One replay of the workload
     /// from the entry state, on the resident pair of whichever worker
     /// needs it first, shared by every worker.
@@ -386,12 +390,14 @@ pub struct PreparedCampaign {
 }
 
 /// What a no-fault run of the campaign's faulty loop produces. A
-/// structurally masked fault (`sensitization == 0.0`) never corrupts any
-/// tapped value, so its run is observably identical to this template —
-/// including the end-of-run scrub and the watchdog verdict, both of which
-/// the template run exercises for real. A spent transient whose state
-/// equals the template's at one of its `keys` continues exactly as the
-/// template did from there, so it ends the same way too.
+/// structurally masked fault (`sensitization == 0.0`), or one on a site
+/// this run never taps at or after the fault's arm cycle
+/// ([`GoldenTemplate::never_taps`]), never corrupts any tapped value, so
+/// its run is observably identical to this template — including the
+/// end-of-run scrub and the watchdog verdict, both of which the template
+/// run exercises for real. A spent transient whose state equals the
+/// template's at one of its `keys` continues exactly as the template did
+/// from there, so it ends the same way too.
 #[derive(Debug, Clone)]
 struct GoldenTemplate {
     detection: Option<DetectionEvent>,
@@ -400,11 +406,43 @@ struct GoldenTemplate {
     hung: Option<HangCause>,
     /// Reconvergence keys in cycle order; empty when the run hung.
     keys: Vec<TraceKey>,
+    /// For every machine [`TapSet`] bit, the end cycle of the last block
+    /// or step that could tap that site (0: none could).
+    last_tap: [u64; TapSet::BITS],
     /// Watchdog budget left when the run ended.
     end_budget: u64,
     /// Cycle at which the run ended.
     end_cycle: u64,
 }
+
+impl GoldenTemplate {
+    /// Whether this run never taps `fault`'s site at or after its arm
+    /// cycle: every block or step that could tap the site ended before
+    /// the fault armed. A step taps at its start cycle, below the end
+    /// cycle recorded, so the test errs only toward running the fault.
+    /// Checker sites (the foreign bit) are never dead: the template does
+    /// not record the checker's taps.
+    fn never_taps(&self, fault: &Fault) -> bool {
+        let site = TapSet::site(fault.site);
+        !site.has_foreign() && site.bits().all(|b| self.last_tap[b] < fault.arm_cycle)
+    }
+}
+
+/// Notes that the no-fault run could tap every site in `taps` up to
+/// `cycle` (the end of the block or step that could tap them).
+fn note_taps(last_tap: &mut [u64; TapSet::BITS], taps: TapSet, cycle: u64) {
+    for b in taps.bits() {
+        // Seeded bug: keep each site's first possible tap instead of its
+        // last, so faults arming between the two are wrongly short-cut.
+        if argus_sim::canary::enabled("canary-dead-site-first-tap") && last_tap[b] != 0 {
+            continue;
+        }
+        last_tap[b] = cycle;
+    }
+}
+
+/// The site a stalled cycle taps.
+const STALL_TAPS: TapSet = TapSet::site(argus_machine::sites::CTL_STALL_RELEASE);
 
 /// Minimum golden-run cycles between two reconvergence keys. Keys land
 /// on block ends, so the actual spacing is this plus the rest of a block.
@@ -477,8 +515,9 @@ fn memory_digest(m: &mut Machine) -> u64 {
 enum Trace<'a> {
     /// Run to the end.
     Off,
-    /// The no-fault template run: record a key at block ends.
-    Record(&'a mut Vec<TraceKey>),
+    /// The no-fault template run: record a key at block ends, and the last
+    /// cycle each machine site could be tapped.
+    Record { keys: &'a mut Vec<TraceKey>, last_tap: &'a mut [u64; TapSet::BITS] },
     /// Stop at the first key a spent run's state matches, and end as the
     /// template did.
     Follow(&'a GoldenTemplate),
@@ -747,7 +786,8 @@ impl PreparedCampaign {
     /// The no-fault run, computed on first use by replaying the workload
     /// once from the entry state, on `ws`'s resident pair, through the
     /// real faulty loop (watchdog, scrub and all) with a pass-through
-    /// injector, recording reconvergence keys on the way.
+    /// injector, recording reconvergence keys and each site's last
+    /// possible tap on the way.
     fn golden_template(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> &GoldenTemplate {
         self.golden_template.get_or_init(|| {
             let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(self.golden_cycles));
@@ -755,6 +795,7 @@ impl PreparedCampaign {
             let (m, argus) = ws.ws.pair_mut().expect("boot_into populated the workspace");
             let mut inj = FaultInjector::none();
             let mut keys = Vec::new();
+            let mut last_tap = [0; TapSet::BITS];
             let out = faulty_loop(
                 m,
                 argus,
@@ -764,7 +805,7 @@ impl PreparedCampaign {
                 &mut wd,
                 &self.invariants,
                 clean_gen,
-                Trace::Record(&mut keys),
+                Trace::Record { keys: &mut keys, last_tap: &mut last_tap },
             );
             if out.hung.is_some() {
                 keys.clear();
@@ -775,6 +816,7 @@ impl PreparedCampaign {
                 digest: out.digest,
                 hung: out.hung,
                 keys,
+                last_tap,
                 end_budget: wd.remaining(),
                 end_cycle: m.cycle(),
             }
@@ -850,12 +892,13 @@ fn golden_run_with_snapshots(
         // Checker-batched block execution: the golden run is pristine, so
         // whenever the machine can retire a compiled block and the checker
         // can verify it as one batch (`block_ready`), both advance in one
-        // call. Snapshots land on block boundaries — still step boundaries,
-        // so forked injections resume exactly as before.
+        // call. Snapshots land on block boundaries (or, after a block bailed
+        // on a self-modifying store, mid-block) — step boundaries either
+        // way, so forked injections resume exactly as before.
         if let Some(gate) = m.plan_block(&inj, 500_000_000) {
             if argus.block_ready(&gate, &inj) {
                 if let Some(commit) = m.exec_block(&mut inj, &gate) {
-                    let plan = m.plan_at(gate.addr).expect("completed block keeps its plan");
+                    let plan = m.plan_at(gate.addr).expect("an executed block keeps its plan");
                     let events = argus.on_block(plan, &commit, &mut inj);
                     debug_assert!(events.is_empty(), "golden run raised a false positive");
                     sink.maybe_capture(&m, &argus)?;
@@ -983,7 +1026,7 @@ fn faulty_loop(
     // last iteration ended a block (where the template records).
     let mut next_key = match &trace {
         Trace::Off => u64::MAX,
-        Trace::Record(_) => KEY_SPACING,
+        Trace::Record { .. } => KEY_SPACING,
         Trace::Follow(t) => t.keys.first().map_or(u64::MAX, |k| k.cycle),
     };
     let mut cursor = 0;
@@ -1001,7 +1044,7 @@ fn faulty_loop(
         if m.cycle() >= next_key {
             match &mut trace {
                 Trace::Off => {}
-                Trace::Record(keys) => {
+                Trace::Record { keys, .. } => {
                     if at_block_end {
                         keys.push(TraceKey::capture(m, argus, wd.remaining()));
                         next_key = m.cycle() + KEY_SPACING;
@@ -1043,7 +1086,7 @@ fn faulty_loop(
         // inside it could fire), and the checker — while still live —
         // additionally requires a block it can verify as one batch
         // (`block_ready`: pristine run, no armed checker-site fault, simple
-        // store-free block, watchdog checker idle). Post-detection only
+        // block, watchdog checker idle). Post-detection only
         // the machine-side gates apply, mirroring the skipped `on_commit`
         // below. `tick_many` settles the supervision-watchdog debt for the
         // interpreter iterations the block replaced (a block never runs
@@ -1063,13 +1106,16 @@ fn faulty_loop(
                             exec: m.take_exec_stats(),
                         };
                     }
+                    if let Trace::Record { last_tap, .. } = &mut trace {
+                        note_taps(last_tap, gate.taps, m.cycle());
+                    }
                     if first.is_none() {
-                        let plan = m.plan_at(gate.addr).expect("completed block keeps its plan");
+                        let plan = m.plan_at(gate.addr).expect("an executed block keeps its plan");
                         first = argus.on_block(plan, &commit, inj).into_iter().next();
                         if commit_stride != 0 && inj.first_flip_cycle().is_none() {
                             commits += u64::from(commit.executed);
-                            blocks += 1;
-                            if blocks.is_multiple_of(block_stride) {
+                            blocks += u64::from(commit.complete);
+                            if commit.complete && blocks.is_multiple_of(block_stride) {
                                 inv.run_hook(
                                     Hook::BlockEnd,
                                     &InvariantCtx::Exec(ExecView {
@@ -1097,7 +1143,9 @@ fn faulty_loop(
                     if m.cycle() > window {
                         break;
                     }
-                    at_block_end = true;
+                    // A block that bailed on a self-modifying store stopped
+                    // mid-block; the interpreter finishes it.
+                    at_block_end = commit.complete;
                     continue;
                 }
             }
@@ -1122,6 +1170,11 @@ fn faulty_loop(
         // speed — the bulk of a detected run's cycles come after detection.
         match m.step(inj) {
             StepOutcome::Committed(rec) => {
+                if let Trace::Record { last_tap, .. } = &mut trace {
+                    // Campaigns run in Argus mode, whose tap sets are the
+                    // larger ones.
+                    note_taps(last_tap, Machine::op_taps(&rec.op_shs, true), m.cycle());
+                }
                 at_block_end = rec.block_end;
                 if first.is_none() {
                     first = argus.on_commit(&rec, inj).into_iter().next();
@@ -1157,6 +1210,9 @@ fn faulty_loop(
                 }
             }
             StepOutcome::Stalled => {
+                if let Trace::Record { last_tap, .. } = &mut trace {
+                    note_taps(last_tap, STALL_TAPS, m.cycle());
+                }
                 at_block_end = false;
                 if first.is_none() {
                     first = argus.on_stall(1, inj);
@@ -1394,7 +1450,11 @@ fn run_injection_watched(
         fault.sensitization = 0.0;
     }
     let golden = cfg.golden_shortcuts.then(|| prep.golden_template(cfg, ws));
-    if let Some(t) = golden.filter(|_| fault.sensitization == 0.0) {
+    // A fault that never fires leaves the no-fault run untouched: its run
+    // *is* the template's, verdict and all.
+    let inert = fault.sensitization == 0.0;
+    if let Some(t) = golden.filter(|t| inert || t.never_taps(&fault)) {
+        ws.exec.dead_site += u64::from(!inert);
         if let Some(cause) = t.hung {
             return Err(cause);
         }
@@ -2154,6 +2214,150 @@ mod tests {
                 before.dcache.lines.iter().zip(&after.dcache.lines).filter(|(a, b)| a != b);
             assert_eq!(changed.count(), 1);
         });
+    }
+
+    /// The no-fault template of a small `stress` campaign, and the campaign.
+    fn stress_template(mcfg: MachineConfig) -> (PreparedCampaign, CampaignConfig, GoldenTemplate) {
+        let w = argus_workloads::stress();
+        let cfg = CampaignConfig { injections: 1, mcfg, ..Default::default() }.sized_for(&w);
+        let prep = prepare_campaign(&w, &cfg);
+        let t = prep.golden_template(&cfg, &mut CampaignWorkspace::new()).clone();
+        (prep, cfg, t)
+    }
+
+    fn fault_on(site: &'static str, kind: FaultKind, arm_cycle: u64) -> Fault {
+        use argus_sim::fault::SiteFlavor;
+        Fault {
+            site,
+            bit: 0,
+            kind,
+            arm_cycle,
+            flavor: SiteFlavor::Single,
+            width: 32,
+            sensitization: 1.0,
+        }
+    }
+
+    /// The dead-site boundary sits at the recorded last tap: a fault arming
+    /// there is not short-cut, one cycle later it is. The fetch bus is
+    /// tapped by every op, so its last tap is the start of the `halt` step;
+    /// a permanent fault armed exactly there really fires, so that fault
+    /// must never be claimed dead.
+    #[test]
+    fn dead_site_boundary_is_the_last_possible_tap() {
+        use argus_machine::sites::IF_IBUS;
+        let (prep, cfg, t) = stress_template(MachineConfig::default());
+        let mut tapped = 0;
+        for s in argus_machine::sites::core_sites() {
+            let [bit] = TapSet::site(s.name).bits().collect::<Vec<_>>()[..] else {
+                panic!("{} is not one machine tap bit", s.name)
+            };
+            let last = t.last_tap[bit];
+            if last == 0 {
+                continue;
+            }
+            tapped += 1;
+            assert!(last <= t.end_cycle, "{}: tap recorded past the end", s.name);
+            let kind = FaultKind::Permanent;
+            assert!(
+                !t.never_taps(&fault_on(s.name, kind, last)),
+                "{} armed at its last tap",
+                s.name
+            );
+            assert!(t.never_taps(&fault_on(s.name, kind, last + 1)), "{} armed past it", s.name);
+        }
+        assert!(tapped > 20, "only {tapped} machine sites recorded");
+
+        // Start cycle of the last step: replay the no-fault run one op at
+        // a time.
+        let (mut m, _) = prep.entry_state(&cfg);
+        let mut halt_start = 0;
+        while !m.halted() {
+            halt_start = m.cycle();
+            m.step(&mut FaultInjector::none());
+        }
+        assert_eq!(m.cycle(), t.end_cycle);
+        let fault = fault_on(IF_IBUS, FaultKind::Permanent, halt_start);
+        assert!(!t.never_taps(&fault), "a fault that fires on the last tap was claimed dead");
+        let mut ws = CampaignWorkspace::new();
+        let clean_gen = prep.boot_into(&cfg, &mut ws);
+        let (m, argus) = ws.ws.pair_mut().unwrap();
+        let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
+        let out = faulty_loop(
+            m,
+            argus,
+            &mut FaultInjector::with_fault(fault),
+            prep.window,
+            prep.prog.data_base,
+            &mut wd,
+            &prep.invariants,
+            clean_gen,
+            Trace::Off,
+        );
+        assert_eq!(out.exercised_at, Some(halt_start), "the last fetch was not tapped");
+    }
+
+    /// The template does not record the checker's taps, so a fault on a
+    /// checker site is never short-cut, however late it arms.
+    #[test]
+    fn checker_site_faults_are_never_dead() {
+        let (_, _, t) = stress_template(MachineConfig::default());
+        for s in argus_core::sites::argus_sites() {
+            for arm in [0, t.end_cycle, u64::MAX] {
+                let f = fault_on(s.name, FaultKind::Transient, arm);
+                assert!(!t.never_taps(&f), "{} armed at {arm} was claimed dead", s.name);
+            }
+        }
+    }
+
+    /// Interpreted steps record their ops' taps: with the block engine off
+    /// every op is one, and the record covers exactly the sites the block
+    /// run records, each at most as late (a block records its end cycle
+    /// for every op in it).
+    #[test]
+    fn interpreted_steps_record_their_taps() {
+        let (_, _, blocks) = stress_template(MachineConfig::default());
+        let interp = MachineConfig { block_exec: false, ..MachineConfig::default() };
+        let (_, _, steps) = stress_template(interp);
+        assert_eq!(steps.end_cycle, blocks.end_cycle);
+        let mut recorded = 0;
+        for (b, (&s, &k)) in steps.last_tap.iter().zip(&blocks.last_tap).enumerate() {
+            assert_eq!(s == 0, k == 0, "bit {b}: recorded by one engine only");
+            assert!(s <= k, "bit {b}: the step record is later than the block record");
+            recorded += usize::from(s != 0);
+        }
+        assert!(recorded > 20, "the interpreter recorded only {recorded} sites");
+    }
+
+    /// Stalled cycles record the stall-release site: a permanent stall
+    /// fault stops every commit, so only the stall path can move that
+    /// site's record past the fault's arm cycle.
+    #[test]
+    fn stalled_cycles_record_the_stall_site() {
+        use argus_machine::sites::{CTL_STALL_RELEASE, IF_IBUS};
+        let (prep, cfg, t) = stress_template(MachineConfig::default());
+        let arm = t.end_cycle / 2;
+        let mut ws = CampaignWorkspace::new();
+        let clean_gen = prep.boot_into(&cfg, &mut ws);
+        let (m, argus) = ws.ws.pair_mut().unwrap();
+        let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
+        let (mut keys, mut last_tap) = (Vec::new(), [0; TapSet::BITS]);
+        let out = faulty_loop(
+            m,
+            argus,
+            &mut FaultInjector::with_fault(fault_on(CTL_STALL_RELEASE, FaultKind::Permanent, arm)),
+            prep.window,
+            prep.prog.data_base,
+            &mut wd,
+            &prep.invariants,
+            clean_gen,
+            Trace::Record { keys: &mut keys, last_tap: &mut last_tap },
+        );
+        assert!(out.detection.is_some() || out.hung.is_some(), "the stall went unnoticed");
+        let bit = |site| TapSet::site(site).bits().next().unwrap();
+        let fetched = last_tap[bit(IF_IBUS)];
+        assert!(fetched <= arm + 64, "ops kept committing after the stall armed");
+        assert!(last_tap[bit(CTL_STALL_RELEASE)] > fetched, "stalled cycles were not recorded");
     }
 
     /// `retired` alone differs: no architectural effect, but the states

@@ -8,6 +8,12 @@
 //! injections cold-boot or fork from golden-run snapshots. The transient
 //! rows must actually stop some runs early, or the identity proves
 //! nothing.
+//!
+//! The same identity covers the dead-site short-cut: an injection whose
+//! machine site the no-fault run never taps at or after its arm cycle
+//! takes that run's verdict without simulating. On `pegwit` and
+//! `stress_xl` both fault kinds must take it at least once; the sampled
+//! `stress` rows happen to hold no such injection.
 
 use argus_faults::campaign::ExecStats;
 use argus_faults::{
@@ -24,7 +30,8 @@ fn run_all(prep: &PreparedCampaign, cfg: &CampaignConfig) -> (Vec<InjectionResul
     (results, ws.exec_stats())
 }
 
-fn check(w: &Workload, n: usize, seed: u64) {
+/// `dead_sites`: whether every row must take the dead-site short-cut.
+fn check(w: &Workload, n: usize, seed: u64, dead_sites: bool) {
     let cold = CampaignConfig { injections: n, seed, ..Default::default() }.sized_for(w);
     let cold_prep = prepare_campaign(w, &cold);
     // Fork interval: one snapshot at cycle 0 and one at 3/5 of the golden
@@ -47,6 +54,10 @@ fn check(w: &Workload, n: usize, seed: u64) {
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: injection {i}");
             }
             assert_eq!(off_stats.converged, 0, "{what}: short-cuts off still converged");
+            assert_eq!(off_stats.dead_site, 0, "{what}: short-cuts off still skipped a run");
+            if dead_sites {
+                assert!(stats.dead_site > 0, "{what}: no injection was on a dead site");
+            }
             match kind {
                 FaultKind::Transient => {
                     assert!(stats.converged > 0, "{what}: no run reconverged");
@@ -62,15 +73,15 @@ fn check(w: &Workload, n: usize, seed: u64) {
 
 #[test]
 fn reconvergence_is_identical_on_stress() {
-    check(&argus_workloads::stress(), 60, 0x2EC0);
+    check(&argus_workloads::stress(), 60, 0x2EC0, false);
 }
 
 #[test]
 fn reconvergence_is_identical_on_pegwit() {
-    check(&argus_workloads::pegwit::pegwit(), 16, 0x2EC0);
+    check(&argus_workloads::pegwit::pegwit(), 16, 0x2EC0, true);
 }
 
 #[test]
 fn reconvergence_is_identical_on_stress_xl() {
-    check(&argus_workloads::stress_xl(), 12, 0x2EC0);
+    check(&argus_workloads::stress_xl(), 12, 0x2EC0, true);
 }

@@ -935,6 +935,7 @@ pub const CANARIES: &[&str] = &[
     "canary-lease-double-complete",
     "canary-quarantine-drop-on-resume",
     "canary-reconverge-skip-checker",
+    "canary-dead-site-first-tap",
 ];
 
 // ---------------------------------------------------------------------------
@@ -1337,7 +1338,7 @@ mod tests {
 
     #[test]
     fn canary_list_is_stable() {
-        assert_eq!(CANARIES.len(), 9);
+        assert_eq!(CANARIES.len(), 10);
         for c in CANARIES {
             assert!(c.starts_with("canary-"), "{c} must carry the canary- prefix");
         }

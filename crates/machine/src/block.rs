@@ -134,7 +134,6 @@ pub struct BlockPlan {
     /// Worst-case stall (cycles − 1) of any single op, for the checker's
     /// watchdog gate.
     max_op_stall: u32,
-    has_store: bool,
     /// The block ends in a CTI's delay slot (vs an `eob` Sig / `halt`
     /// fallthrough) — the distinction `Cfc::finish_block` keys on.
     ends_with_cti: bool,
@@ -160,7 +159,6 @@ impl BlockPlan {
         let mut delay = false;
         let mut worst_cycles = 0u64;
         let mut max_op_cycles = 0u32;
-        let mut has_store = false;
         let mut ends_with_cti = false;
         let mut cti_count = 0u32;
         let mut cti_at = None;
@@ -192,9 +190,7 @@ impl BlockPlan {
                         cfg.mul_cycles.saturating_sub(1)
                     };
                 }
-                Instr::Load { .. } => op_cycles += data_worst.saturating_sub(1),
-                Instr::Store { .. } => {
-                    has_store = true;
+                Instr::Load { .. } | Instr::Store { .. } => {
                     op_cycles += data_worst.saturating_sub(1);
                 }
                 Instr::Jump { link: true, .. } => {
@@ -228,7 +224,6 @@ impl BlockPlan {
             taps = TapSet::EMPTY;
             worst_cycles = 0;
             max_op_cycles = 0;
-            has_store = false;
         }
         let argus_simple = complete
             && match (ends_with_cti, cti_count) {
@@ -245,7 +240,6 @@ impl BlockPlan {
             words_hash: hash.finish(),
             worst_cycles,
             max_op_stall: max_op_cycles.saturating_sub(1),
-            has_store,
             ends_with_cti,
             argus_simple,
         }
@@ -294,12 +288,6 @@ impl BlockPlan {
     /// Whether the batched checker accepts this shape (see field docs).
     pub fn argus_simple(&self) -> bool {
         self.argus_simple
-    }
-
-    /// Whether any op is a store (a store-free plan can never go stale
-    /// mid-block, so its execution is guaranteed complete).
-    pub fn has_store(&self) -> bool {
-        self.has_store
     }
 
     /// Worst-case stall (cycles − 1) of any single op.
@@ -355,8 +343,6 @@ pub struct BlockGate {
     pub addr: u32,
     /// Instructions in the plan.
     pub len: u32,
-    /// The plan contains a store; a store-free plan cannot bail mid-block.
-    pub has_store: bool,
     /// The block ends in a CTI's delay slot.
     pub ends_with_cti: bool,
     /// Canonical single-CTI/no-CTI shape the batched checker accepts.
@@ -370,6 +356,9 @@ pub struct BlockGate {
     /// Never intersects the block's own tap set — that is the gate — but
     /// may hold the foreign bit: a fault on a site only the checker taps.
     pub armed: TapSet,
+    /// The plan's tap set: every site the interpreter could tap running
+    /// the whole block.
+    pub taps: TapSet,
 }
 
 /// A load whose word address fell outside main memory during a block
@@ -444,6 +433,10 @@ pub struct ExecStats {
     pub converged: u64,
     /// Golden-run cycles those runs did not simulate.
     pub converged_cycles_saved: u64,
+    /// Injections classified from the no-fault run without simulating,
+    /// because the no-fault run never taps the fault's site at or after
+    /// its arm cycle (counted by the campaign engine).
+    pub dead_site: u64,
 }
 
 impl ExecStats {
@@ -458,6 +451,7 @@ impl ExecStats {
         self.plan_fallbacks += other.plan_fallbacks;
         self.converged += other.converged;
         self.converged_cycles_saved += other.converged_cycles_saved;
+        self.dead_site += other.dead_site;
     }
 
     /// Whether every counter is zero.
@@ -542,8 +536,9 @@ impl Machine {
         self.ensure_plan(addr).is_some()
     }
 
-    /// The cached plan at `addr`, if fresh enough to have just executed
-    /// (checker-side introspection after [`Machine::exec_block`]).
+    /// The cached plan at `addr`, unvalidated: right after
+    /// [`Machine::exec_block`] it is the plan that just ran, complete or
+    /// bailed (checker-side introspection).
     pub fn plan_at(&self, addr: u32) -> Option<&BlockPlan> {
         let idx = PlanCache::index(addr & !3);
         self.plans.slots[idx].as_deref().filter(|p| p.addr == addr & !3 && !p.is_empty())
@@ -572,17 +567,16 @@ impl Machine {
         let mut gate = BlockGate {
             addr: plan.addr,
             len: plan.ops.len() as u32,
-            has_store: plan.has_store,
             ends_with_cti: plan.ends_with_cti,
             argus_simple: plan.argus_simple,
             max_op_stall: plan.max_op_stall,
             words_hash: plan.words_hash,
             armed: TapSet::EMPTY,
+            taps: plan.taps,
         };
-        let taps = plan.taps;
         if end >= inj.quiescent_horizon() {
             gate.armed = self.armed_sites(inj, end);
-            if gate.armed.intersects(taps) {
+            if gate.armed.intersects(gate.taps) {
                 return None;
             }
         }
@@ -626,13 +620,15 @@ impl Machine {
             if !gate.armed.is_empty() {
                 self.plans.armed_hits += 1;
             }
-            self.plans.slots[idx] = Some(plan);
         } else {
-            // The block stored over its own upcoming words; drop the stale
-            // plan so the next visit rebuilds from the new program bytes.
+            // The block stored over its own upcoming words. The stale plan
+            // stays in its slot so the caller can still read the ops it
+            // retired ([`Machine::plan_at`]); its page was written after
+            // its stamp, so the next visit re-checks its words and
+            // rebuilds it (counting the eviction then).
             self.plans.fallbacks += 1;
-            self.plans.evictions += 1;
         }
+        self.plans.slots[idx] = Some(plan);
         inj.set_cycle(self.cycle);
         Some(commit)
     }
@@ -1186,14 +1182,12 @@ mod tests {
         assert_eq!(plan.len(), 5);
         assert!(plan.ends_with_cti());
         assert!(plan.argus_simple());
-        assert!(!plan.has_store());
         // Block at 24: store, load, mul, halt = 4 ops, fallthrough end.
         assert!(m.prepare_plan(24));
         let plan = m.plan_at(24).expect("plannable");
         assert_eq!(plan.len(), 4);
         assert!(!plan.ends_with_cti());
         assert!(plan.argus_simple());
-        assert!(plan.has_store());
     }
 
     /// The worst-case cycle estimate dominates the real cost (the gate's

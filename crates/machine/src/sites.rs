@@ -157,6 +157,9 @@ impl TapSet {
     /// The empty set.
     pub const EMPTY: TapSet = TapSet(0);
 
+    /// Bits in a set; every bit index is below this.
+    pub const BITS: usize = u128::BITS as usize;
+
     /// The set holding the site called `name` (the foreign bit when the
     /// machine has no such site). `const`, so per-op sets fold at compile
     /// time; at run time it is a linear scan — resolve once, not per use.
@@ -201,6 +204,17 @@ impl TapSet {
     /// Whether the set holds a site outside the machine's inventory.
     pub const fn has_foreign(self) -> bool {
         self.0 >> FOREIGN_BIT != 0
+    }
+
+    /// The indices of the set's bits, ascending (the foreign bit is
+    /// `BITS - 1`).
+    pub fn bits(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let i = rest.trailing_zeros();
+            rest &= rest.wrapping_sub(1);
+            (i < u128::BITS).then_some(i as usize)
+        })
     }
 
     /// Whether the set holds the machine site called `name` (never true
@@ -340,6 +354,14 @@ mod tests {
         let foreign = TapSet::site("wd_count");
         assert!(foreign.has_foreign() && !foreign.contains("wd_count"));
         assert_eq!(TapSet::site(crate::machine::RF_CELL_SITES[7]), TapSet::cell(7));
+    }
+
+    #[test]
+    fn tap_set_bits_iterate_ascending() {
+        let set = TapSet::cell(3).union(TapSet::site(IF_IBUS)).union(TapSet::site("wd_count"));
+        let bits: Vec<usize> = set.bits().collect();
+        assert_eq!(bits, [0, CELL_BASE as usize + 3, TapSet::BITS - 1]);
+        assert_eq!(TapSet::EMPTY.bits().count(), 0);
     }
 
     #[test]

@@ -305,6 +305,7 @@ fn exec_json(e: &ExecStats) -> Json {
         .set("plan_fallbacks", e.plan_fallbacks)
         .set("converged", e.converged)
         .set("converged_cycles_saved", e.converged_cycles_saved)
+        .set("dead_site", e.dead_site)
 }
 
 impl ShardedReport {

@@ -3,7 +3,7 @@
 # registry is blind by design, campaign divergence) actually detects
 # real checker bugs — not just that it stays quiet on healthy runs.
 #
-# The `canary` cargo feature compiles ~9 deliberately seeded bugs into
+# The `canary` cargo feature compiles ~10 deliberately seeded bugs into
 # the checkers, orchestrator and campaign engine, each dormant until its name is set in
 # ARGUS_CANARY. This script builds that binary once, proves it is
 # byte-identical to the clean binary while dormant, then arms each
@@ -115,6 +115,12 @@ echo "== campaign canary: reconvergence match without the checker term =="
 # the campaign is twice that size.
 check_divergence canary-reconverge-skip-checker -n 2000 --seed 9
 
+echo "== campaign canary: dead-site record keeps each site's first tap =="
+# The no-fault run's record must hold each machine site's *last* possible
+# tap: keeping the first one instead claims faults that arm between the
+# two never fire, and gives them the golden verdict.
+check_divergence canary-dead-site-first-tap -n 60 --seed 9
+
 echo "== orchestrator canaries: ledger-invariant detection =="
 # chunk=1 with 4 shards forces work-stealing on every injection.
 check_invariant canary-tally-drop-on-steal tally-accounts-done \
@@ -197,4 +203,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 9 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
+echo "PASS: all 10 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"

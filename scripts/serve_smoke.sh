@@ -121,6 +121,12 @@ while time.monotonic() < deadline:
     if done >= kill_at:
         os.kill(pid, signal.SIGKILL)
         print(f"checkpoint records {done} completed injections", file=sys.stderr)
+        if done >= n_big:
+            # The job finished before the kill landed: the restart resumes
+            # nothing, so the crash-resume check below would prove nothing.
+            sys.exit(f"error: the big job had finished ({done} of {n_big} injections "
+                     "checkpointed) when the daemon was killed; the resume went "
+                     "unexercised (raise N_BIG or lower KILL_AT)")
         sys.exit(0)
     time.sleep(0.002)
 sys.exit(f"error: the checkpoint never recorded {kill_at} completed injections within 30s")

@@ -14,8 +14,12 @@
 //!
 //! It also checks the shape the paper reports: few silent corruptions,
 //! high coverage of unmasked errors, and the detection attribution order.
+//! Both runs check §4.2's latency ordering: the computation checker
+//! detects faster than the DCS comparison (median, genuine detections).
 
+use argus_core::CheckerKind;
 use argus_faults::campaign::{run_campaign, CampaignConfig, CampaignReport, Outcome};
+use argus_faults::latency::LatencyReport;
 use argus_sim::fault::FaultKind;
 
 /// Exact counts of one campaign.
@@ -47,6 +51,25 @@ fn assert_pinned(rep: &CampaignReport, pin: &Pin) {
     );
 }
 
+/// §4.2: a computation error is caught the cycle after the bad
+/// computation, a dataflow error only when its block ends, so the median
+/// computation-checker latency lies below the DCS one.
+fn assert_latency_ordered(rep: &CampaignReport) {
+    let lat = LatencyReport::from_campaign(rep);
+    let p50 = |k: CheckerKind| {
+        lat.checker(k)
+            .and_then(|h| h.percentile(0.5))
+            .unwrap_or_else(|| panic!("{:?}: no genuine {k} detection", rep.kind))
+    };
+    let (cc, dcs) = (p50(CheckerKind::Computation), p50(CheckerKind::Dcs));
+    assert!(
+        cc < dcs,
+        "{:?}: computation p50 <= {cc} cycles is not below DCS p50 <= {dcs}\n{}",
+        rep.kind,
+        lat.summary()
+    );
+}
+
 #[test]
 fn table1_small_campaign_counts_are_pinned() {
     let transient = table1(FaultKind::Transient, 600);
@@ -54,11 +77,13 @@ fn table1_small_campaign_counts_are_pinned() {
         &transient,
         &Pin { quadrants: [6, 233, 234, 127], attribution: [160, 127, 73, 0] },
     );
+    assert_latency_ordered(&transient);
     let permanent = table1(FaultKind::Permanent, 600);
     assert_pinned(
         &permanent,
         &Pin { quadrants: [2, 288, 205, 105], attribution: [169, 134, 90, 0] },
     );
+    assert_latency_ordered(&permanent);
 }
 
 #[test]
@@ -78,6 +103,7 @@ fn table1_full_campaign_is_pinned_and_paper_shaped() {
     ] {
         let rep = table1(kind, 3000);
         assert_pinned(&rep, &pin);
+        assert_latency_ordered(&rep);
         let sdc = rep.fraction(Outcome::UnmaskedUndetected);
         assert!(sdc <= 0.02, "{kind:?}: SDC {:.2}% above 2%", 100.0 * sdc);
         let coverage = rep.unmasked_coverage();
