@@ -685,7 +685,7 @@ fn render_sharded_report(rep: &ShardedReport, checkpoint: Option<&std::path::Pat
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "campaign: {}/{} injections ({:?}), {} shards, chunk {}, {} leases ({} stolen), busy {:.0}%, tail {:.2}s, {:.1}s ({:.1} inj/s)",
+        "campaign: {}/{} injections ({:?}), {} shards, chunk {}, {} leases ({} stolen), busy {:.0}%, tail {:.2}s, setup {:.2}s, {:.1}s ({:.1} inj/s)",
         rep.completed,
         rep.total,
         rep.kind,
@@ -695,6 +695,7 @@ fn render_sharded_report(rep: &ShardedReport, checkpoint: Option<&std::path::Pat
         rep.steals,
         rep.busy_pct(),
         rep.tail_imbalance.as_secs_f64(),
+        rep.setup.as_secs_f64(),
         rep.elapsed.as_secs_f64(),
         rep.rate(),
     );
@@ -837,7 +838,7 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
             let mut writer = MappedStoreWriter::create(out_path.as_ref(), 1)
                 .map_err(|e| fail(format!("cannot create `{out_path}`: {e}")))?;
             writer
-                .capture_now(&m, &checker)
+                .capture_now(&mut m, &checker)
                 .and_then(|()| writer.finish())
                 .map_err(|e| fail(format!("writing `{out_path}`: {e}")))?;
             Ok(format!(
@@ -878,7 +879,7 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
             let pack_err = |e: std::io::Error| fail(format!("writing `{out_path}`: {e}"));
             // Seed cycle 0 like the campaign golden run, then capture on
             // the interval until the program halts.
-            writer.capture_now(&m, &checker).map_err(pack_err)?;
+            writer.capture_now(&mut m, &checker).map_err(pack_err)?;
             let mut inj = FaultInjector::none();
             while !m.halted() && m.cycle() < until_cycle {
                 match m.step(&mut inj) {
@@ -890,7 +891,7 @@ pub fn cmd_snapshot(mut args: Args) -> Result<String, CliError> {
                     }
                     StepOutcome::Halted => break,
                 }
-                writer.maybe_capture(&m, &checker).map_err(pack_err)?;
+                writer.maybe_capture(&mut m, &checker).map_err(pack_err)?;
             }
             let store = writer.finish().map_err(pack_err)?;
             let stats = store.stats();
@@ -1372,6 +1373,10 @@ mod tests {
         assert_eq!(run.get("snapshot_fallbacks").and_then(|v| v.as_u64()), Some(0));
         assert!(run.get("leases").and_then(|v| v.as_u64()).unwrap() > 0, "{js}");
         assert!(run.get("workers").is_some() && run.get("chunk").is_some(), "{js}");
+        let setup = run.get("setup_seconds").and_then(|v| v.as_f64()).expect("setup_seconds");
+        let elapsed = run.get("elapsed_seconds").and_then(|v| v.as_f64()).unwrap();
+        assert!(setup <= elapsed, "set-up is part of the run: {js}");
+        assert!(base.lines().next().unwrap().contains("setup "), "{base}");
     }
 
     #[test]

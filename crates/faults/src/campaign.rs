@@ -885,7 +885,7 @@ fn golden_run_with_snapshots(
     sink: &mut MappedStoreWriter,
 ) -> io::Result<GoldenRun> {
     let (mut m, mut argus) = boot(prog, cfg);
-    sink.capture_now(&m, &argus)?;
+    sink.capture_now(&mut m, &argus)?;
     preplan(prog, &mut m);
     let mut inj = FaultInjector::none();
     loop {
@@ -901,7 +901,7 @@ fn golden_run_with_snapshots(
                     let plan = m.plan_at(gate.addr).expect("an executed block keeps its plan");
                     let events = argus.on_block(plan, &commit, &mut inj);
                     debug_assert!(events.is_empty(), "golden run raised a false positive");
-                    sink.maybe_capture(&m, &argus)?;
+                    sink.maybe_capture(&mut m, &argus)?;
                     continue;
                 }
             }
@@ -915,7 +915,7 @@ fn golden_run_with_snapshots(
             }
             StepOutcome::Halted => break,
         }
-        sink.maybe_capture(&m, &argus)?;
+        sink.maybe_capture(&mut m, &argus)?;
         assert!(m.cycle() < 500_000_000, "golden run must halt");
     }
     debug_assert!(argus.events().is_empty(), "golden run raised a false positive");
@@ -2370,5 +2370,42 @@ mod tests {
             m.restore_core(&core);
         });
         assert_eq!(stats.converged, 0, "the retired count never realigns");
+    }
+
+    /// The golden run's incremental capture writes the image a full
+    /// intern of every page writes. The oracle replays the same golden run
+    /// one checked step at a time and interns every page at each cycle the
+    /// store holds a snapshot for.
+    #[test]
+    fn incremental_capture_matches_full_intern_oracle_on_pegwit() {
+        let w = argus_workloads::pegwit::pegwit();
+        let cfg = CampaignConfig { snapshot_every: Some(1000), ..Default::default() }.sized_for(&w);
+        let prog = compile_workload(&w, &cfg.ecfg);
+        let mut incremental = MappedStoreWriter::in_memory(1000);
+        golden_run_with_snapshots(&prog, &cfg, &mut incremental).unwrap();
+        let incremental = incremental.finish().unwrap();
+        assert!(incremental.len() > 50, "pegwit spans many intervals");
+
+        let (mut m, mut argus) = boot(&prog, &cfg);
+        let mut oracle = MappedStoreWriter::in_memory(1000);
+        let mut inj = FaultInjector::none();
+        for i in 0..incremental.len() {
+            let at = incremental.cycle(i).unwrap();
+            while m.cycle() < at {
+                match m.step(&mut inj) {
+                    StepOutcome::Committed(rec) => {
+                        argus.on_commit(&rec, &mut inj);
+                    }
+                    StepOutcome::Stalled => {
+                        argus.on_stall(1, &mut inj);
+                    }
+                    StepOutcome::Halted => unreachable!("a snapshot lies beyond the halt"),
+                }
+            }
+            assert_eq!(m.cycle(), at, "snapshot {i} is not on a step boundary");
+            oracle.capture_full_for_test(&mut m, &argus).unwrap();
+        }
+        let oracle = oracle.finish().unwrap();
+        assert!(incremental.file_bytes() == oracle.file_bytes(), "images differ");
     }
 }

@@ -859,10 +859,28 @@ impl crate::snapshot::SnapshotState for Machine {
     }
 
     fn state_fingerprint(&self) -> u64 {
-        // Architectural digest first (the campaign's masking definition),
-        // then every microarchitectural bit a fork must reproduce.
+        self.fingerprint_of(self.state_digest())
+    }
+}
+
+impl Machine {
+    /// [`SnapshotState::state_fingerprint`] with its architectural term
+    /// served by [`Machine::state_digest_cached`]: only pages written since
+    /// their hash was last taken are rehashed, and the value is the same
+    /// bit for bit.
+    ///
+    /// [`SnapshotState::state_fingerprint`]: crate::snapshot::SnapshotState::state_fingerprint
+    pub fn state_fingerprint_cached(&mut self) -> u64 {
+        let digest = self.state_digest_cached();
+        self.fingerprint_of(digest)
+    }
+
+    /// The one fingerprint body: `state_digest` (the campaign's masking
+    /// definition) first, then every microarchitectural bit a fork must
+    /// reproduce.
+    fn fingerprint_of(&self, state_digest: u64) -> u64 {
         let mut h = crate::snapshot::Fnv64::new();
-        h.mix(self.state_digest());
+        h.mix(state_digest);
         for &p in &self.parity {
             h.mix(p as u64);
         }
@@ -1085,6 +1103,35 @@ mod tests {
             false,
         );
         assert_ne!(a.state_digest(), b.state_digest());
+    }
+
+    mod cached_fingerprint {
+        use super::*;
+        use crate::snapshot::SnapshotState;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The cached fingerprint equals the pure one after arbitrary
+            /// word and tag writes, queried at arbitrary points in between
+            /// (a query refreshes the page hashes later writes invalidate).
+            #[test]
+            fn matches_pure_after_writes(
+                writes in prop::collection::vec(
+                    (0u32..(1 << 16), any::<u32>(), any::<bool>(), any::<bool>()),
+                    0..64,
+                ),
+            ) {
+                let mut m = run_program(&[Instr::Halt], true);
+                prop_assert_eq!(m.state_fingerprint_cached(), m.state_fingerprint());
+                for (word, payload, tag, query) in writes {
+                    m.mem_mut().memory_mut().write(4 * word, payload, tag).unwrap();
+                    if query {
+                        prop_assert_eq!(m.state_fingerprint_cached(), m.state_fingerprint());
+                    }
+                }
+                prop_assert_eq!(m.state_fingerprint_cached(), m.state_fingerprint());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Flat word-addressed main memory with one parity tag per word.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Words per dirty-tracking page. Must match the snapshot crate's page size
 /// (`argus_snapshot::PAGE_WORDS`, const-asserted there) so a dirty page maps
@@ -19,8 +20,14 @@ pub const DIRTY_PAGE_WORDS: usize = 1024;
 /// pages touched since the last restore. The stamps are instrumentation
 /// metadata — like the predecode memo, they are excluded from architectural
 /// identity (`state_digest`/`state_fingerprint` never read them).
-#[derive(Debug, Clone)]
+///
+/// Each instance also carries a process-unique [`MainMemory::uid`], fresh
+/// at construction and on clone, so a consumer that remembers a generation
+/// of one memory never applies it to another: a clone shares its source's
+/// stamps but not its future writes.
+#[derive(Debug)]
 pub struct MainMemory {
+    uid: u64,
     words: Vec<u32>,
     tags: Vec<bool>,
     size_bytes: u32,
@@ -68,6 +75,13 @@ impl PageHashCache {
     }
 }
 
+/// Source of [`MainMemory::uid`] values.
+static NEXT_UID: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_uid() -> u64 {
+    NEXT_UID.fetch_add(1, Ordering::Relaxed)
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -113,6 +127,23 @@ impl std::fmt::Display for OutOfRangeError {
 
 impl std::error::Error for OutOfRangeError {}
 
+impl Clone for MainMemory {
+    /// A copy of the contents and stamps under a fresh uid: from here on
+    /// the two memories are written independently.
+    fn clone(&self) -> Self {
+        Self {
+            uid: fresh_uid(),
+            words: self.words.clone(),
+            tags: self.tags.clone(),
+            size_bytes: self.size_bytes,
+            generation: self.generation,
+            page_gen: self.page_gen.clone(),
+            word_hashes: self.word_hashes.clone(),
+            tag_hashes: self.tag_hashes.clone(),
+        }
+    }
+}
+
 impl MainMemory {
     /// Allocates `size_bytes` of zeroed memory (rounded up to a whole word).
     ///
@@ -124,6 +155,7 @@ impl MainMemory {
         let words = size_bytes.div_ceil(4) as usize;
         let pages = words.div_ceil(DIRTY_PAGE_WORDS);
         Self {
+            uid: fresh_uid(),
             words: vec![0; words],
             tags: vec![false; words],
             size_bytes,
@@ -132,6 +164,13 @@ impl MainMemory {
             word_hashes: PageHashCache::new(pages),
             tag_hashes: PageHashCache::new(pages),
         }
+    }
+
+    /// Process-unique identity of this memory instance (fresh on clone).
+    /// Generations from [`MainMemory::advance_generation`] only mean
+    /// something for the memory that issued them.
+    pub fn uid(&self) -> u64 {
+        self.uid
     }
 
     /// Memory size in bytes.
@@ -496,6 +535,16 @@ mod tests {
         paged.fill_protected_zero_page(1);
         assert_eq!(paged.words(), whole.words());
         assert_eq!(paged.tags(), whole.tags());
+    }
+
+    #[test]
+    fn uid_is_fresh_on_construction_and_clone() {
+        let mut a = MainMemory::new(64);
+        a.write(0, 7, true).unwrap();
+        let b = a.clone();
+        assert_ne!(a.uid(), MainMemory::new(64).uid());
+        assert_ne!(a.uid(), b.uid());
+        assert_eq!((a.words(), a.tags()), (b.words(), b.tags()), "clone copies contents");
     }
 
     #[test]

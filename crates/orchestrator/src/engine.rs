@@ -163,6 +163,9 @@ pub struct ShardedReport {
     pub golden_cycles: u64,
     /// Wall-clock time of this run (setup + injection loop).
     pub elapsed: Duration,
+    /// Wall-clock time spent preparing the campaign (compile, golden run,
+    /// snapshot capture) before any injection ran; part of `elapsed`.
+    pub setup: Duration,
     /// Worker thread count used.
     pub shards: usize,
     /// Maximum scheduler lease size used.
@@ -370,6 +373,7 @@ impl ShardedReport {
         }
         let mut run = Json::obj()
             .set("elapsed_seconds", self.elapsed.as_secs_f64())
+            .set("setup_seconds", self.setup.as_secs_f64())
             .set("injections_per_second", self.rate())
             .set("completed_this_run", self.completed_this_run)
             .set("workers", self.shards)
@@ -732,7 +736,9 @@ pub fn run_campaign(
         &vec![0; progress.shards()],
     );
 
+    let prepare_started = Instant::now();
     let prep = prepare_campaign(w, cfg);
+    let setup = prepare_started.elapsed();
     let inv = prep.invariants().clone();
     // Audit the bookkeeping exactly as loaded (or empty, on a fresh run)
     // before any new work: a resume that lost or double-counted ledger
@@ -1023,6 +1029,7 @@ pub fn run_campaign(
         kind: cfg.kind,
         golden_cycles: prep.golden_cycles(),
         elapsed: started.elapsed(),
+        setup,
         shards: ocfg.shards,
         chunk: ocfg.chunk,
         leases,

@@ -338,10 +338,10 @@ mod tests {
     use argus_machine::{Machine, MachineConfig};
 
     fn one_snapshot_image() -> (Vec<u8>, u64) {
-        let m = Machine::new(MachineConfig::default());
+        let mut m = Machine::new(MachineConfig::default());
         let argus = Argus::new(ArgusConfig::default());
         let mut w = MappedStoreWriter::in_memory(1);
-        w.capture_now(&m, &argus).unwrap();
+        w.capture_now(&mut m, &argus).unwrap();
         (w.finish().unwrap().file_bytes().to_vec(), combined_fingerprint(&m, &argus))
     }
 

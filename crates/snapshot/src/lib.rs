@@ -12,12 +12,13 @@
 //!   pipeline latches, cycle/retired counters, both cache arrays), the
 //!   checker state ([`argus_core::ArgusState`]), and main memory as
 //!   content-addressed [`page::Page`]s shared with earlier checkpoints,
-//!   stamped with its cycle and a combined state fingerprint.
+//!   stamped with its cycle and a combined state fingerprint. Only pages
+//!   written since the previous capture are interned.
 //! * [`mapped::MappedStore`] — the sealed ARGSTORE image campaign shards
 //!   share behind an `Arc`, over a file map or an owned buffer;
 //!   `nearest_index_at_or_before(arm_cycle)` seeks the fork point for an
 //!   injection. The same format is the `argus snapshot save` file and
-//!   the distributed `entry` / `store` artifact.
+//!   the distributed `store` artifact.
 //! * [`workspace::Workspace`] — a reusable per-worker fork target;
 //!   [`mapped::MappedStore::restore_into`] rewrites only pages dirtied
 //!   since the workspace's last restore plus pages differing from the

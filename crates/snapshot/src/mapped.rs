@@ -2,7 +2,7 @@
 //!
 //! Every checkpoint this workspace keeps is an ARGSTORE image: a
 //! campaign's golden-run checkpoints, a standalone `argus snapshot save`
-//! file, and the distributed `entry` / `store` artifacts. A
+//! file, and the distributed `store` artifact. A
 //! [`MappedStore`] parses any such image through the same steps, whether
 //! its bytes come from a read-only file map ([`MappedStore::open`]) or an
 //! owned buffer ([`MappedStore::from_bytes`], what
@@ -91,8 +91,13 @@ static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Combined machine + checker fingerprint: the identity a fork must match.
 pub fn combined_fingerprint(m: &Machine, argus: &Argus) -> u64 {
+    combine(m.state_fingerprint(), argus)
+}
+
+/// The combined fingerprint body, given the machine's share.
+fn combine(machine: u64, argus: &Argus) -> u64 {
     let mut h = Fnv64::new();
-    h.mix(m.state_fingerprint());
+    h.mix(machine);
     h.mix(argus.state_fingerprint());
     h.finish()
 }
@@ -287,14 +292,23 @@ enum Sink {
 }
 
 /// Streaming ARGSTORE writer: the golden run calls
-/// [`MappedStoreWriter::maybe_capture`] after every step (a checkpoint is
-/// taken whenever at least `every` cycles have passed since the previous
-/// one, checked at step boundaries), page bodies are deduplicated and
-/// written through to the sink immediately, and
-/// [`MappedStoreWriter::finish`] seals the image into a [`MappedStore`].
+/// [`MappedStoreWriter::maybe_capture`] at step boundaries (a checkpoint
+/// is taken whenever at least `every` cycles have passed since the
+/// previous one), page bodies are deduplicated and written through to
+/// the sink immediately, and [`MappedStoreWriter::finish`] seals the
+/// image into a [`MappedStore`].
+///
+/// Capture is incremental: the writer interns only the pages the captured
+/// memory wrote since the writer's previous capture of that same memory
+/// (same [`argus_mem::MainMemory::uid`]); every other page keeps the
+/// previous snapshot's page id. A different memory — another machine, or
+/// a clone — has every page interned. The image is byte-identical to
+/// interning every page at every capture, because interning is
+/// first-match and unchanged content maps to the id it already has.
 ///
 /// Besides the sink, RAM held while writing is O(distinct pages)
-/// bookkeeping (tag bits + index entries + dedup buckets).
+/// bookkeeping (tag bits + index entries + dedup buckets) plus the
+/// previous capture's page-id table.
 #[derive(Debug)]
 pub struct MappedStoreWriter {
     sink: Sink,
@@ -312,6 +326,21 @@ pub struct MappedStoreWriter {
     pages_total: u64,
     saved_bytes: u64,
     unique_bytes: u64,
+    /// The previous capture, which the next capture of the same memory
+    /// reuses for its clean pages.
+    last: Option<LastCapture>,
+}
+
+/// What the next capture of the same memory needs from the previous one.
+#[derive(Debug)]
+struct LastCapture {
+    /// `MainMemory::uid` of the captured memory.
+    mem_uid: u64,
+    /// Write generation stamped right after the capture: a page not dirty
+    /// since it still holds exactly what was captured.
+    clean_gen: u64,
+    /// The capture's page-id table.
+    ids: Vec<u32>,
 }
 
 impl MappedStoreWriter {
@@ -371,6 +400,7 @@ impl MappedStoreWriter {
             pages_total: 0,
             saved_bytes: 0,
             unique_bytes: 0,
+            last: None,
         };
         w.write_bytes(&header)?;
         Ok(w)
@@ -436,27 +466,43 @@ impl MappedStoreWriter {
     }
 
     /// Captures unconditionally (the golden run seeds cycle 0 with this so
-    /// every arm cycle has a snapshot at or before it).
-    pub fn capture_now(&mut self, m: &Machine, argus: &Argus) -> io::Result<()> {
+    /// every arm cycle has a snapshot at or before it). Takes the machine
+    /// mutably to read its dirty-page stamps and hash caches and to
+    /// advance its write generation; its state is left unchanged.
+    pub fn capture_now(&mut self, m: &mut Machine, argus: &Argus) -> io::Result<()> {
         if let Some(last) = self.last_cycle {
             assert!(m.cycle() > last, "snapshots must advance in cycle order");
         }
-        let words = m.mem().memory().words();
-        let tags = m.mem().memory().tags();
+        let mem = m.mem().memory();
+        let (words, tags) = (mem.words(), mem.tags());
         assert_eq!(words.len(), tags.len(), "payload/tag images must be parallel");
-        let mut ids = Vec::with_capacity(words.len().div_ceil(PAGE_WORDS));
-        for (w, t) in words.chunks(PAGE_WORDS).zip(tags.chunks(PAGE_WORDS)) {
-            ids.push(self.intern(w, t)?);
+        let n_words = words.len();
+        let n_pages = n_words.div_ceil(PAGE_WORDS);
+        let last = self.last.take().filter(|l| l.mem_uid == mem.uid() && l.ids.len() == n_pages);
+        let mut ids = Vec::with_capacity(n_pages);
+        for (p, (w, t)) in words.chunks(PAGE_WORDS).zip(tags.chunks(PAGE_WORDS)).enumerate() {
+            match &last {
+                Some(l) if !mem.page_dirty_since(p, l.clean_gen) => {
+                    // Same content as last time, so interning it would
+                    // return this id: count the dedup hit it would be.
+                    self.pages_total += 1;
+                    self.saved_bytes += 4 * w.len() as u64;
+                    ids.push(l.ids[p]);
+                }
+                _ => ids.push(self.intern(w, t)?),
+            }
         }
 
+        let fingerprint = combine(m.state_fingerprint_cached(), argus);
+        debug_assert_eq!(fingerprint, combined_fingerprint(m, argus), "cached fingerprint");
         let b: &mut dyn Write = &mut self.metas;
         put_u64(b, m.cycle())?;
-        put_u64(b, combined_fingerprint(m, argus))?;
+        put_u64(b, fingerprint)?;
         put_machine_config(b, &m.config())?;
         put_argus_config(b, &argus.config())?;
         put_core(b, &m.capture_core())?;
         put_checker(b, &argus.capture_state())?;
-        put_u64(b, words.len() as u64)?;
+        put_u64(b, n_words as u64)?;
         put_u64(b, ids.len() as u64)?;
         for &id in &ids {
             put_u32(b, id)?;
@@ -464,11 +510,24 @@ impl MappedStoreWriter {
         self.n_snaps += 1;
         self.last_cycle = Some(m.cycle());
         self.next_due = m.cycle() + self.every;
+        let mem = m.mem_mut().memory_mut();
+        self.last =
+            Some(LastCapture { mem_uid: mem.uid(), clean_gen: mem.advance_generation(), ids });
         Ok(())
     }
 
+    /// Test oracle for incremental capture: [`MappedStoreWriter::capture_now`]
+    /// as if the writer had never captured this memory, so every page is
+    /// interned (the rule before capture became incremental). Identity
+    /// tests compare the images the two rules write.
+    #[doc(hidden)]
+    pub fn capture_full_for_test(&mut self, m: &mut Machine, argus: &Argus) -> io::Result<()> {
+        self.last = None;
+        self.capture_now(m, argus)
+    }
+
     /// Captures when the interval has elapsed; returns whether it did.
-    pub fn maybe_capture(&mut self, m: &Machine, argus: &Argus) -> io::Result<bool> {
+    pub fn maybe_capture(&mut self, m: &mut Machine, argus: &Argus) -> io::Result<bool> {
         if m.cycle() >= self.next_due {
             self.capture_now(m, argus)?;
             Ok(true)
@@ -738,7 +797,7 @@ impl MappedStore {
 
     /// The entire ARGSTORE image, byte for byte — what `argus snapshot
     /// save` writes and what a distributed coordinator serves as its
-    /// `entry` and `store` artifacts. Reading it never materializes pages:
+    /// `store` artifact. Reading it never materializes pages:
     /// the bytes come straight from the map or buffer.
     pub fn file_bytes(&self) -> &[u8] {
         &self.bytes
@@ -1184,10 +1243,10 @@ mod tests {
 
     #[test]
     fn roundtrip_on_fresh_machine() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let path = temp_path("roundtrip");
         let mut w = MappedStoreWriter::create(&path, 100).unwrap();
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let store = w.finish().unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.cycle(0), Some(0));
@@ -1201,14 +1260,14 @@ mod tests {
 
     #[test]
     fn seek_finds_nearest_at_or_before() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let mut w = MappedStoreWriter::in_memory(100);
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let mut later = Machine::new(MachineConfig::default());
         let mut core = m.capture_core();
         core.cycle = 250;
         later.restore_core(&core);
-        w.capture_now(&later, &a).unwrap();
+        w.capture_now(&mut later, &a).unwrap();
         let store = w.finish().unwrap();
         assert_eq!(store.nearest_index_at_or_before(0), Some(0));
         assert_eq!(store.nearest_index_at_or_before(249), Some(0));
@@ -1218,21 +1277,21 @@ mod tests {
 
     #[test]
     fn builder_interval_gates_captures() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let mut w = MappedStoreWriter::in_memory(50);
-        assert!(w.maybe_capture(&m, &a).unwrap(), "first capture is immediate");
-        assert!(!w.maybe_capture(&m, &a).unwrap(), "same cycle: interval not elapsed");
+        assert!(w.maybe_capture(&mut m, &a).unwrap(), "first capture is immediate");
+        assert!(!w.maybe_capture(&mut m, &a).unwrap(), "same cycle: interval not elapsed");
         assert_eq!(w.len(), 1);
     }
 
     #[test]
     fn in_memory_image_matches_file_image() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let path = temp_path("sinks");
         let mut on_disk = MappedStoreWriter::create(&path, 100).unwrap();
         let mut in_mem = MappedStoreWriter::in_memory(100);
-        on_disk.capture_now(&m, &a).unwrap();
-        in_mem.capture_now(&m, &a).unwrap();
+        on_disk.capture_now(&mut m, &a).unwrap();
+        in_mem.capture_now(&mut m, &a).unwrap();
         let (file_store, mem_store) = (on_disk.finish().unwrap(), in_mem.finish().unwrap());
         assert_eq!(file_store.file_bytes(), mem_store.file_bytes(), "one format, two sinks");
         assert_eq!(mem_store.path(), None);
@@ -1246,9 +1305,9 @@ mod tests {
         // A machine config whose memory size disagrees with the page
         // table, behind an honest CRC, is refused when the image is
         // parsed — before a restore could build a machine from it.
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let mut w = MappedStoreWriter::in_memory(100);
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let store = w.finish().unwrap();
         let meta_at = HEADER_LEN + store.page_count() * (BODY_BYTES + TAG_BYTES + INDEX_BYTES);
         // Metadata: cycle, fingerprint, then the machine config's two
@@ -1297,10 +1356,10 @@ mod tests {
     fn repeated_captures_dedup_across_snapshots() {
         // Two captures of machines whose memories share most pages: the
         // second capture's unchanged pages must be satisfied by dedup.
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let path = temp_path("xsnap");
         let mut w = MappedStoreWriter::create(&path, 100).unwrap();
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let before = w.pages.len();
         let mut m2 = Machine::new(argus_machine::machine::MachineConfig::default());
         // Touch one word, advance the cycle stamp via a restore-free path:
@@ -1309,7 +1368,7 @@ mod tests {
         core.cycle += 1;
         m2.restore_core(&core);
         m2.mem_mut().memory_mut().restore_words(0, &[0xDEAD_BEEF], &[true]);
-        w.capture_now(&m2, &a).unwrap();
+        w.capture_now(&mut m2, &a).unwrap();
         assert_eq!(w.pages.len(), before + 1, "only the touched page is new");
         let store = w.finish().unwrap();
         let stats = store.stats();
@@ -1322,10 +1381,10 @@ mod tests {
 
     #[test]
     fn workspace_restore_matches_fresh() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let path = temp_path("ws");
         let mut w = MappedStoreWriter::create(&path, 100).unwrap();
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let store = w.finish().unwrap();
         let mut cache = PageCache::default();
         let mut ws = Workspace::new();
@@ -1340,10 +1399,10 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_files_rejected() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let path = temp_path("adversarial");
         let mut w = MappedStoreWriter::create(&path, 100).unwrap();
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let store = w.finish().unwrap();
         drop(store);
         let bytes = std::fs::read(&path).unwrap();
@@ -1373,10 +1432,10 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn mutation_after_mapping_fails_page_crc() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let path = temp_path("postmap");
         let mut w = MappedStoreWriter::create(&path, 100).unwrap();
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let store = w.finish().unwrap();
         // Corrupt a page body *after* the store validated the whole file.
         {
@@ -1408,9 +1467,9 @@ mod tests {
 
     #[test]
     fn unlinked_store_stays_readable() {
-        let (m, a) = idle_pair();
+        let (mut m, a) = idle_pair();
         let mut w = MappedStoreWriter::create_temp(100).unwrap();
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let store = w.finish().unwrap();
         std::fs::remove_file(store.path().unwrap()).unwrap();
         let mut cache = PageCache::default();

@@ -11,10 +11,10 @@ mod tests {
 
     #[test]
     fn roundtrip_on_fresh_machine() {
-        let m = Machine::new(MachineConfig::default());
+        let mut m = Machine::new(MachineConfig::default());
         let a = Argus::new(ArgusConfig::default());
         let mut w = MappedStoreWriter::in_memory(100);
-        w.capture_now(&m, &a).unwrap();
+        w.capture_now(&mut m, &a).unwrap();
         let sent = w.finish().unwrap();
         let received = MappedStore::from_bytes(sent.file_bytes().to_vec()).unwrap();
         assert_eq!(received.len(), 1);

@@ -50,7 +50,7 @@ fn valid_file() -> &'static [u8] {
             let _ = m.step(&mut inj);
         }
         let mut w = MappedStoreWriter::in_memory(1);
-        w.capture_now(&m, &Argus::new(ArgusConfig::default())).expect("capture");
+        w.capture_now(&mut m, &Argus::new(ArgusConfig::default())).expect("capture");
         w.finish().expect("seal").file_bytes().to_vec()
     })
 }
@@ -172,11 +172,11 @@ fn valid_store_bytes() -> &'static [u8] {
         let mut m = Machine::new(small_config());
         let argus = Argus::new(ArgusConfig::default());
         let mut w = MappedStoreWriter::in_memory(64);
-        w.capture_now(&m, &argus).expect("seed cycle 0");
+        w.capture_now(&mut m, &argus).expect("seed cycle 0");
         let mut inj = FaultInjector::none();
         for _ in 0..400 {
             let _ = m.step(&mut inj);
-            w.maybe_capture(&m, &argus).expect("interval capture");
+            w.maybe_capture(&mut m, &argus).expect("interval capture");
         }
         let store = w.finish().expect("seal store");
         assert!(store.len() >= 3, "want several snapshots to attack");

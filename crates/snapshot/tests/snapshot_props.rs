@@ -145,10 +145,10 @@ proptest! {
         let mut m = boot(&words, MemConfig::default());
         let idle = Argus::new(ArgusConfig::default());
         let mut writer = MappedStoreWriter::in_memory(1);
-        writer.capture_now(&m, &idle).unwrap();
+        writer.capture_now(&mut m, &idle).unwrap();
         while !m.halted() {
             advance(&mut m, 1);
-            writer.maybe_capture(&m, &idle).unwrap();
+            writer.maybe_capture(&mut m, &idle).unwrap();
         }
         let store = writer.finish().unwrap();
         prop_assert!(store.len() >= words.len(), "one snapshot per step at least");
@@ -167,6 +167,39 @@ proptest! {
         }
     }
 
+    /// Incremental capture writes the image a full intern of every page at
+    /// every capture writes, for random programs captured after every
+    /// step: pages the program stored to since the previous capture are
+    /// interned, the rest reuse their page id.
+    #[test]
+    fn incremental_capture_matches_full_intern_oracle(
+        seeds in prop::collection::vec(any::<u16>(), 4),
+        ops in prop::collection::vec((0u8..11, 3u8..8, 3u8..8, 3u8..8, 0u32..2048), 1..32),
+        two_way in any::<bool>(),
+    ) {
+        let words = gen_program(&seeds, &ops);
+        let mem = if two_way { MemConfig::default().two_way() } else { MemConfig::default() };
+        // The oracle captures a twin stepped in lockstep, so its captures
+        // never advance the generations the incremental writer reads.
+        let (mut m, mut twin) = (boot(&words, mem), boot(&words, mem));
+        let idle = Argus::new(ArgusConfig::default());
+        let mut incremental = MappedStoreWriter::in_memory(1);
+        let mut oracle = MappedStoreWriter::in_memory(1);
+        incremental.capture_now(&mut m, &idle).unwrap();
+        oracle.capture_full_for_test(&mut twin, &idle).unwrap();
+        while !m.halted() {
+            advance(&mut m, 1);
+            advance(&mut twin, 1);
+            if incremental.maybe_capture(&mut m, &idle).unwrap() {
+                oracle.capture_full_for_test(&mut twin, &idle).unwrap();
+            }
+        }
+        let (incremental, oracle) = (incremental.finish().unwrap(), oracle.finish().unwrap());
+        prop_assert!(incremental.len() >= words.len(), "one snapshot per step at least");
+        prop_assert!(incremental.file_bytes() == oracle.file_bytes(), "images differ");
+        prop_assert_eq!(incremental.stats(), oracle.stats());
+    }
+
     /// A snapshot that goes through the binary image — serialized, then
     /// parsed back as `argus snapshot restore` does — forks exactly like
     /// the machine it was taken from.
@@ -181,7 +214,7 @@ proptest! {
         advance(&mut a, cut);
         let idle = Argus::new(ArgusConfig::default());
         let mut writer = MappedStoreWriter::in_memory(1);
-        writer.capture_now(&a, &idle).unwrap();
+        writer.capture_now(&mut a, &idle).unwrap();
         let image = writer.finish().unwrap().file_bytes().to_vec();
 
         let store = MappedStore::from_bytes(image).unwrap();
@@ -242,7 +275,7 @@ proptest! {
         step_checked(&mut m, &mut argus, cut);
 
         let mut writer = MappedStoreWriter::in_memory(1);
-        writer.capture_now(&m, &argus).unwrap();
+        writer.capture_now(&mut m, &argus).unwrap();
         let store = writer.finish().unwrap();
         let (mut fm, mut fargus) = store.restore_fresh(0, &mut PageCache::default()).unwrap();
         prop_assert_eq!(Some(combined_fingerprint(&fm, &fargus)), store.fingerprint(0));

@@ -56,10 +56,10 @@ fn two_snapshots() -> MappedStore {
     let mut w = MappedStoreWriter::in_memory(1);
     let mut m = boot(&program());
     advance(&mut m, 3);
-    w.capture_now(&m, &argus).unwrap();
+    w.capture_now(&mut m, &argus).unwrap();
     advance(&mut m, 10_000);
     assert!(m.halted());
-    w.capture_now(&m, &argus).unwrap();
+    w.capture_now(&mut m, &argus).unwrap();
     w.finish().unwrap()
 }
 
