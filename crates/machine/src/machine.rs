@@ -9,7 +9,7 @@ use argus_isa::decode::decode;
 use argus_isa::instr::Instr;
 use argus_isa::reg::Reg;
 use argus_isa::{pack_indirect_target, split_indirect_target, INDIRECT_ADDR_MASK};
-use argus_mem::{MemConfig, MemorySystem};
+use argus_mem::{MemConfig, MemorySystem, DIRTY_PAGE_WORDS};
 use argus_sim::bits::parity32;
 use argus_sim::bitstream::BitStream;
 use argus_sim::fault::FaultInjector;
@@ -898,8 +898,17 @@ impl Machine {
             h.mix(w);
         }
         h.mix(self.halted as u64);
-        for &t in self.mem.memory().tags() {
-            h.mix(t as u64);
+        // One mix per parity tag, in word order. Set tags are rare, so a
+        // page with none (found by an OR fold, which vectorizes) mixes
+        // its zeros in one step.
+        for page in self.mem.memory().tags().chunks(DIRTY_PAGE_WORDS) {
+            if page.iter().fold(false, |any, &t| any | t) {
+                for &t in page {
+                    h.mix(t as u64);
+                }
+            } else {
+                h.mix_zeros(page.len() as u64);
+            }
         }
         let mut mix = |v: u64| h.mix(v);
         self.mem.fold_cache_state(&mut mix);
@@ -1130,6 +1139,115 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(m.state_fingerprint_cached(), m.state_fingerprint());
+            }
+        }
+    }
+
+    mod fingerprint_oracle {
+        use super::*;
+        use crate::snapshot::{Fnv64, SnapshotState};
+        use argus_sim::rng::SplitMix64;
+
+        /// `state_fingerprint` by its definition, with one `mix` per tag.
+        fn per_tag_reference(m: &Machine) -> u64 {
+            let mut h = Fnv64::new();
+            h.mix(m.state_digest());
+            for &p in &m.parity {
+                h.mix(p as u64);
+            }
+            h.mix(m.cycle);
+            h.mix(m.retired);
+            h.mix(match m.pending_branch {
+                Some(t) => 0x100_0000_0000 | t as u64,
+                None => 0,
+            });
+            h.mix(m.delay_slot as u64);
+            h.mix(m.block_bits.len() as u64);
+            for &w in m.block_bits.words() {
+                h.mix(w);
+            }
+            h.mix(m.halted as u64);
+            for &t in m.mem.memory().tags() {
+                h.mix(t as u64);
+            }
+            let mut mix = |v: u64| h.mix(v);
+            m.mem.fold_cache_state(&mut mix);
+            h.finish()
+        }
+
+        /// A fresh machine over `words` words of memory.
+        fn machine(words: usize) -> Machine {
+            let mut cfg = MachineConfig::default();
+            cfg.mem.mem_bytes = 4 * words as u32;
+            Machine::new(cfg)
+        }
+
+        fn set_tag(m: &mut Machine, word: usize) {
+            m.mem_mut().memory_mut().write(4 * word as u32, word as u32, true).unwrap();
+        }
+
+        fn check(m: &Machine, what: &str) {
+            assert_eq!(m.state_fingerprint(), per_tag_reference(m), "{what}");
+        }
+
+        #[test]
+        fn mix_zeros_equals_repeated_zero_mixes() {
+            let mut stepped = Fnv64::new();
+            stepped.mix(0x1234_5678_9abc_def0);
+            let start = stepped.clone();
+            for n in 0..=2049 {
+                let mut jumped = start.clone();
+                jumped.mix_zeros(n);
+                assert_eq!(jumped.finish(), stepped.finish(), "n = {n}");
+                stepped.mix(0);
+            }
+        }
+
+        #[test]
+        fn all_clear_tags_match_the_reference() {
+            let m = machine(4 * DIRTY_PAGE_WORDS);
+            assert!(!m.mem().memory().tags().contains(&true));
+            check(&m, "all clear");
+        }
+
+        #[test]
+        fn a_set_tag_at_either_end_of_a_page_matches_the_reference() {
+            let base = DIRTY_PAGE_WORDS;
+            for words in
+                [&[base][..], &[base + DIRTY_PAGE_WORDS - 1], &[base, base + DIRTY_PAGE_WORDS - 1]]
+            {
+                let mut m = machine(3 * DIRTY_PAGE_WORDS);
+                for &w in words {
+                    set_tag(&mut m, w);
+                }
+                check(&m, &format!("tags at {words:?}"));
+            }
+        }
+
+        #[test]
+        fn random_dirty_pages_match_the_reference() {
+            let mut rng = SplitMix64::new(0xF1F0);
+            let pages = 16;
+            for round in 0..8 {
+                let mut m = machine(pages * DIRTY_PAGE_WORDS);
+                for _ in 0..rng.below(40) {
+                    let word = rng.below((pages * DIRTY_PAGE_WORDS) as u64) as u32;
+                    let tag = rng.below(2) == 1;
+                    m.mem_mut().memory_mut().write(4 * word, rng.next_u32(), tag).unwrap();
+                }
+                check(&m, &format!("round {round}"));
+            }
+        }
+
+        #[test]
+        fn a_partial_last_page_matches_the_reference() {
+            let words = 2 * DIRTY_PAGE_WORDS + 5;
+            let m = machine(words);
+            check(&m, "partial, all clear");
+            for word in [words - 5, words - 1, 2 * DIRTY_PAGE_WORDS - 1] {
+                let mut m = machine(words);
+                set_tag(&mut m, word);
+                check(&m, &format!("partial, tag at {word}"));
             }
         }
     }

@@ -107,10 +107,27 @@ impl Fnv64 {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
+    /// The 64-bit FNV prime.
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+
     /// Mixes one value.
     pub fn mix(&mut self, v: u64) {
         self.0 ^= v;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        self.0 = self.0.wrapping_mul(Self::PRIME);
+    }
+
+    /// Mixes `n` zeros, the same as `n` calls of `mix(0)`: each is a bare
+    /// multiply by the prime, so together they multiply by the prime's
+    /// `n`th power, taken by square-and-multiply in `O(log n)`.
+    pub fn mix_zeros(&mut self, mut n: u64) {
+        let mut power = Self::PRIME;
+        while n > 0 {
+            if n & 1 == 1 {
+                self.0 = self.0.wrapping_mul(power);
+            }
+            power = power.wrapping_mul(power);
+            n >>= 1;
+        }
     }
 
     /// The accumulated digest.
