@@ -530,8 +530,9 @@ impl Argus {
     /// * no live fault on a checker site arms by the block's worst-case end
     ///   (`gate.armed` holds no foreign site): the per-commit checks tap the
     ///   checker's own sites on every op, which a batch cannot replay. A
-    ///   fault armed on a machine site is fine — the machine's gate already
-    ///   proved the block cannot tap it;
+    ///   fault armed on a machine site is fine as long as no op of the block
+    ///   can tap it (`gate.tapped` empty): a block that interprets some of
+    ///   its ops is left to the per-commit checker;
     /// * the plan is canonical (`argus_simple`: one CTI right before the
     ///   delay slot, or none), so the slot-parse order is static. A plan
     ///   with a store may still bail mid-block after storing over one of
@@ -542,7 +543,7 @@ impl Argus {
     /// * the watchdog is idle and no single op can stall it to saturation;
     /// * the CFC sits exactly at a block boundary.
     pub fn block_ready(&self, gate: &BlockGate, inj: &FaultInjector) -> bool {
-        if inj.first_flip_cycle().is_some() || gate.armed.has_foreign() {
+        if inj.first_flip_cycle().is_some() || gate.armed.has_foreign() || !gate.tapped.is_empty() {
             return false;
         }
         if !gate.argus_simple || gate.len > self.cfg.max_block_len {

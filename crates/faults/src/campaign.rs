@@ -1081,15 +1081,16 @@ fn faulty_loop(
         }
         // Block-compiled fast path: retire a whole basic block per loop
         // iteration when every gate passes. `plan_block` refuses unless the
-        // block provably finishes inside `window` and cannot tap the site
-        // of any live fault armed by its end (the tap-set gate: no tap
-        // inside it could fire), and the checker — while still live —
-        // additionally requires a block it can verify as one batch
-        // (`block_ready`: pristine run, no armed checker-site fault, simple
-        // block, watchdog checker idle). Post-detection only
-        // the machine-side gates apply, mirroring the skipped `on_commit`
-        // below. `tick_many` settles the supervision-watchdog debt for the
-        // interpreter iterations the block replaced (a block never runs
+        // block provably finishes inside `window` and no live fault armed
+        // by its end sits on a site every op taps; ops that can tap a live
+        // fault's site (`gate.tapped`) are interpreted inside the block.
+        // The checker — while still live — additionally requires a block
+        // it can verify as one batch (`block_ready`: pristine run, no armed
+        // checker-site fault, no tapped op, simple block, watchdog checker
+        // idle). Post-detection only the machine-side gates apply,
+        // mirroring the skipped `on_commit` below, so that is where tapped
+        // blocks run. `tick_many` settles the supervision-watchdog debt for
+        // the interpreter iterations the block replaced (a block never runs
         // while a stall fault is armed — every op taps the stall site — so
         // retired ops == replaced iterations), keeping the hung/not-hung
         // verdict bit-identical to the one-step loop.

@@ -6,8 +6,9 @@
 //! the whole workload suite (plus the stress kernel) and real injection
 //! campaigns — faults arm at arbitrary cycles, including mid-block, and
 //! permanent faults stay armed to the end, which exercises the tap-set
-//! gate (blocks run while a fault is armed on a site they cannot tap) and
-//! the interpreter fallback.
+//! gate (blocks run while a fault is armed on a site they cannot tap),
+//! tapped-op blocks (blocks run while a fault is armed on a site some of
+//! their ops tap, interpreting those ops) and the interpreter fallback.
 
 use argus_compiler::{compile, preplan, EmbedConfig, Mode, Program};
 use argus_core::{Argus, ArgusConfig};
@@ -16,7 +17,7 @@ use argus_faults::campaign::{
     InjectionResult,
 };
 use argus_isa::decode::decode;
-use argus_machine::{Machine, MachineConfig, SnapshotState, StepOutcome};
+use argus_machine::{Machine, MachineConfig, SnapshotState, StepOutcome, TapSet};
 use argus_mem::MemConfig;
 use argus_sim::fault::{Fault, FaultInjector, FaultKind, SiteFlavor};
 use argus_workloads::Workload;
@@ -206,12 +207,93 @@ fn op_tap_sets_cover_every_tap_a_step_makes() {
     }
 }
 
+/// Cycles each tapped-op run covers after its start.
+const TAPPED_WINDOW: u64 = 2_500;
+
+/// Runs `m` to `bound` one interpreter step at a time (the reference engine:
+/// `run_to_halt` with the block engine off).
+fn interpret_to(m: &mut Machine, inj: &mut FaultInjector, bound: u64) {
+    while !m.halted() && m.cycle() < bound {
+        m.step(inj);
+    }
+}
+
+/// Blocks run under a live fault on a site some of their ops tap, which
+/// they interpret op by op: for every suite workload and one permanent
+/// fault on each machine site outside the every-op set, at sensitization
+/// 1.0 and 0.5, armed at cycle 0 and mid-run, the run equals the one-step
+/// interpreter in state, cycle, retired count and every flip.
+#[test]
+fn tapped_op_blocks_match_the_interpreter_on_every_site() {
+    let mut sites: Vec<_> = argus_machine::sites::core_sites()
+        .into_iter()
+        .filter(|s| s.flavor == SiteFlavor::Single)
+        .filter(|s| !TapSet::EVERY_OP.intersects(TapSet::site(s.name)))
+        .collect();
+    sites.sort_by_key(|s| s.name);
+    sites.dedup_by_key(|s| s.name);
+    assert_eq!(sites.len(), 26 + 32, "every scalar site off the every-op set and every cell");
+    for w in &all_workloads() {
+        let prog = build(w);
+        let mut boot = Machine::new(mcfg(true));
+        prog.load(&mut boot);
+        let mut mid = boot.clone();
+        mid.run_to_halt(&mut FaultInjector::none(), 3 * TAPPED_WINDOW);
+        // Warm the page-hash caches the clones inherit: each run then
+        // rehashes only the pages it writes.
+        boot.state_digest_cached();
+        mid.state_digest_cached();
+        let mut tapped_hits = 0;
+        for start in [&boot, &mid] {
+            // Arm a few cycles past the start: mid-block once running.
+            let arm_cycle = if start.cycle() == 0 { 0 } else { start.cycle() + 7 };
+            let bound = start.cycle() + TAPPED_WINDOW;
+            for site in &sites {
+                for sensitization in [1.0, 0.5] {
+                    let fault = Fault {
+                        site: site.name,
+                        bit: 3 % site.width,
+                        kind: FaultKind::Permanent,
+                        arm_cycle,
+                        flavor: SiteFlavor::Single,
+                        width: site.width,
+                        sensitization,
+                    };
+                    let what =
+                        format!("{} {} p={sensitization} arm={arm_cycle}", w.name, site.name);
+                    let (mut on, mut off) = (start.clone(), start.clone());
+                    let mut inj_on = FaultInjector::with_fault(fault.clone());
+                    let mut inj_off = FaultInjector::with_fault(fault);
+                    on.take_exec_stats();
+                    let res_on = on.run_to_halt(&mut inj_on, bound);
+                    interpret_to(&mut off, &mut inj_off, bound);
+                    assert_eq!(res_on, off.run_result(), "{what}: cycle or retired count diverged");
+                    // The fingerprint's terms, with the tags compared as
+                    // slices: architectural, microarchitectural, tags.
+                    assert_eq!(on.state_digest_cached(), off.state_digest_cached(), "{what}");
+                    assert_eq!(on.microarch_digest(), off.microarch_digest(), "{what}");
+                    assert!(on.mem().memory().tags() == off.mem().memory().tags(), "{what}");
+                    assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "{what}: flips");
+                    assert_eq!(
+                        inj_on.first_flip_cycle(),
+                        inj_off.first_flip_cycle(),
+                        "{what}: first flip"
+                    );
+                    tapped_hits += on.take_exec_stats().tapped_block_hits;
+                }
+            }
+        }
+        assert!(tapped_hits > 0, "{}: no block interpreted a tapped op", w.name);
+    }
+}
+
 /// Runs `w`'s campaign with the block engine on and off and requires
 /// identical per-injection classifications, for both fault kinds, with and
 /// without snapshot forking. Returns the plan hits taken while a fault was
-/// armed, summed over the block-on campaigns.
-fn assert_campaigns_identical(w: &Workload, injections: usize, snapshot_every: u64) -> u64 {
-    let mut armed_hits = 0;
+/// armed, summed over the block-on campaigns, and the blocks that
+/// interpreted a tapped op, summed over the block-on permanent campaigns.
+fn assert_campaigns_identical(w: &Workload, injections: usize, snapshot_every: u64) -> (u64, u64) {
+    let (mut armed_hits, mut tapped_hits) = (0, 0);
     for kind in [FaultKind::Transient, FaultKind::Permanent] {
         for snapshot_every in [None, Some(snapshot_every)] {
             let base = CampaignConfig {
@@ -238,9 +320,12 @@ fn assert_campaigns_identical(w: &Workload, injections: usize, snapshot_every: u
             );
             assert_eq!(off_exec.plan_hits, 0, "plan cache leaked past the knob ({ctx})");
             armed_hits += on_exec.armed_plan_hits;
+            if kind == FaultKind::Permanent {
+                tapped_hits += on_exec.tapped_block_hits;
+            }
         }
     }
-    armed_hits
+    (armed_hits, tapped_hits)
 }
 
 /// `run_campaign`'s serial loop, also returning the workspace's
@@ -262,14 +347,16 @@ fn campaign(w: &Workload, cfg: &CampaignConfig) -> ((Vec<InjectionResult>, u64),
 /// tap the fault's site.
 #[test]
 fn campaigns_classify_identically_with_block_exec_on_and_off() {
-    let armed = assert_campaigns_identical(&argus_workloads::stress(), 120, 500);
+    let (armed, tapped) = assert_campaigns_identical(&argus_workloads::stress(), 120, 500);
     assert!(armed > 0, "stress campaigns never ran a block while a fault was armed");
+    assert!(tapped > 0, "stress permanent campaigns never ran a tapped-op block");
 }
 
 /// The same identity on pegwit, the permanent-fault throughput workload:
 /// a longer golden run with a different instruction mix.
 #[test]
 fn pegwit_campaigns_classify_identically_with_block_exec_on_and_off() {
-    let armed = assert_campaigns_identical(&argus_workloads::pegwit::pegwit(), 40, 4000);
+    let (armed, tapped) = assert_campaigns_identical(&argus_workloads::pegwit::pegwit(), 40, 4000);
     assert!(armed > 0, "pegwit campaigns never ran a block while a fault was armed");
+    assert!(tapped > 0, "pegwit permanent campaigns never ran a tapped-op block");
 }

@@ -936,6 +936,7 @@ pub const CANARIES: &[&str] = &[
     "canary-quarantine-drop-on-resume",
     "canary-reconverge-skip-checker",
     "canary-dead-site-first-tap",
+    "canary-tapped-op-skips-draw",
 ];
 
 // ---------------------------------------------------------------------------
@@ -1338,7 +1339,7 @@ mod tests {
 
     #[test]
     fn canary_list_is_stable() {
-        assert_eq!(CANARIES.len(), 10);
+        assert_eq!(CANARIES.len(), 11);
         for c in CANARIES {
             assert!(c.starts_with("canary-"), "{c} must carry the canary- prefix");
         }

@@ -5,8 +5,9 @@
 //! match one. This module lowers basic blocks — the unit the Argus checker
 //! already works in — into pre-decoded straight-line *plans* and executes
 //! a whole plan per dispatch whenever it is provably safe to do so: on
-//! golden runs, before a fault arms, and while a fault is armed on a site
-//! the block never taps.
+//! golden runs, before a fault arms, while a fault is armed on a site the
+//! block never taps, and — interpreting just the ops that can tap it —
+//! while a fault is armed on a site some of the block's ops tap.
 //!
 //! # Plans are a pure function of program bytes
 //!
@@ -51,24 +52,39 @@
 //!   cap, all words in range);
 //! - `cycle + plan.worst_cycles` stays within the caller's cycle bound, so
 //!   the run stops at the exact same cycle under either engine;
-//! - every live fault that arms at or before that worst-case end targets a
-//!   site outside the plan's tap set (the *tap-set gate*). Past the
-//!   injector's [`FaultInjector::quiescent_horizon`] the gate resolves each
-//!   live fault's site to its [`TapSet`] bit, once per injector.
+//! - no live fault that arms at or before that worst-case end sits on a
+//!   site every op taps ([`TapSet::EVERY_OP`]: stall release, fetch, the
+//!   decode trunk and its branches, next-PC). Past the injector's
+//!   [`FaultInjector::quiescent_horizon`] the gate resolves each live
+//!   fault's site to its [`TapSet`] bit, once per injector, and intersects
+//!   those *armed* sites with the plan's tap set: the gate's `tapped` set.
 //!
-//! Under those gates no tap inside the block can match a live fault, so
-//! every tap the interpreter would evaluate is an identity function that
-//! leaves the injector untouched (masking draws and transient expiry only
-//! advance on a matching tap). A complete plan execution is therefore
-//! bit-identical to the interpreter — same registers, parity, flag, memory,
-//! cache timing state, cycle count, PC and injector state — which the
-//! equivalence suite (`argus-faults/tests/block_equiv.rs`) checks over
-//! every suite workload, fault-free and under armed campaigns. Stalls come
-//! only from a fault on the stall-release site, which every op taps, so a
-//! block never replaces a stalled interpreter iteration.
+//! # Tapped ops
+//!
+//! A fault draws (its masking decision, a flip, a transient's expiry) only
+//! on a tap of its own site, and an op's static tap set
+//! ([`Machine::op_taps`]) holds every site a step of it can tap. So every
+//! op whose set misses `tapped` would tap nothing but identity functions
+//! that leave the injector untouched, and runs straight from the plan. An
+//! op whose set meets `tapped` goes through [`Machine::step`] itself, at its
+//! own PC and cycle, with the signature-bit accumulator holding what the
+//! interpreter's would (a linking op reads it). Interpreting every such op,
+//! in order, keeps every draw; every other tap is the identity.
+//!
+//! A complete plan execution is therefore bit-identical to the interpreter
+//! — same registers, parity, flag, memory, cache timing state, cycle
+//! count, PC and injector state — which the equivalence suite
+//! (`argus-faults/tests/block_equiv.rs`) checks over every suite workload,
+//! fault-free, under one permanent fault per tapped site, and under armed
+//! campaigns. Stalls and decode changes come only from faults on
+//! every-op sites, which the gate excludes, so a block never replaces a
+//! stalled interpreter iteration and an interpreted op decodes to its plan
+//! op. Should an interpreted op still leave the plan (an unexpected next
+//! PC or block end), the block ends there, incomplete, like a
+//! self-modifying store's bail.
 
 use crate::exec;
-use crate::machine::Machine;
+use crate::machine::{Machine, StepOutcome};
 use crate::sites::TapSet;
 use argus_isa::decode::decode;
 use argus_isa::encode::embedded_bits_packed;
@@ -102,6 +118,9 @@ struct PlanOp {
     /// reads the DCS slot from the live signature bit stream, which a plan
     /// knows statically. Zero for non-linking ops.
     link_value: u32,
+    /// [`Machine::op_taps`] of the op: it is interpreted when a live fault
+    /// sits on one of these sites.
+    taps: TapSet,
 }
 
 /// A compiled straight-line plan for one basic block.
@@ -174,7 +193,8 @@ impl BlockPlan {
             };
             span_words += 1;
             let instr = decode(word);
-            taps = taps.union(Machine::op_taps(&instr, argus));
+            let op_taps = Machine::op_taps(&instr, argus);
+            taps = taps.union(op_taps);
             let embedded = embedded_bits_packed(word);
             bits.push_packed(embedded);
             let in_delay = delay;
@@ -209,7 +229,7 @@ impl BlockPlan {
                     cti_at = Some(k);
                 }
             }
-            ops.push(PlanOp { word, instr, embedded, link_value });
+            ops.push(PlanOp { word, instr, embedded, link_value, taps: op_taps });
             worst_cycles += op_cycles as u64;
             max_op_cycles = max_op_cycles.max(op_cycles);
             hash.mix(word as u64);
@@ -353,12 +373,15 @@ pub struct BlockGate {
     pub words_hash: u64,
     /// The sites of every live fault that arms at or before the block's
     /// worst-case end (empty while the injector is quiescent throughout).
-    /// Never intersects the block's own tap set — that is the gate — but
-    /// may hold the foreign bit: a fault on a site only the checker taps.
+    /// May hold the foreign bit: a fault on a site only the checker taps.
     pub armed: TapSet,
     /// The plan's tap set: every site the interpreter could tap running
     /// the whole block.
     pub taps: TapSet,
+    /// `armed ∩ taps`: the live sites some op of the block can tap. Ops
+    /// whose tap set meets it are interpreted (see the module docs); never
+    /// holds an every-op site.
+    pub tapped: TapSet,
 }
 
 /// A load whose word address fell outside main memory during a block
@@ -419,9 +442,19 @@ pub struct ExecStats {
     pub predecode_misses: u64,
     /// Block plans executed to completion.
     pub plan_hits: u64,
-    /// Of `plan_hits`, those executed while a live fault was armed (on a
-    /// site the block cannot tap): how often the tap-set gate engages.
+    /// Of `plan_hits`, those executed while a live fault was armed: how
+    /// often the tap-set gate engages.
     pub armed_plan_hits: u64,
+    /// Of `armed_plan_hits`, those that interpreted at least one op because
+    /// it could tap a live fault's site.
+    pub tapped_block_hits: u64,
+    /// Ops interpreted inside blocks because they could tap the site of a
+    /// live fault arming by the block's end (those run once it has armed
+    /// are also counted in `armed_steps`).
+    pub tapped_ops: u64,
+    /// Interpreter steps taken while a fault was live (armed and not
+    /// expired), whether alone or as a tapped op inside a block.
+    pub armed_steps: u64,
     /// Block plans (re)built.
     pub plan_misses: u64,
     /// Plan cache slots whose previous occupant was replaced or dropped.
@@ -446,6 +479,9 @@ impl ExecStats {
         self.predecode_misses += other.predecode_misses;
         self.plan_hits += other.plan_hits;
         self.armed_plan_hits += other.armed_plan_hits;
+        self.tapped_block_hits += other.tapped_block_hits;
+        self.tapped_ops += other.tapped_ops;
+        self.armed_steps += other.armed_steps;
         self.plan_misses += other.plan_misses;
         self.plan_evictions += other.plan_evictions;
         self.plan_fallbacks += other.plan_fallbacks;
@@ -470,9 +506,15 @@ pub(crate) struct PlanCache {
     /// order: the site-name lookup the tap-set gate needs, done once per
     /// injector.
     fault_sites: Vec<TapSet>,
+    /// The union of `fault_sites`.
+    all_fault_sites: TapSet,
     sites_of: u64,
     hits: u64,
     armed_hits: u64,
+    tapped_hits: u64,
+    tapped_ops: u64,
+    /// Interpreter steps under a live fault, counted by [`Machine::step`].
+    pub(crate) armed_steps: u64,
     misses: u64,
     evictions: u64,
     fallbacks: u64,
@@ -483,9 +525,13 @@ impl PlanCache {
         Self {
             slots: vec![None; PLAN_SLOTS].into_boxed_slice(),
             fault_sites: Vec::new(),
+            all_fault_sites: TapSet::EMPTY,
             sites_of: 0,
             hits: 0,
             armed_hits: 0,
+            tapped_hits: 0,
+            tapped_ops: 0,
+            armed_steps: 0,
             misses: 0,
             evictions: 0,
             fallbacks: 0,
@@ -495,6 +541,24 @@ impl PlanCache {
     #[inline]
     fn index(addr: u32) -> usize {
         ((addr >> 2) as usize) & (PLAN_SLOTS - 1)
+    }
+
+    /// Resolves the sites of `inj`'s faults to [`TapSet`] bits, once per
+    /// injector (keyed by [`FaultInjector::id`]).
+    fn refresh_sites(&mut self, inj: &FaultInjector) {
+        if self.sites_of != inj.id() {
+            self.fault_sites.clear();
+            self.fault_sites.extend(inj.faults().map(|f| TapSet::site(f.site)));
+            self.all_fault_sites = self.fault_sites.iter().fold(TapSet::EMPTY, |a, &t| a.union(t));
+            self.sites_of = inj.id();
+        }
+    }
+
+    /// The sites of every fault `inj` carries, live or not.
+    #[inline]
+    pub(crate) fn fault_sites(&mut self, inj: &FaultInjector) -> TapSet {
+        self.refresh_sites(inj);
+        self.all_fault_sites
     }
 }
 
@@ -573,10 +637,14 @@ impl Machine {
             words_hash: plan.words_hash,
             armed: TapSet::EMPTY,
             taps: plan.taps,
+            tapped: TapSet::EMPTY,
         };
         if end >= inj.quiescent_horizon() {
             gate.armed = self.armed_sites(inj, end);
-            if gate.armed.intersects(gate.taps) {
+            gate.tapped = gate.armed.intersection(gate.taps);
+            // A fault every op taps would have every op interpreted, and
+            // could stall or change a decode mid-block.
+            if gate.tapped.intersects(TapSet::EVERY_OP) {
                 return None;
             }
         }
@@ -587,11 +655,7 @@ impl Machine {
     /// resolving fault sites to [`TapSet`] bits once per injector.
     fn armed_sites(&mut self, inj: &FaultInjector, end: u64) -> TapSet {
         let cache = &mut self.plans;
-        if cache.sites_of != inj.id() {
-            cache.fault_sites.clear();
-            cache.fault_sites.extend(inj.faults().map(|f| TapSet::site(f.site)));
-            cache.sites_of = inj.id();
-        }
+        cache.refresh_sites(inj);
         inj.live_faults()
             .filter(|(_, f)| f.arm_cycle <= end)
             .fold(TapSet::EMPTY, |armed, (k, _)| armed.union(cache.fault_sites[k]))
@@ -614,11 +678,15 @@ impl Machine {
             self.plans.slots[idx] = Some(plan);
             return None;
         }
-        let commit = self.exec_plan_ops(&plan);
+        let tapped_before = self.plans.tapped_ops;
+        let commit = self.exec_plan_ops(&plan, inj, gate.tapped);
         if commit.complete {
             self.plans.hits += 1;
             if !gate.armed.is_empty() {
                 self.plans.armed_hits += 1;
+            }
+            if self.plans.tapped_ops != tapped_before {
+                self.plans.tapped_hits += 1;
             }
         } else {
             // The block stored over its own upcoming words. The stale plan
@@ -653,6 +721,9 @@ impl Machine {
             predecode_misses,
             plan_hits: std::mem::take(&mut self.plans.hits),
             armed_plan_hits: std::mem::take(&mut self.plans.armed_hits),
+            tapped_block_hits: std::mem::take(&mut self.plans.tapped_hits),
+            tapped_ops: std::mem::take(&mut self.plans.tapped_ops),
+            armed_steps: std::mem::take(&mut self.plans.armed_steps),
             plan_misses: std::mem::take(&mut self.plans.misses),
             plan_evictions: std::mem::take(&mut self.plans.evictions),
             plan_fallbacks: std::mem::take(&mut self.plans.fallbacks),
@@ -661,78 +732,138 @@ impl Machine {
     }
 
     /// The straight-line executor: an unrolled, tap-free rendition of
-    /// [`Machine::step`]. The plan matched memory at entry, so only an
-    /// in-block store can make an upcoming word stale; one that does ends
-    /// the plan early (see the module docs).
-    fn exec_plan_ops(&mut self, plan: &BlockPlan) -> BlockCommit {
+    /// [`Machine::step`] for every op whose tap set misses `tapped`, and
+    /// `step` itself for the others (see the module docs). The plan matched
+    /// memory at entry, so only an in-block store can make an upcoming word
+    /// stale; one that does ends the plan early, as does an interpreted op
+    /// that leaves the plan.
+    fn exec_plan_ops(
+        &mut self,
+        plan: &BlockPlan,
+        inj: &mut FaultInjector,
+        tapped: TapSet,
+    ) -> BlockCommit {
         let mut pc = self.pc;
         let mut last_pc = pc;
         let mut cti_flag = None;
         let mut indirect_dcs = None;
         let mut oob_loads: Vec<OobLoad> = Vec::new();
+        // `block_bits` holds the signature bits of ops `..pushed`. The clean
+        // path never touches it: the interpreter pushes each op's bits and
+        // clears them at block end, a net no-op on the empty accumulator a
+        // block starts from. Bits are caught up only where an interpreted
+        // op or a bail needs them.
+        let mut pushed = 0;
+        let mut executed = plan.ops.len();
+        let mut complete = true;
+        let mut skip_canary = argus_sim::canary::enabled("canary-tapped-op-skips-draw");
         for (k, op) in plan.ops.iter().enumerate() {
-            let (_, fetch_cycles) = self.mem.fetch(pc);
-            let in_delay = self.delay_slot;
-            self.delay_slot = false;
-            let oob_before = oob_loads.len();
-            let (mem_cycles, extra_cycles, new_pending) = self.exec_op_quiescent(
-                op.instr,
-                pc,
-                op.link_value,
-                &mut cti_flag,
-                &mut indirect_dcs,
-                &mut oob_loads,
-            );
-            let seq = pc.wrapping_add(4);
-            let next = if in_delay { self.pending_branch.take().unwrap_or(seq) } else { seq };
-            if op.instr.is_cti() {
-                self.pending_branch = new_pending;
-                self.delay_slot = true;
+            let mut interpret = op.taps.intersects(tapped);
+            if interpret && skip_canary {
+                skip_canary = false;
+                interpret = false;
             }
-            last_pc = pc;
-            pc = next & !3;
-            self.cycle += (fetch_cycles + mem_cycles + extra_cycles) as u64;
-            self.retired += 1;
-            for e in &mut oob_loads[oob_before..] {
-                e.end_cycle = self.cycle;
+            if interpret {
+                for done in &plan.ops[pushed..k] {
+                    self.block_bits.push_packed(done.embedded);
+                }
+                pushed = k;
+                self.plans.tapped_ops += 1;
+                self.pc = pc;
+                let left = match self.step(inj) {
+                    StepOutcome::Committed(rec) => {
+                        pushed = k + 1;
+                        if let Some(b) = &rec.branch {
+                            if b.conditional {
+                                cti_flag = b.flag_used;
+                            }
+                            if matches!(op.instr, Instr::JumpReg { .. }) {
+                                indirect_dcs = b.indirect_dcs;
+                            }
+                        }
+                        if let Some(m) = rec.mem.filter(|m| !m.is_store) {
+                            if self.mem.memory().read(m.word_addr_row).is_err() {
+                                oob_loads.push(OobLoad {
+                                    pc,
+                                    end_cycle: self.cycle,
+                                    parity_ok: m.parity_ok,
+                                });
+                            }
+                        }
+                        let last = k + 1 == plan.ops.len();
+                        if rec.block_end != last || (!last && self.pc != pc.wrapping_add(4)) {
+                            Some(k + 1)
+                        } else {
+                            None
+                        }
+                    }
+                    // Unreachable under the gate: only an every-op site
+                    // stalls the pipeline.
+                    StepOutcome::Stalled | StepOutcome::Halted => Some(k),
+                };
+                last_pc = pc;
+                pc = self.pc;
+                if let Some(n) = left {
+                    (executed, complete) = (n, false);
+                    break;
+                }
+            } else {
+                let (_, fetch_cycles) = self.mem.fetch(pc);
+                let in_delay = self.delay_slot;
+                self.delay_slot = false;
+                let oob_before = oob_loads.len();
+                let (mem_cycles, extra_cycles, new_pending) = self.exec_op_quiescent(
+                    op.instr,
+                    pc,
+                    op.link_value,
+                    &mut cti_flag,
+                    &mut indirect_dcs,
+                    &mut oob_loads,
+                );
+                let seq = pc.wrapping_add(4);
+                let next = if in_delay { self.pending_branch.take().unwrap_or(seq) } else { seq };
+                if op.instr.is_cti() {
+                    self.pending_branch = new_pending;
+                    self.delay_slot = true;
+                }
+                last_pc = pc;
+                pc = next & !3;
+                self.cycle += (fetch_cycles + mem_cycles + extra_cycles) as u64;
+                self.retired += 1;
+                for e in &mut oob_loads[oob_before..] {
+                    e.end_cycle = self.cycle;
+                }
             }
             if matches!(op.instr, Instr::Store { .. })
                 && !plan.pages_clean(self.mem.memory())
                 && !plan.words_match_from(self.mem.memory(), k + 1)
             {
                 // Mid-block staleness: stop exactly `k + 1` interpreter
-                // steps in, holding the signature bits the interpreter
-                // would, so it resumes by fetching the rewritten word.
-                for done in &plan.ops[..=k] {
-                    self.block_bits.push_packed(done.embedded);
-                }
-                self.pc = pc;
-                return BlockCommit {
-                    addr: plan.addr,
-                    executed: k as u32 + 1,
-                    complete: false,
-                    last_pc,
-                    end_cycle: self.cycle,
-                    ended_by_cti: false,
-                    cti_flag,
-                    indirect_dcs,
-                    halted: self.halted,
-                    flag_after: self.flag,
-                    oob_loads,
-                };
+                // steps in, so the interpreter resumes by fetching the
+                // rewritten word.
+                (executed, complete) = (k + 1, false);
+                break;
             }
         }
         self.pc = pc;
-        // The interpreter pushes each op's signature bits and clears them at
-        // block end; the net effect on an empty accumulator is empty, so the
-        // clean path never touches `block_bits` at all.
+        if complete {
+            if pushed > 0 {
+                self.block_bits.clear();
+            }
+        } else {
+            // Stopped mid-block: hold the signature bits the interpreter
+            // would.
+            for done in &plan.ops[pushed..executed] {
+                self.block_bits.push_packed(done.embedded);
+            }
+        }
         BlockCommit {
             addr: plan.addr,
-            executed: plan.ops.len() as u32,
-            complete: true,
+            executed: executed as u32,
+            complete,
             last_pc,
             end_cycle: self.cycle,
-            ended_by_cti: plan.ends_with_cti,
+            ended_by_cti: complete && plan.ends_with_cti,
             cti_flag,
             indirect_dcs,
             halted: self.halted,
@@ -978,9 +1109,10 @@ mod tests {
         assert!(stats.plan_fallbacks > 0, "the stale word must trigger a bail: {stats:?}");
     }
 
-    /// With a fault armed inside a block's cycle span on a site every
-    /// block taps, the plan must be declined (tap-set gate) and the armed
-    /// path must match the always-interpreted machine exactly.
+    /// With a transient fault arming inside a block's cycle span on a site
+    /// the block's ops tap, the armed path (tapped ops interpreted, the
+    /// transient spent on its first flip) must match the always-interpreted
+    /// machine exactly.
     #[test]
     fn armed_fault_mid_block_falls_back_identically() {
         use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
@@ -1009,8 +1141,8 @@ mod tests {
 
     /// A permanent fault stays armed to the end of the run. Blocks that
     /// cannot tap its site keep running as plans (the tap-set gate); blocks
-    /// that can are interpreted — and either way the run, including every
-    /// flip, matches the always-interpreted machine.
+    /// that can interpret the ops that tap it — and either way the run,
+    /// including every flip, matches the always-interpreted machine.
     #[test]
     fn permanent_fault_runs_untapping_blocks_identically() {
         use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
@@ -1042,14 +1174,89 @@ mod tests {
                 assert_eq!(ra, rb, "{site} arm={arm_cycle}");
                 assert_eq!(on.state_digest(), off.state_digest(), "{site} arm={arm_cycle}");
                 assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "{site} arm={arm_cycle}");
-                let armed = on.take_exec_stats().armed_plan_hits;
+                let stats = on.take_exec_stats();
                 if untapped {
-                    assert!(armed > 0, "{site}: no block ran while the fault was armed");
+                    assert!(stats.armed_plan_hits > 0, "{site}: no block ran while armed");
+                    assert_eq!(stats.tapped_block_hits, 0, "{site}: no op can tap it");
                 } else {
                     assert!(inj_on.flip_count() > 0, "{site}: the program must exercise it");
+                    assert!(stats.tapped_block_hits > 0, "{site}: no tapped-op block ran");
+                    if arm_cycle == 0 {
+                        assert!(stats.armed_steps >= stats.tapped_ops, "{stats:?}");
+                    }
                 }
             }
         }
+    }
+
+    /// A tapped-op block interprets only the ops whose tap set holds the
+    /// live site: the loop block's one `add` for a fault on the adder's
+    /// second operand cell, not its other four ops.
+    #[test]
+    fn tapped_blocks_interpret_only_the_ops_that_tap_the_site() {
+        use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
+        let words = demo_program();
+        let fault = Fault {
+            site: crate::sites::ALU_LOGIC_OUT,
+            bit: 0,
+            kind: FaultKind::Permanent,
+            arm_cycle: 0,
+            flavor: SiteFlavor::Single,
+            width: 32,
+            sensitization: 1.0,
+        };
+        // No op of the demo program uses the logic unit: every block runs
+        // whole, as before.
+        let mut m = machine(true, true, &words);
+        m.run_to_halt(&mut FaultInjector::with_fault(fault.clone()), 100_000);
+        let stats = m.take_exec_stats();
+        assert_eq!((stats.tapped_block_hits, stats.armed_steps), (0, 0), "{stats:?}");
+
+        let fault = Fault { site: crate::machine::RF_CELL_SITES[4], ..fault };
+        let mut on = machine(true, true, &words);
+        let mut off = machine(false, true, &words);
+        let mut inj_on = FaultInjector::with_fault(fault.clone());
+        let mut inj_off = FaultInjector::with_fault(fault);
+        assert_eq!(on.run_to_halt(&mut inj_on, 100_000), off.run_to_halt(&mut inj_off, 100_000));
+        assert_eq!(on.state_digest(), off.state_digest());
+        assert_eq!(inj_on.flip_count(), inj_off.flip_count());
+        let stats = on.take_exec_stats();
+        // r4 is read by the `add` of each of the five loop iterations (the
+        // first inside the entry block) and by the store: six blocks, one
+        // interpreted op each, and no step outside them.
+        assert_eq!(stats.tapped_block_hits, 6, "{stats:?}");
+        assert_eq!(stats.tapped_ops, 6, "{stats:?}");
+        assert_eq!(stats.armed_steps, stats.tapped_ops, "{stats:?}");
+    }
+
+    /// A live fault on a site every op taps keeps every block on the
+    /// interpreter: it could stall or change a decode mid-block.
+    #[test]
+    fn every_op_sites_decline_the_block() {
+        use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
+        let words = demo_program();
+        let mut sites = 0;
+        for bit in TapSet::EVERY_OP.bits() {
+            let site = *crate::sites::core_sites()
+                .iter()
+                .map(|s| &s.name)
+                .find(|&&n| TapSet::site(n).bits().eq([bit]))
+                .expect("an inventory site per bit");
+            let fault = Fault {
+                site,
+                bit: 9,
+                kind: FaultKind::Permanent,
+                arm_cycle: 0,
+                flavor: SiteFlavor::Single,
+                width: 32,
+                sensitization: 0.0,
+            };
+            let mut m = machine(true, true, &words);
+            let inj = FaultInjector::with_fault(fault);
+            assert!(m.plan_block(&inj, u64::MAX).is_none(), "{site}");
+            sites += 1;
+        }
+        assert_eq!(sites, 7);
     }
 
     /// The plan cache survives restores, so a rewrite of a *later* word of
@@ -1221,9 +1428,12 @@ mod tests {
     }
 
     /// Link values are precomputed per plan and must equal the interpreter's
-    /// bit-stream-derived values (jal inside a signed block).
+    /// bit-stream-derived values (jal inside a signed block). Under a fault
+    /// on the link-DCS path the jal is interpreted inside its block, and
+    /// reads the signature bits the plan ops before it would have pushed.
     #[test]
     fn link_values_match_interpreter_in_argus_mode() {
+        use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
         let sig = Instr::Sig { nslots: 2, eob: false, payload: (0b10101 << 5) | 0b00111 };
         let words: Vec<u32> = [
             sig,
@@ -1242,5 +1452,24 @@ mod tests {
         assert_eq!(on.reg(Reg::LR), off.reg(Reg::LR));
         let (addr, dcs) = split_indirect_target(on.reg(Reg::LR));
         assert_eq!((addr, dcs), (12, 0b10101));
+
+        for site in [crate::sites::LNK_DCS_MUX, crate::sites::SIG_EXTRACT] {
+            let fault = Fault {
+                site,
+                bit: 1,
+                kind: FaultKind::Permanent,
+                arm_cycle: 0,
+                flavor: SiteFlavor::Single,
+                width: 5,
+                sensitization: 1.0,
+            };
+            let mut on = machine(true, true, &words);
+            let mut off = machine(false, true, &words);
+            on.run_to_halt(&mut FaultInjector::with_fault(fault.clone()), 10_000);
+            off.run_to_halt(&mut FaultInjector::with_fault(fault), 10_000);
+            assert_eq!(on.reg(Reg::LR), off.reg(Reg::LR), "{site}");
+            assert_eq!(on.state_digest(), off.state_digest(), "{site}");
+            assert!(on.take_exec_stats().tapped_block_hits > 0, "{site}: the jal ran in its block");
+        }
     }
 }

@@ -67,18 +67,19 @@ pub struct MachineConfig {
     pub mul_cycles: u32,
     /// Total cycles of a divide (serial divider, 32).
     pub div_cycles: u32,
-    /// Use the predecode memo on the quiescent fast path. Semantically
-    /// inert (the memo always equals direct decode); exposed so identity
-    /// tests can compare campaigns with it on and off.
+    /// Use the predecode memo wherever no fault sits on a decode site.
+    /// Semantically inert (the memo always equals direct decode); exposed
+    /// so identity tests can compare campaigns with it on and off.
     pub predecode: bool,
     /// Slots in the predecode memo (power of two; see
     /// [`crate::predecode::DEFAULT_ENTRIES`]). Purely a perf knob: the memo
     /// is bit-identical to direct decode at every size.
     pub predecode_entries: usize,
-    /// Execute whole pre-compiled blocks wherever no live fault can be
-    /// tapped inside them (see [`crate::block`]). Semantically inert like
-    /// `predecode`: block plans replay the interpreter bit for bit, and a
-    /// block that could tap an armed fault's site is interpreted instead.
+    /// Execute whole pre-compiled blocks (see [`crate::block`]).
+    /// Semantically inert like `predecode`: block plans replay the
+    /// interpreter bit for bit, the ops of a block that could tap a live
+    /// fault's site are interpreted, and a live fault on a site every op
+    /// taps keeps the whole block on the interpreter.
     pub block_exec: bool,
 }
 
@@ -435,6 +436,9 @@ impl Machine {
             return StepOutcome::Halted;
         }
         inj.set_cycle(self.cycle);
+        if !inj.is_quiescent() {
+            self.plans.armed_steps += 1;
+        }
         if !inj.tap1(sites::CTL_STALL_RELEASE, true) {
             self.cycle += 1;
             return StepOutcome::Stalled;
@@ -443,12 +447,15 @@ impl Machine {
         let pc = self.pc;
         let (raw0, fetch_cycles) = self.mem.fetch(pc);
         let raw = inj.tap32(sites::IF_IBUS, raw0);
-        // Quiescent fast path: with no armed fault every ID_OPC_* tap is an
-        // identity function, so the three decode taps (FU, sub-checker,
-        // SHS) and the embedded-bit extraction collapse to one memoized
-        // lookup. Any armed fault takes the exact original tap sequence.
+        // Memo fast path: unless a fault sits on an ID_OPC_* site, every
+        // decode tap is an identity function, so the three decode taps (FU,
+        // sub-checker, SHS) and the embedded-bit extraction collapse to one
+        // lookup keyed by the (already tapped) fetch word. A decode-site
+        // fault takes the exact original tap sequence.
         let (instr, op_subchk, op_shs, embedded_bits);
-        if self.cfg.predecode && inj.is_quiescent() {
+        if self.cfg.predecode
+            && (inj.is_quiescent() || !self.plans.fault_sites(inj).intersects(TapSet::DECODE))
+        {
             let (i, e) = self.predecode.lookup(raw);
             (instr, op_subchk, op_shs, embedded_bits) = (i, i, i, e);
         } else {
@@ -740,44 +747,27 @@ impl Machine {
         use argus_isa::instr::{AluOp, MemSize};
         // Every set is a `const`: site names resolve at compile time, so
         // building a plan's tap set costs a few ORs per op.
-        const fn set(names: &[&str]) -> TapSet {
-            let mut t = TapSet::EMPTY;
-            let mut i = 0;
-            while i < names.len() {
-                t = t.union(TapSet::site(names[i]));
-                i += 1;
-            }
-            t
-        }
-        const EVERY_OP: TapSet = set(&[
-            sites::CTL_STALL_RELEASE,
-            sites::IF_IBUS,
-            sites::ID_OPC_TRUNK,
-            sites::ID_OPC_FU,
-            sites::ID_OPC_SUBCHK,
-            sites::ID_OPC_SHS,
-            sites::IF_PC_NEXT,
-        ]);
         const PORTS: [TapSet; 2] = [
-            set(&[sites::RF_RADDR_A, sites::EX_OPA_BUS]),
-            set(&[sites::RF_RADDR_B, sites::EX_OPB_BUS]),
+            TapSet::of(&[sites::RF_RADDR_A, sites::EX_OPA_BUS]),
+            TapSet::of(&[sites::RF_RADDR_B, sites::EX_OPB_BUS]),
         ];
-        const WRITEBACK: TapSet = set(&[sites::EX_RESULT_BUS, sites::RF_WADDR]);
-        const ADDER: TapSet = set(&[sites::ALU_ADDER_OUT]);
-        const LOGIC: TapSet = set(&[sites::ALU_LOGIC_OUT]);
-        const SHIFT: TapSet = set(&[sites::ALU_SHIFT_OUT]);
-        const MUL: TapSet = set(&[sites::MUL_LO, sites::MUL_HI]);
-        const DIV: TapSet = set(&[sites::DIV_Q, sites::DIV_R]);
-        const COMPARE: TapSet = set(&[sites::CMP_FLAG_OUT]);
-        const BRANCH: TapSet = set(&[sites::FLAG_READ, sites::BR_TAKEN, sites::BR_TARGET]);
-        const JUMP: TapSet = set(&[sites::BR_TARGET]);
-        const LINK_DCS: TapSet = set(&[sites::LNK_DCS_MUX, sites::SIG_EXTRACT]);
+        const WRITEBACK: TapSet = TapSet::of(&[sites::EX_RESULT_BUS, sites::RF_WADDR]);
+        const ADDER: TapSet = TapSet::of(&[sites::ALU_ADDER_OUT]);
+        const LOGIC: TapSet = TapSet::of(&[sites::ALU_LOGIC_OUT]);
+        const SHIFT: TapSet = TapSet::of(&[sites::ALU_SHIFT_OUT]);
+        const MUL: TapSet = TapSet::of(&[sites::MUL_LO, sites::MUL_HI]);
+        const DIV: TapSet = TapSet::of(&[sites::DIV_Q, sites::DIV_R]);
+        const COMPARE: TapSet = TapSet::of(&[sites::CMP_FLAG_OUT]);
+        const BRANCH: TapSet = TapSet::of(&[sites::FLAG_READ, sites::BR_TAKEN, sites::BR_TARGET]);
+        const JUMP: TapSet = TapSet::of(&[sites::BR_TARGET]);
+        const LINK_DCS: TapSet = TapSet::of(&[sites::LNK_DCS_MUX, sites::SIG_EXTRACT]);
         const MEM_ADDR: TapSet =
-            set(&[sites::ALU_ADDER_OUT, sites::LSU_ADDR, sites::DMEM_ROW_ADDR]);
-        const ADDR_XOR: TapSet = set(&[sites::LSU_ADDR_XOR]);
-        const LOAD: TapSet = set(&[sites::LSU_ALIGN_OUT, sites::LSU_LD_BUS, sites::RF_WADDR]);
-        const STORE: TapSet = set(&[sites::LSU_ST_BUS]);
-        const SUBWORD_STORE: TapSet = set(&[sites::LSU_ST_BUS, sites::LSU_ST_MERGE]);
+            TapSet::of(&[sites::ALU_ADDER_OUT, sites::LSU_ADDR, sites::DMEM_ROW_ADDR]);
+        const ADDR_XOR: TapSet = TapSet::of(&[sites::LSU_ADDR_XOR]);
+        const LOAD: TapSet =
+            TapSet::of(&[sites::LSU_ALIGN_OUT, sites::LSU_LD_BUS, sites::RF_WADDR]);
+        const STORE: TapSet = TapSet::of(&[sites::LSU_ST_BUS]);
+        const SUBWORD_STORE: TapSet = TapSet::of(&[sites::LSU_ST_BUS, sites::LSU_ST_MERGE]);
 
         let alu_unit = |op: AluOp| match op {
             AluOp::Add | AluOp::Sub => ADDER,
@@ -791,7 +781,7 @@ impl Machine {
         };
         let mem_addr = if argus_mode { MEM_ADDR.union(ADDR_XOR) } else { MEM_ADDR };
 
-        let mut taps = EVERY_OP;
+        let mut taps = TapSet::EVERY_OP;
         for (k, r) in instr.sources().iter().enumerate() {
             taps = taps.union(PORTS[k.min(1)]).union(TapSet::cell(r.index()));
         }
@@ -1123,14 +1113,19 @@ mod tests {
             /// The cached fingerprint equals the pure one after arbitrary
             /// word and tag writes, queried at arbitrary points in between
             /// (a query refreshes the page hashes later writes invalidate).
+            /// A 64 KiB memory keeps each pure fingerprint cheap.
             #[test]
             fn matches_pure_after_writes(
                 writes in prop::collection::vec(
-                    (0u32..(1 << 16), any::<u32>(), any::<bool>(), any::<bool>()),
+                    (0u32..(1 << 14), any::<u32>(), any::<bool>(), any::<bool>()),
                     0..64,
                 ),
             ) {
-                let mut m = run_program(&[Instr::Halt], true);
+                let mut cfg = MachineConfig::default();
+                cfg.mem.mem_bytes = 1 << 16;
+                let mut m = Machine::new(cfg);
+                m.load_code(0, &[encode(&Instr::Halt)]);
+                prop_assert!(m.run_to_halt(&mut FaultInjector::none(), 1_000).halted);
                 prop_assert_eq!(m.state_fingerprint_cached(), m.state_fingerprint());
                 for (word, payload, tag, query) in writes {
                     m.mem_mut().memory_mut().write(4 * word, payload, tag).unwrap();
@@ -1452,6 +1447,55 @@ mod tests {
                     assert_eq!(inj_on.flip_count(), inj_off.flip_count());
                 }
             }
+        }
+    }
+
+    /// A live fault off the decode sites leaves every decode tap the
+    /// identity, so steps keep the predecode memo, and their commit records
+    /// match a machine without it.
+    #[test]
+    fn predecode_serves_steps_under_a_fault_off_the_decode_sites() {
+        use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
+        let words: Vec<u32> = [
+            Instr::AluImm { op: AluImmOp::Addi, rd: r(3), ra: Reg::ZERO, imm: 7 },
+            Instr::Alu { op: AluOp::Add, rd: r(5), ra: r(3), rb: r(3) },
+            Instr::Store { size: MemSize::Word, ra: Reg::ZERO, rb: r(5), off: 0x100 },
+            Instr::Halt,
+        ]
+        .iter()
+        .map(encode)
+        .collect();
+        for site in [sites::ALU_ADDER_OUT, sites::IF_IBUS, sites::ID_OPC_FU] {
+            let fault = Fault {
+                site,
+                bit: 1,
+                kind: FaultKind::Permanent,
+                arm_cycle: 0,
+                flavor: SiteFlavor::Single,
+                width: 32,
+                sensitization: 1.0,
+            };
+            let cfg = MachineConfig { block_exec: false, ..MachineConfig::default() };
+            let mut on = Machine::new(cfg);
+            let mut off = Machine::new(MachineConfig { predecode: false, ..cfg });
+            on.load_code(0, &words);
+            off.load_code(0, &words);
+            let mut inj_on = FaultInjector::with_fault(fault.clone());
+            let mut inj_off = FaultInjector::with_fault(fault);
+            for _ in 0..16 {
+                let a = on.step(&mut inj_on);
+                assert_eq!(a, off.step(&mut inj_off), "{site}: records diverged");
+                if a == StepOutcome::Halted {
+                    break;
+                }
+            }
+            assert_eq!(on.state_digest(), off.state_digest(), "{site}");
+            assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "{site}");
+            let stats = on.take_exec_stats();
+            let memo = stats.predecode_hits + stats.predecode_misses;
+            let decode_site = TapSet::DECODE.intersects(TapSet::site(site));
+            assert_eq!(memo == 0, decode_site, "{site}: {stats:?}");
+            assert!(stats.armed_steps > 0, "{site}: {stats:?}");
         }
     }
 

@@ -3,10 +3,11 @@
 //! The step loop needs the decoded instruction three times per commit —
 //! once for the functional-unit path and once each for the computation
 //! sub-checker and SHS taps — plus the word's embedded signature bits.
-//! During quiescent execution (no armed fault; see
-//! [`argus_sim::fault::FaultInjector::is_quiescent`]) all three decode taps
-//! are identity functions, so the three decodes and the embedded-bit
-//! extraction collapse to one memoized lookup keyed on the raw word.
+//! Unless a fault sits on one of the decode sites
+//! ([`crate::sites::TapSet::DECODE`]), all three decode taps are identity
+//! functions, so the three decodes and the embedded-bit extraction collapse
+//! to one memoized lookup keyed on the raw word (after the fetch-bus tap, so
+//! a fetch-bus fault needs no bypass).
 //!
 //! The memo is a pure function of the word: a direct-mapped table indexed
 //! by a multiplicative hash, where every entry is always a *valid*
@@ -14,9 +15,10 @@
 //! mismatching probe recomputes and replaces. Stale entries are therefore
 //! still correct, which is why the memo needs no invalidation, is excluded
 //! from snapshots and fingerprints, and cannot change architectural or
-//! checker-visible state. When any fault is armed, the machine bypasses the
-//! memo entirely and runs the original tap + triple-decode path, so
-//! `ID_OPC_*` injection behaves bit-identically with the memo on or off.
+//! checker-visible state. When a live fault sits on an `ID_OPC_*` site, the
+//! machine bypasses the memo and runs the original tap + triple-decode
+//! path, so `ID_OPC_*` injection behaves bit-identically with the memo on
+//! or off.
 //!
 //! The table size is a [`crate::machine::MachineConfig::predecode_entries`]
 //! knob (default [`DEFAULT_ENTRIES`]); hit/miss counters make cache sizing

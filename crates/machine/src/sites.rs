@@ -181,6 +181,34 @@ impl TapSet {
         TapSet(1 << FOREIGN_BIT)
     }
 
+    /// The set holding each named site (`const`, like [`TapSet::site`]).
+    pub const fn of(names: &[&str]) -> TapSet {
+        let mut t = TapSet::EMPTY;
+        let mut i = 0;
+        while i < names.len() {
+            t = t.union(TapSet::site(names[i]));
+            i += 1;
+        }
+        t
+    }
+
+    /// The sites every instruction taps: stall release, fetch, the decode
+    /// trunk and its three branches, and next-PC. A live fault on one of
+    /// them reaches every op of every block.
+    pub const EVERY_OP: TapSet = TapSet::of(&[
+        CTL_STALL_RELEASE,
+        IF_IBUS,
+        ID_OPC_TRUNK,
+        ID_OPC_FU,
+        ID_OPC_SUBCHK,
+        ID_OPC_SHS,
+        IF_PC_NEXT,
+    ]);
+
+    /// The decode sites between the fetched word and the three decoders:
+    /// the taps the predecode memo stands in for.
+    pub const DECODE: TapSet = TapSet::of(&[ID_OPC_TRUNK, ID_OPC_FU, ID_OPC_SUBCHK, ID_OPC_SHS]);
+
     /// The storage-cell site of register index `r` (0..32).
     pub const fn cell(r: u8) -> TapSet {
         TapSet(1 << (CELL_BASE + r as u32))
@@ -189,6 +217,11 @@ impl TapSet {
     /// Set union.
     pub const fn union(self, other: TapSet) -> TapSet {
         TapSet(self.0 | other.0)
+    }
+
+    /// Set intersection.
+    pub const fn intersection(self, other: TapSet) -> TapSet {
+        TapSet(self.0 & other.0)
     }
 
     /// Whether the two sets share a site.

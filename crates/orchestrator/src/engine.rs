@@ -303,6 +303,9 @@ fn exec_json(e: &ExecStats) -> Json {
         .set("predecode_misses", e.predecode_misses)
         .set("plan_hits", e.plan_hits)
         .set("armed_plan_hits", e.armed_plan_hits)
+        .set("tapped_block_hits", e.tapped_block_hits)
+        .set("tapped_ops", e.tapped_ops)
+        .set("armed_steps", e.armed_steps)
         .set("plan_misses", e.plan_misses)
         .set("plan_evictions", e.plan_evictions)
         .set("plan_fallbacks", e.plan_fallbacks)

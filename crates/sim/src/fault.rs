@@ -185,6 +185,34 @@ struct Slot {
     fault: Fault,
     expired: bool,
     exposures: u64,
+    /// The fault's masking-draw identity ([`Slot::ident`]), hashed once.
+    ident: u64,
+}
+
+impl Slot {
+    fn new(fault: Fault) -> Self {
+        let ident = Self::ident(&fault);
+        Slot { fault, expired: false, exposures: 0, ident }
+    }
+
+    /// Mixes the fault's identity into its masking draws so co-resident
+    /// faults draw independent decisions (a content hash, not a pointer,
+    /// so campaigns replay identically across processes).
+    fn ident(fault: &Fault) -> u64 {
+        let mut ident: u64 = 0xcbf2_9ce4_8422_2325 ^ ((fault.bit as u64) << 56);
+        for b in fault.site.bytes() {
+            ident = (ident ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        ident
+    }
+
+    /// Whether the slot's fault sits on `site`: a pointer compare first
+    /// (taps pass the same `&'static str` constants the sites are sampled
+    /// from), then the text.
+    #[inline]
+    fn on(&self, site: &str) -> bool {
+        std::ptr::eq(self.fault.site, site) || self.fault.site == site
+    }
 }
 
 /// Threads zero or more faults through the simulator. Components call
@@ -232,8 +260,7 @@ impl FaultInjector {
 
     /// An injector carrying several independent faults.
     pub fn with_faults(faults: Vec<Fault>) -> Self {
-        let slots: Vec<Slot> =
-            faults.into_iter().map(|fault| Slot { fault, expired: false, exposures: 0 }).collect();
+        let slots: Vec<Slot> = faults.into_iter().map(Slot::new).collect();
         let live = slots.len();
         let min_arm = slots.iter().map(|s| s.fault.arm_cycle).min().unwrap_or(u64::MAX);
         let id = NEXT_INJECTOR_ID.fetch_add(1, Ordering::Relaxed);
@@ -336,15 +363,8 @@ impl FaultInjector {
         if p >= 1.0 {
             return true;
         }
-        // Mix the fault's identity in so co-resident faults draw
-        // independent masking decisions (content hash, not a pointer, so
-        // campaigns replay identically across processes).
-        let mut ident: u64 = 0xcbf2_9ce4_8422_2325 ^ ((slot.fault.bit as u64) << 56);
-        for b in slot.fault.site.bytes() {
-            ident = (ident ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
         let mut h =
-            crate::rng::SplitMix64::new(cycle ^ (slot.exposures << 40) ^ ident ^ 0x5E27_1A7E);
+            crate::rng::SplitMix64::new(cycle ^ (slot.exposures << 40) ^ slot.ident ^ 0x5E27_1A7E);
         h.next_f64() < p
     }
 
@@ -359,7 +379,7 @@ impl FaultInjector {
         }
         self.slots.iter().any(|s| {
             !s.expired
-                && s.fault.site == site
+                && s.on(site)
                 && self.cycle >= s.fault.arm_cycle
                 && matches!(s.fault.kind, FaultKind::Transient)
         })
@@ -371,7 +391,7 @@ impl FaultInjector {
     /// full tap sequence whenever this holds: a matching fault draws its
     /// masking decision per exposure, so the tap count is observable.
     pub fn targets_live_site(&self, site: &'static str) -> bool {
-        self.slots.iter().any(|s| !s.expired && s.fault.site == site)
+        self.slots.iter().any(|s| !s.expired && s.on(site))
     }
 
     /// Computes the XOR mask contributed by all matching faults at this
@@ -385,7 +405,7 @@ impl FaultInjector {
         let mut mask = 0u32;
         let mut fired = 0u64;
         for slot in &mut self.slots {
-            if slot.expired || slot.fault.site != site || cycle < slot.fault.arm_cycle {
+            if slot.expired || !slot.on(site) || cycle < slot.fault.arm_cycle {
                 continue;
             }
             if !Self::sensitized(slot, cycle) {
@@ -653,6 +673,58 @@ mod tests {
         assert_ne!(a.id(), b.id());
         assert_eq!(a.clone().id(), a.id());
         assert_eq!(FaultInjector::none().id(), 0);
+    }
+
+    /// The masking draw by its definition, with the site name hashed anew
+    /// at every exposure.
+    fn per_exposure_draw(f: &Fault, cycle: u64, exposure: u64) -> bool {
+        let mut ident: u64 = 0xcbf2_9ce4_8422_2325 ^ ((f.bit as u64) << 56);
+        for b in f.site.bytes() {
+            ident = (ident ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        let mut h = crate::rng::SplitMix64::new(cycle ^ (exposure << 40) ^ ident ^ 0x5E27_1A7E);
+        h.next_f64() < f.sensitization
+    }
+
+    #[test]
+    fn precomputed_identity_draws_like_the_per_exposure_hash() {
+        let faults = [
+            Fault { sensitization: 0.5, arm_cycle: 0, ..fault(FaultKind::Permanent) },
+            Fault {
+                site: "other_bus",
+                bit: 17,
+                sensitization: 0.3,
+                arm_cycle: 0,
+                ..fault(FaultKind::Permanent)
+            },
+        ];
+        let mut inj = FaultInjector::with_faults(faults.to_vec());
+        let mut fired = [0u64; 2];
+        for exposure in 1..=10_000u64 {
+            let cycle = exposure * 7 + exposure % 5;
+            inj.set_cycle(cycle);
+            for (k, f) in faults.iter().enumerate() {
+                let hit = inj.tap32(f.site, 0) != 0;
+                assert_eq!(hit, per_exposure_draw(f, cycle, exposure), "fault {k}, {exposure}");
+                fired[k] += hit as u64;
+            }
+        }
+        assert!(fired.iter().all(|&n| n > 2_000 && n < 8_000), "draws are mixed: {fired:?}");
+    }
+
+    #[test]
+    fn a_site_name_at_another_address_still_matches() {
+        let copy: &'static str = Box::leak(String::from("test_bus").into_boxed_str());
+        assert!(!std::ptr::eq(copy, fault(FaultKind::Permanent).site));
+        let mut inj = FaultInjector::with_fault(fault(FaultKind::Permanent));
+        assert!(inj.targets_live_site(copy));
+        inj.set_cycle(10);
+        assert_eq!(inj.tap32(copy, 0), 1 << 3);
+        let mut inj = FaultInjector::with_fault(fault(FaultKind::Transient));
+        inj.set_cycle(10);
+        assert!(inj.has_transient_on(copy));
+        assert!(inj.tap1(copy, false));
+        assert!(!inj.has_transient_on(copy), "the leaked name expired the transient");
     }
 
     #[test]

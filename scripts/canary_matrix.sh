@@ -3,8 +3,8 @@
 # registry is blind by design, campaign divergence) actually detects
 # real checker bugs — not just that it stays quiet on healthy runs.
 #
-# The `canary` cargo feature compiles ~10 deliberately seeded bugs into
-# the checkers, orchestrator and campaign engine, each dormant until its name is set in
+# The `canary` cargo feature compiles ~11 deliberately seeded bugs into
+# the checkers, machine, orchestrator and campaign engine, each dormant until its name is set in
 # ARGUS_CANARY. This script builds that binary once, proves it is
 # byte-identical to the clean binary while dormant, then arms each
 # canary in turn and asserts it is caught either by a *named* invariant
@@ -121,6 +121,13 @@ echo "== campaign canary: dead-site record keeps each site's first tap =="
 # two never fire, and gives them the golden verdict.
 check_divergence canary-dead-site-first-tap -n 60 --seed 9
 
+echo "== machine canary: a tapped op inside a block skips its fault draw =="
+# Blocks run under a live permanent fault, interpreting only the ops that
+# can tap its site. Running the first such op of a block from the plan
+# skips that op's masking draw and flip, which changes how post-detection
+# runs end. Seed 9 first shows it at 120 permanent injections.
+check_divergence canary-tapped-op-skips-draw --permanent -n 200 --seed 9
+
 echo "== orchestrator canaries: ledger-invariant detection =="
 # chunk=1 with 4 shards forces work-stealing on every injection.
 check_invariant canary-tally-drop-on-steal tally-accounts-done \
@@ -203,4 +210,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 10 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
+echo "PASS: all 11 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
