@@ -1,6 +1,6 @@
 //! The error-injection campaign and Table-1 classification.
 
-use crate::sites::{full_inventory, sample_points, SamplePoint};
+use crate::sites::{early_finish, full_inventory, sample_points, EarlyFinish, SamplePoint};
 use argus_compiler::{compile, preplan, EmbedConfig, Mode, Program};
 use argus_core::{Argus, ArgusConfig, ArgusState, CheckerKind, DetectionEvent};
 use argus_invariants::{
@@ -426,6 +426,16 @@ impl GoldenTemplate {
         let site = TapSet::site(fault.site);
         !site.has_foreign() && site.bits().all(|b| self.last_tap[b] < fault.arm_cycle)
     }
+
+    /// Where `fault`'s run is decided by this run ([`early_finish`]). Never
+    /// when this run hung: a forked faulty run starts with a fresh
+    /// watchdog and may outlast it.
+    fn early_finish(&self, fault: &Fault, sig_width: u32) -> EarlyFinish {
+        if self.hung.is_some() {
+            return EarlyFinish::Never;
+        }
+        early_finish(fault, sig_width)
+    }
 }
 
 /// Notes that the no-fault run could tap every site in `taps` up to
@@ -518,9 +528,9 @@ enum Trace<'a> {
     /// The no-fault template run: record a key at block ends, and the last
     /// cycle each machine site could be tapped.
     Record { keys: &'a mut Vec<TraceKey>, last_tap: &'a mut [u64; TapSet::BITS] },
-    /// Stop at the first key a spent run's state matches, and end as the
-    /// template did.
-    Follow(&'a GoldenTemplate),
+    /// Stop at the first key a spent run's state matches, or where the
+    /// [`EarlyFinish`] rule decides the run, and end as the template did.
+    Follow(&'a GoldenTemplate, EarlyFinish),
 }
 
 /// A worker's reusable injection state: one resident machine + checker
@@ -1027,8 +1037,14 @@ fn faulty_loop(
     let mut next_key = match &trace {
         Trace::Off => u64::MAX,
         Trace::Record { .. } => KEY_SPACING,
-        Trace::Follow(t) => t.keys.first().map_or(u64::MAX, |k| k.cycle),
+        Trace::Follow(t, _) => t.keys.first().map_or(u64::MAX, |k| k.cycle),
     };
+    let (early, template) = match &trace {
+        Trace::Follow(t, early) => (*early, Some(*t)),
+        _ => (EarlyFinish::Never, None),
+    };
+    // The counters this loop keeps itself, beside the machine's.
+    let mut own = ExecStats::default();
     let mut cursor = 0;
     let mut at_block_end = false;
     // Invariant-hook strides, advanced only while the run is still
@@ -1041,6 +1057,27 @@ fn faulty_loop(
     let mut commits: u64 = 0;
     let mut blocks: u64 = 0;
     loop {
+        // The one per-iteration test of the early-finish rule: a permanent
+        // fault whose run the no-fault run now decides ends as that run
+        // did (DESIGN.md "Early finish for permanent faults").
+        let decided = match early {
+            EarlyFinish::Never => false,
+            EarlyFinish::AtDetection => first.is_some(),
+            EarlyFinish::AtFirstFlip => inj.first_flip_cycle().is_some(),
+        };
+        if decided {
+            let t = template.expect("an early finish follows the template");
+            own.checker_only = u64::from(early == EarlyFinish::AtDetection);
+            own.masked_bits = u64::from(early == EarlyFinish::AtFirstFlip);
+            return FaultyOutcome {
+                detection: first.or_else(|| t.detection.clone()),
+                exercised_at: inj.first_flip_cycle(),
+                halted: t.halted,
+                digest: t.digest,
+                hung: t.hung,
+                exec: drain_exec(m, &own),
+            };
+        }
         if m.cycle() >= next_key {
             match &mut trace {
                 Trace::Off => {}
@@ -1050,7 +1087,7 @@ fn faulty_loop(
                         next_key = m.cycle() + KEY_SPACING;
                     }
                 }
-                Trace::Follow(t) => {
+                Trace::Follow(t, _) => {
                     let cycle = m.cycle();
                     while t.keys.get(cursor).is_some_and(|k| k.cycle < cycle) {
                         cursor += 1;
@@ -1062,16 +1099,15 @@ fn faulty_loop(
                             && wd.remaining() > k.budget - t.end_budget
                             && k.matches(m, argus, first.is_none())
                         {
-                            let mut exec = m.take_exec_stats();
-                            exec.converged = 1;
-                            exec.converged_cycles_saved = t.end_cycle.saturating_sub(cycle);
+                            own.converged = 1;
+                            own.converged_cycles_saved = t.end_cycle.saturating_sub(cycle);
                             return FaultyOutcome {
                                 detection: first.or_else(|| t.detection.clone()),
                                 exercised_at: inj.first_flip_cycle(),
                                 halted: t.halted,
                                 digest: t.digest,
                                 hung: None,
-                                exec,
+                                exec: drain_exec(m, &own),
                             };
                         }
                     }
@@ -1094,7 +1130,9 @@ fn faulty_loop(
         // while a stall fault is armed — every op taps the stall site — so
         // retired ops == replaced iterations), keeping the hung/not-hung
         // verdict bit-identical to the one-step loop.
+        let mut offered = false;
         if let Some(gate) = m.plan_block(inj, window) {
+            offered = true;
             if first.is_some() || argus.block_ready(&gate, inj) {
                 if let Some(commit) = m.exec_block(inj, &gate) {
                     if let Some(cause) = wd.tick_many(u64::from(commit.executed)) {
@@ -1104,7 +1142,7 @@ fn faulty_loop(
                             halted: false,
                             digest: 0,
                             hung: Some(cause),
-                            exec: m.take_exec_stats(),
+                            exec: drain_exec(m, &own),
                         };
                     }
                     if let Trace::Record { last_tap, .. } = &mut trace {
@@ -1158,8 +1196,15 @@ fn faulty_loop(
                 halted: false,
                 digest: 0,
                 hung: Some(cause),
-                exec: m.take_exec_stats(),
+                exec: drain_exec(m, &own),
             };
+        }
+        // Only the checker turns an offered block down, and only before
+        // detection: the step below is one the block engine would have
+        // taken.
+        if offered && first.is_none() {
+            own.declined_steps += 1;
+            own.declined_flipped += u64::from(inj.first_flip_cycle().is_some());
         }
         // Once the first detection is recorded the checker is done: only
         // `first` is ever reported, the fault has provably already fired
@@ -1239,8 +1284,15 @@ fn faulty_loop(
         halted: m.halted(),
         digest: m.state_digest_cached(),
         hung: None,
-        exec: m.take_exec_stats(),
+        exec: drain_exec(m, &own),
     }
+}
+
+/// The machine's counters, drained, with the faulty loop's own added.
+fn drain_exec(m: &mut Machine, own: &ExecStats) -> ExecStats {
+    let mut exec = m.take_exec_stats();
+    exec.merge(own);
+    exec
 }
 
 /// Compiles the workload, takes the golden run, and samples the injection
@@ -1481,6 +1533,8 @@ fn run_injection_watched(
     };
     let (m, argus) = ws.ws.pair_mut().expect("forked or booted above");
     debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
+    let trace =
+        golden.map_or(Trace::Off, |t| Trace::Follow(t, t.early_finish(&fault, cfg.acfg.sig_width)));
     let mut inj = FaultInjector::with_fault(fault);
     let out = faulty_loop(
         m,
@@ -1491,7 +1545,7 @@ fn run_injection_watched(
         &mut wd,
         inv,
         clean_gen,
-        golden.map_or(Trace::Off, Trace::Follow),
+        trace,
     );
     ws.exec.merge(&out.exec);
     if let Some(cause) = out.hung {
@@ -2130,7 +2184,7 @@ mod tests {
         perturb(m, argus);
         let matched = key.matches(m, argus, true);
         let point = prep.points[0];
-        let runs = [Trace::Follow(&t), Trace::Off].map(|trace| {
+        let runs = [Trace::Follow(&t, EarlyFinish::Never), Trace::Off].map(|trace| {
             let (mut m, mut argus) = (m.clone(), argus.clone());
             let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
             let out = faulty_loop(
@@ -2309,6 +2363,104 @@ mod tests {
                 assert!(!t.never_taps(&f), "{} armed at {arm} was claimed dead", s.name);
             }
         }
+    }
+
+    /// Runs `fault` on a `stress` cold boot twice, following the template
+    /// with its early-finish rule and to the end, and returns the rule, both
+    /// classifications and outcomes, and the template.
+    fn early_and_full(fault: Fault) -> (EarlyFinish, [(String, FaultyOutcome); 2], GoldenTemplate) {
+        let (prep, cfg, t) = stress_template(MachineConfig::default());
+        let early = t.early_finish(&fault, cfg.acfg.sig_width);
+        let runs = [Trace::Follow(&t, early), Trace::Off].map(|trace| {
+            let mut ws = CampaignWorkspace::new();
+            let clean_gen = prep.boot_into(&cfg, &mut ws);
+            let (m, argus) = ws.ws.pair_mut().unwrap();
+            let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
+            let out = faulty_loop(
+                m,
+                argus,
+                &mut FaultInjector::with_fault(fault.clone()),
+                prep.window,
+                prep.prog.data_base,
+                &mut wd,
+                &prep.invariants,
+                clean_gen,
+                trace,
+            );
+            assert_eq!(out.hung, None);
+            let masked = out.halted && out.digest == prep.golden_digest;
+            let r = classify(prep.points[0], 0, masked, out.detection.clone(), out.exercised_at);
+            (format!("{r:?}"), out)
+        });
+        (early, runs, t)
+    }
+
+    /// A checker-only fault that detects ends at its detection: the
+    /// adder sub-checker's output is read by nothing but the checker, so
+    /// the machine follows the no-fault run and only `first` is new.
+    #[test]
+    fn checker_only_fault_ends_at_its_detection() {
+        let fault = fault_on(argus_core::sites::CC_ADDER_OUT, FaultKind::Permanent, 0);
+        let (early, [(followed, out), (full, full_out)], t) = early_and_full(fault);
+        assert_eq!(early, EarlyFinish::AtDetection);
+        assert_eq!(followed, full);
+        assert!(out.detection.is_some(), "the adder checker never fired");
+        assert_eq!(out.detection, full_out.detection);
+        assert_eq!((out.halted, out.digest, out.hung), (t.halted, t.digest, t.hung));
+        assert_eq!((out.exec.checker_only, out.exec.masked_bits), (1, 0));
+        assert_eq!((full_out.exec.checker_only, full_out.exec.masked_bits), (0, 0));
+        // It stopped well before the end the full run went on to.
+        assert!(out.exec.armed_steps < full_out.exec.armed_steps);
+    }
+
+    /// A fault on a bit no consumer reads ends at its first flip: bit 6 of
+    /// the SHS CRC output lies outside the 5-bit signature, so the run is
+    /// the no-fault run plus an exercise cycle.
+    #[test]
+    fn masked_bit_fault_ends_at_its_first_flip() {
+        let fault = Fault {
+            bit: 6,
+            width: 8,
+            ..fault_on(argus_core::sites::SHS_CRC_OUT, FaultKind::Permanent, 0)
+        };
+        let (early, [(followed, out), (full, full_out)], t) = early_and_full(fault);
+        assert_eq!(early, EarlyFinish::AtFirstFlip);
+        assert_eq!(followed, full);
+        assert!(out.exercised_at.is_some(), "the CRC output was never tapped");
+        assert_eq!(out.exercised_at, full_out.exercised_at);
+        assert_eq!(out.detection, t.detection);
+        assert_eq!((out.halted, out.digest), (t.halted, t.digest));
+        assert_eq!((out.exec.checker_only, out.exec.masked_bits), (0, 1));
+        assert_eq!((full_out.exec.checker_only, full_out.exec.masked_bits), (0, 0));
+        assert!(out.exec.declined_steps < full_out.exec.declined_steps);
+        assert!(full_out.exec.declined_flipped > 0, "the flipped run never declined a block");
+    }
+
+    /// Transients, faults on sites that reach the machine, and signature
+    /// bits the checker reads run to their end.
+    #[test]
+    fn early_finish_leaves_other_faults_alone() {
+        use argus_machine::sites::{IF_PC_NEXT, MUL_LO};
+        let (_, cfg, t) = stress_template(MachineConfig::default());
+        let w = cfg.acfg.sig_width;
+        let crc = |bit| Fault {
+            bit,
+            width: 8,
+            ..fault_on(argus_core::sites::SHS_CRC_OUT, FaultKind::Permanent, 0)
+        };
+        assert_eq!(t.early_finish(&crc(4), w), EarlyFinish::AtDetection);
+        assert_eq!(t.early_finish(&crc(5), w), EarlyFinish::AtFirstFlip);
+        let transient = Fault { kind: FaultKind::Transient, ..crc(5) };
+        assert_eq!(t.early_finish(&transient, w), EarlyFinish::Never);
+        assert_eq!(
+            t.early_finish(&fault_on(MUL_LO, FaultKind::Permanent, 0), w),
+            EarlyFinish::Never
+        );
+        let pc = |bit| Fault { bit, ..fault_on(IF_PC_NEXT, FaultKind::Permanent, 0) };
+        assert_eq!(t.early_finish(&pc(1), w), EarlyFinish::AtFirstFlip);
+        assert_eq!(t.early_finish(&pc(2), w), EarlyFinish::Never);
+        let hung = GoldenTemplate { hung: Some(HangCause::CycleBudget), ..t.clone() };
+        assert_eq!(hung.early_finish(&crc(5), w), EarlyFinish::Never);
     }
 
     /// Interpreted steps record their ops' taps: with the block engine off

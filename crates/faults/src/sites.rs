@@ -1,5 +1,9 @@
-//! The full fault-site inventory and weighted sampling.
+//! The full fault-site inventory, weighted sampling, and which bits of
+//! each site's signal its consumers read.
 
+use argus_core::sites as checker;
+use argus_machine::sites as machine;
+use argus_machine::TapSet;
 use argus_sim::fault::{Fault, FaultKind, SiteDesc};
 use argus_sim::rng::SplitMix64;
 
@@ -8,6 +12,81 @@ pub fn full_inventory() -> Vec<SiteDesc> {
     let mut v = argus_machine::sites::core_sites();
     v.extend(argus_core::sites::argus_sites());
     v
+}
+
+/// What every consumer of a site's signal reads of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reads {
+    /// Only the checker: the value lands in a `CommitRecord` field that
+    /// the checker alone reads, never in architectural or
+    /// microarchitectural state.
+    Checker,
+    /// Only the signature bits, `(1 << sig_width) - 1`.
+    Signature,
+    /// Only these bits.
+    Bits(u32),
+}
+
+/// The sites whose consumers ignore some or all of their signal. Checker
+/// sites that are not listed are still checker-only: they sit on the
+/// machine's foreign tap bit, so no machine value is derived from them.
+const CONSUMERS: [(&str, Reads); 9] = [
+    // `aux_result`, read by the mod-M sub-checker only.
+    (machine::MUL_HI, Reads::Checker),
+    (machine::DIV_R, Reads::Checker),
+    // `op_subchk` and `op_shs`, the checker's private opcode branches.
+    (machine::ID_OPC_SUBCHK, Reads::Checker),
+    (machine::ID_OPC_SHS, Reads::Checker),
+    // The signature datapath masks every tap to the signature width.
+    (checker::SHS_CRC_OUT, Reads::Signature),
+    (checker::SHS_FILE_CELL, Reads::Signature),
+    (checker::DCS_XOR_OUT, Reads::Signature),
+    (checker::DCS_EXPECTED, Reads::Signature),
+    // The PC register has no bits [1:0].
+    (machine::IF_PC_NEXT, Reads::Bits(!3)),
+];
+
+/// The point at which a permanent fault's run is already decided by the
+/// no-fault run, so a campaign can stop it there and take that run's end
+/// ([`early_finish`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EarlyFinish {
+    /// The run must be simulated to its end.
+    Never,
+    /// The fault's site is checker-only: the machine follows the no-fault
+    /// run whatever the fault does, so once the checker has detected,
+    /// nothing left to report can differ from that run.
+    AtDetection,
+    /// Every consumer masks the flipped bits off: no value anywhere
+    /// differs from the no-fault run, only the injector's flip count, so
+    /// the first flip (the exercise cycle) is all the run adds.
+    AtFirstFlip,
+}
+
+/// Where `fault`'s run is decided by the no-fault run, for a checker with
+/// signature width `sig_width`. Only permanent faults are resolved:
+/// a transient is spent by one flip and reconverges at the next golden
+/// key instead.
+pub fn early_finish(fault: &Fault, sig_width: u32) -> EarlyFinish {
+    if fault.kind != FaultKind::Permanent {
+        return EarlyFinish::Never;
+    }
+    let reads = CONSUMERS.iter().find(|(site, _)| *site == fault.site).map(|&(_, r)| r);
+    // Seeded bug: treat the signature's top bit as masked too.
+    let sig_width =
+        sig_width - u32::from(argus_sim::canary::enabled("canary-early-finish-live-bit"));
+    let read = match reads {
+        Some(Reads::Signature) => (1 << sig_width) - 1,
+        Some(Reads::Bits(bits)) => bits,
+        Some(Reads::Checker) | None => u32::MAX,
+    };
+    if fault.mask() & read == 0 {
+        EarlyFinish::AtFirstFlip
+    } else if reads == Some(Reads::Checker) || TapSet::site(fault.site).has_foreign() {
+        EarlyFinish::AtDetection
+    } else {
+        EarlyFinish::Never
+    }
 }
 
 /// One sampled injection point.

@@ -13,7 +13,10 @@
 //! machine site the no-fault run never taps at or after its arm cycle
 //! takes that run's verdict without simulating. On `pegwit` and
 //! `stress_xl` both fault kinds must take it at least once; the sampled
-//! `stress` rows happen to hold no such injection.
+//! `stress` rows happen to hold no such injection. It also covers the
+//! permanent-fault early finish (checker-only sites stop at detection,
+//! bits no consumer reads stop at the first flip), which transients and
+//! runs with the short-cuts off never take.
 
 use argus_faults::campaign::ExecStats;
 use argus_faults::{
@@ -55,12 +58,22 @@ fn check(w: &Workload, n: usize, seed: u64, dead_sites: bool) {
             }
             assert_eq!(off_stats.converged, 0, "{what}: short-cuts off still converged");
             assert_eq!(off_stats.dead_site, 0, "{what}: short-cuts off still skipped a run");
+            assert_eq!(
+                (off_stats.checker_only, off_stats.masked_bits),
+                (0, 0),
+                "{what}: short-cuts off still ended a run early"
+            );
             if dead_sites {
                 assert!(stats.dead_site > 0, "{what}: no injection was on a dead site");
             }
             match kind {
                 FaultKind::Transient => {
                     assert!(stats.converged > 0, "{what}: no run reconverged");
+                    assert_eq!(
+                        (stats.checker_only, stats.masked_bits),
+                        (0, 0),
+                        "{what}: a transient took the permanent-fault early finish"
+                    );
                     assert!(stats.converged_cycles_saved > 0, "{what}");
                 }
                 FaultKind::Permanent => {

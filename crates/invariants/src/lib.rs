@@ -937,6 +937,7 @@ pub const CANARIES: &[&str] = &[
     "canary-reconverge-skip-checker",
     "canary-dead-site-first-tap",
     "canary-tapped-op-skips-draw",
+    "canary-early-finish-live-bit",
 ];
 
 // ---------------------------------------------------------------------------
@@ -1339,7 +1340,7 @@ mod tests {
 
     #[test]
     fn canary_list_is_stable() {
-        assert_eq!(CANARIES.len(), 11);
+        assert_eq!(CANARIES.len(), 12);
         for c in CANARIES {
             assert!(c.starts_with("canary-"), "{c} must carry the canary- prefix");
         }

@@ -470,6 +470,20 @@ pub struct ExecStats {
     /// because the no-fault run never taps the fault's site at or after
     /// its arm cycle (counted by the campaign engine).
     pub dead_site: u64,
+    /// Permanent-fault runs on a checker-only site stopped at their first
+    /// detection, taking the no-fault run's end (counted by the campaign
+    /// engine).
+    pub checker_only: u64,
+    /// Permanent-fault runs whose flipped bits no consumer reads, stopped
+    /// at their first flip with the no-fault run's verdict (counted by the
+    /// campaign engine).
+    pub masked_bits: u64,
+    /// Interpreter steps taken before detection because the checker
+    /// declined a block the machine offered (counted by the campaign
+    /// engine).
+    pub declined_steps: u64,
+    /// Of `declined_steps`, those taken after the fault's first flip.
+    pub declined_flipped: u64,
 }
 
 impl ExecStats {
@@ -488,6 +502,10 @@ impl ExecStats {
         self.converged += other.converged;
         self.converged_cycles_saved += other.converged_cycles_saved;
         self.dead_site += other.dead_site;
+        self.checker_only += other.checker_only;
+        self.masked_bits += other.masked_bits;
+        self.declined_steps += other.declined_steps;
+        self.declined_flipped += other.declined_flipped;
     }
 
     /// Whether every counter is zero.

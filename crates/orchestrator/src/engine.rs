@@ -312,6 +312,10 @@ fn exec_json(e: &ExecStats) -> Json {
         .set("converged", e.converged)
         .set("converged_cycles_saved", e.converged_cycles_saved)
         .set("dead_site", e.dead_site)
+        .set("checker_only", e.checker_only)
+        .set("masked_bits", e.masked_bits)
+        .set("declined_steps", e.declined_steps)
+        .set("declined_flipped", e.declined_flipped)
 }
 
 impl ShardedReport {

@@ -223,22 +223,77 @@ fn concurrent_priorities_complete_with_correct_tallies() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The `state` values of a job's `state` events, in order, and whether
+/// a `preempting` event was published.
+fn state_history(addr: SocketAddr, id: u64) -> (Vec<String>, bool) {
+    let (status, ev) = get(addr, &format!("/jobs/{id}/events?since=0"));
+    assert_eq!(status, 200, "{ev:?}");
+    let events = ev.get("events").and_then(Json::as_arr).unwrap();
+    let kind = |e: &Json| e.get("kind").and_then(Json::as_str).map(str::to_owned);
+    let states = events
+        .iter()
+        .filter(|e| kind(e).as_deref() == Some("state"))
+        .map(|e| e.get("state").and_then(Json::as_str).unwrap().to_owned())
+        .collect();
+    (states, events.iter().any(|e| kind(e).as_deref() == Some("preempting")))
+}
+
 #[test]
 fn high_priority_preempts_and_both_finish_correct() {
-    let (mut server, addr, dir) = start("preempt", 1);
+    const N: u64 = 1500;
+    // One pool worker, held by a low-priority job that is also open to
+    // remote leases. A zombie leases one chunk and never reports (the
+    // long TTL keeps it from reissuing), so the job cannot finish: once
+    // the local worker has run every other chunk it sits running at a
+    // fixed completion count however fast the host is, and a
+    // high-priority arrival can only run if the scheduler preempts it.
+    let (mut server, addr, dir) = start_with_ttl("preempt", 1, Duration::from_secs(600));
+    let big = submit(
+        addr,
+        &format!(
+            r#"{{"n": {N}, "seed": 31, "chunk": 4, "priority": 1, "distributed": true, "budget": 1}}"#
+        ),
+    );
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let held = loop {
+        let (status, grant) = post(addr, &format!("/jobs/{big}/lease"), r#"{"worker":"zombie"}"#);
+        let field = |k| grant.get(k).and_then(Json::as_u64);
+        if let (200, Some(start), Some(end)) = (status, field("start"), field("end")) {
+            break end - start;
+        }
+        // The lease pool is not open yet.
+        assert!(Instant::now() < deadline, "job {big} never became leasable: {grant:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let deadline = Instant::now() + Duration::from_secs(600);
+    while job_done(addr, big) < N - held {
+        assert!(Instant::now() < deadline, "the local worker never finished the unheld chunks");
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    assert_eq!(job_done(addr, big), N - held);
+    assert_eq!(job_state(addr, big), "running");
 
-    // One worker, one long low-priority job: a high-priority arrival can
-    // only run if the scheduler preempts via checkpoint.
-    let big = submit(addr, r#"{"n": 1500, "seed": 31, "chunk": 4}"#);
-    wait_for(addr, big, "running", Duration::from_secs(60));
     let urgent = submit(addr, r#"{"n": 10, "seed": 32, "priority": 9}"#);
     wait_for(addr, urgent, "done", Duration::from_secs(120));
 
-    // The big job was preempted, not killed: it finishes afterwards with
-    // the exact one-shot payload despite the checkpoint round-trip.
+    // The big job was preempted, not killed: it went back to the queue,
+    // ran again once the urgent job was done, and resumed from its
+    // checkpoint. The zombie's lease died with the preempted run, so the
+    // resumed run completes exactly the held chunk, and the report is
+    // the exact one-shot payload despite the round trip.
     wait_for(addr, big, "done", Duration::from_secs(600));
+    let (states, preempted) = state_history(addr, big);
+    assert!(preempted, "no `preempting` event: {states:?}");
+    assert_eq!(states, ["queued", "running", "queued", "running", "done"]);
+    let (urgent_states, _) = state_history(addr, urgent);
+    assert_eq!(urgent_states, ["queued", "running", "done"]);
     assert_eq!(payload_of(&fetch_report(addr, urgent)), one_shot_payload(10, 32));
-    assert_eq!(payload_of(&fetch_report(addr, big)), one_shot_payload(1500, 31));
+    let report = fetch_report(addr, big);
+    assert_eq!(payload_of(&report), one_shot_payload(N as usize, 31));
+    let doc = Json::parse(&report).unwrap();
+    let this_run =
+        doc.get("run").and_then(|r| r.get("completed_this_run")).and_then(Json::as_u64).unwrap();
+    assert_eq!(this_run, held, "expected a resumed run, got completed_this_run={this_run}");
 
     server.drain();
     let _ = std::fs::remove_dir_all(dir);

@@ -167,7 +167,8 @@ pub struct Fault {
 }
 
 impl Fault {
-    fn mask(&self) -> u32 {
+    /// The bits one firing of this fault inverts in its site's signal.
+    pub fn mask(&self) -> u32 {
         let w = self.width.max(1) as u32;
         let b0 = 1u32 << (self.bit as u32 % w.min(32));
         match self.flavor {

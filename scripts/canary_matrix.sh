@@ -3,7 +3,7 @@
 # registry is blind by design, campaign divergence) actually detects
 # real checker bugs — not just that it stays quiet on healthy runs.
 #
-# The `canary` cargo feature compiles ~11 deliberately seeded bugs into
+# The `canary` cargo feature compiles ~12 deliberately seeded bugs into
 # the checkers, machine, orchestrator and campaign engine, each dormant until its name is set in
 # ARGUS_CANARY. This script builds that binary once, proves it is
 # byte-identical to the clean binary while dormant, then arms each
@@ -128,6 +128,14 @@ echo "== machine canary: a tapped op inside a block skips its fault draw =="
 # runs end. Seed 9 first shows it at 120 permanent injections.
 check_divergence canary-tapped-op-skips-draw --permanent -n 200 --seed 9
 
+echo "== campaign canary: early finish treats a live signature bit as masked =="
+# A permanent fault whose flipped bits no consumer reads stops at its
+# first flip with the no-fault verdict. A mask one bit narrower than the
+# signature also stops faults on the signature's top bit, which the
+# checker reads and often detects. Seed 9 first shows it at 140 permanent
+# injections.
+check_divergence canary-early-finish-live-bit --permanent -n 200 --seed 9
+
 echo "== orchestrator canaries: ledger-invariant detection =="
 # chunk=1 with 4 shards forces work-stealing on every injection.
 check_invariant canary-tally-drop-on-steal tally-accounts-done \
@@ -210,4 +218,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 11 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
+echo "PASS: all 12 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
