@@ -76,25 +76,35 @@ impl Program {
     /// Panics unless both the image and the machine are Argus mode (the
     /// protected-zero fill is an Argus-mode machine's power-on memory).
     pub fn reload_pages(&self, m: &mut Machine, since_gen: u64) {
+        for page in 0..m.mem().memory().page_count() {
+            if m.mem().memory().page_dirty_since(page, since_gen) {
+                self.reload_page(m, page);
+            }
+        }
+    }
+
+    /// Rewrites dirty-tracking page `page` back to its load-time contents,
+    /// as [`Program::reload_pages`] does for each dirty page.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both the image and the machine are Argus mode, or if
+    /// `page` is out of range.
+    pub fn reload_page(&self, m: &mut Machine, page: usize) {
         assert!(
             self.mode == Mode::Argus && m.config().argus_mode,
             "page-restricted reload is defined for Argus-mode images only"
         );
-        for page in 0..m.mem().memory().page_count() {
-            if !m.mem().memory().page_dirty_since(page, since_gen) {
-                continue;
-            }
-            m.mem_mut().memory_mut().fill_protected_zero_page(page);
-            let words = m.mem().memory().page_word_range(page);
-            let bytes = 4 * words.start as u64..4 * words.end as u64;
-            let code = words_within(self.code_base, self.code.len(), &bytes);
-            if !code.is_empty() {
-                m.load_code(self.code_base + 4 * code.start as u32, &self.code[code]);
-            }
-            let data = words_within(self.data_base, self.data.len(), &bytes);
-            if !data.is_empty() {
-                m.load_data(self.data_base + 4 * data.start as u32, &self.data[data]);
-            }
+        m.mem_mut().memory_mut().fill_protected_zero_page(page);
+        let words = m.mem().memory().page_word_range(page);
+        let bytes = 4 * words.start as u64..4 * words.end as u64;
+        let code = words_within(self.code_base, self.code.len(), &bytes);
+        if !code.is_empty() {
+            m.load_code(self.code_base + 4 * code.start as u32, &self.code[code]);
+        }
+        let data = words_within(self.data_base, self.data.len(), &bytes);
+        if !data.is_empty() {
+            m.load_data(self.data_base + 4 * data.start as u32, &self.data[data]);
         }
     }
 

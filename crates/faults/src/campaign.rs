@@ -18,6 +18,7 @@ use argus_snapshot::{
     PAGE_WORDS,
 };
 use argus_workloads::Workload;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::ops::Range;
@@ -56,8 +57,10 @@ pub struct CampaignConfig {
     /// snapshot store and delta-fork each injection from the nearest
     /// snapshot at or before its arm cycle, instead of cold-booting and
     /// replaying the whole deterministic prefix. `None` (the default)
-    /// keeps the cold-boot path. Results are bit-identical either way —
-    /// this only trades a golden-run capture for injection throughput.
+    /// keeps the cold-boot path, where with `golden_shortcuts` on each
+    /// worker's rolling golden cursor replays that prefix once per chunk
+    /// instead. Results are bit-identical either way — this only trades a
+    /// golden-run capture for injection throughput.
     pub snapshot_every: Option<u64>,
     /// Watchdog cycle budget for one injection, as a multiple of the
     /// golden run length (plus `hang_slack`). The budget counts step-loop
@@ -88,6 +91,9 @@ pub struct CampaignConfig {
     /// - a spent transient (flipped, nothing left armed) stops at the
     ///   first golden block end where its full state matches the no-fault
     ///   run's (reconvergence, see DESIGN.md), and takes that run's end.
+    ///
+    /// The same run's block ends are where a cold-boot injection's rolling
+    /// golden cursor stops, so the cursor rides on this toggle too.
     ///
     /// Bit-identical by construction (the equivalence suites pin this
     /// too); the toggle exists for those tests and for A/B measurements.
@@ -121,7 +127,8 @@ pub enum StoreKind {
 /// quarantine and the watchdog exactly the way an organic bug would.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Injection indices that panic mid-run.
+    /// Injection indices that panic mid-run (halfway through a cursor
+    /// walk when the injection walks one).
     pub panic_at: Vec<usize>,
     /// Injection indices that livelock until the watchdog fires.
     pub livelock_at: Vec<usize>,
@@ -413,6 +420,10 @@ struct GoldenTemplate {
     end_budget: u64,
     /// Cycle at which the run ended.
     end_cycle: u64,
+    /// Cycle of every block end of this run, ascending: where the rolling
+    /// golden cursor stops (DESIGN.md "Rolling golden cursor"). Empty when
+    /// the run hung.
+    block_ends: Vec<u64>,
 }
 
 impl GoldenTemplate {
@@ -435,6 +446,13 @@ impl GoldenTemplate {
             return EarlyFinish::Never;
         }
         early_finish(fault, sig_width)
+    }
+
+    /// The last block end of this run at or before `arm_cycle` (0 when
+    /// none): where a cursor walk for a fault arming there stops.
+    fn walk_target(&self, arm_cycle: u64) -> u64 {
+        let n = self.block_ends.partition_point(|&c| c <= arm_cycle);
+        n.checked_sub(1).map_or(0, |i| self.block_ends[i])
     }
 }
 
@@ -525,9 +543,16 @@ fn memory_digest(m: &mut Machine) -> u64 {
 enum Trace<'a> {
     /// Run to the end.
     Off,
-    /// The no-fault template run: record a key at block ends, and the last
-    /// cycle each machine site could be tapped.
-    Record { keys: &'a mut Vec<TraceKey>, last_tap: &'a mut [u64; TapSet::BITS] },
+    /// The no-fault template run: record a key at block ends, the last
+    /// cycle each machine site could be tapped, and every block end.
+    Record {
+        keys: &'a mut Vec<TraceKey>,
+        last_tap: &'a mut [u64; TapSet::BITS],
+        block_ends: &'a mut Vec<u64>,
+    },
+    /// A cursor walk along the no-fault run: stop at the first step
+    /// boundary at or past this cycle.
+    Walk(u64),
     /// Stop at the first key a spent run's state matches, or where the
     /// [`EarlyFinish`] rule decides the run, and end as the template did.
     Follow(&'a GoldenTemplate, EarlyFinish),
@@ -536,13 +561,15 @@ enum Trace<'a> {
 /// A worker's reusable injection state: one resident machine + checker
 /// pair, held by the delta-restore [`Workspace`], that every injection the
 /// worker runs rewrites in place — forked injections by snapshot restore,
-/// cold-boot injections by a reset to the load image. One per worker
-/// thread; dropping it just frees the resident machine.
+/// cold-boot injections by a resume of the rolling golden cursor or a
+/// reset to the load image. One per worker thread; dropping it just frees
+/// the resident machine.
 #[derive(Debug, Default)]
 pub struct CampaignWorkspace {
     ws: Workspace,
-    /// What a reset to the campaign's entry state restores; captured at
-    /// this workspace's first cold boot for the campaign.
+    /// What a reset to the campaign's entry state restores, and the
+    /// rolling golden cursor; captured at this workspace's first cold boot
+    /// for the campaign.
     entry: Option<EntryImage>,
     /// Resident decoded-page cache for store restores. This — not the
     /// store — is what bounds a worker's peak RSS: page bodies stay on
@@ -571,6 +598,102 @@ struct EntryImage {
     /// The cold boot's combined fingerprint, checked after every reset
     /// under `debug_assertions` (0 in release builds).
     fingerprint: u64,
+    /// The rolling golden cursor, when one sits on the no-fault run.
+    cursor: Option<Cursor>,
+}
+
+/// A rolling checkpoint on the campaign's no-fault run (DESIGN.md "Rolling
+/// golden cursor"): the resident pair's state at one of the run's block
+/// ends, from which the next cold-boot injection arming at or after it
+/// resumes instead of replaying the prefix from entry.
+#[derive(Debug)]
+struct Cursor {
+    /// The no-fault run's block end the checkpoint sits on.
+    cycle: u64,
+    /// Watchdog ticks the no-fault run spent from entry to `cycle`.
+    ticks: u64,
+    core: CoreState,
+    checker: ArgusState,
+    /// Every page the no-fault run wrote between entry and `cycle`, as it
+    /// stands at `cycle`; every other page holds its load-time contents.
+    pages: BTreeMap<usize, PageCopy>,
+    /// Memory write generation stamped right after the last capture or
+    /// restore: pages not dirty since hold the checkpoint's contents.
+    clean_gen: u64,
+    /// The pair's state at capture, matched after every restore under
+    /// `debug_assertions` (`None` in release builds).
+    check: Option<TraceKey>,
+}
+
+/// One memory page's words and EDC tags.
+#[derive(Debug)]
+struct PageCopy {
+    words: Box<[u32]>,
+    tags: Box<[bool]>,
+}
+
+impl Cursor {
+    /// Checkpoints the pair, which sits on the no-fault run: `pages` (the
+    /// previous checkpoint's copies) plus every page written since
+    /// generation `since`.
+    fn capture(
+        m: &mut Machine,
+        argus: &Argus,
+        ticks: u64,
+        mut pages: BTreeMap<usize, PageCopy>,
+        since: u64,
+    ) -> Self {
+        let mem = m.mem().memory();
+        for page in (0..mem.page_count()).filter(|&p| mem.page_dirty_since(p, since)) {
+            let r = mem.page_word_range(page);
+            let copy = pages.entry(page).or_insert_with(|| PageCopy {
+                words: vec![0; r.len()].into(),
+                tags: vec![false; r.len()].into(),
+            });
+            copy.words.copy_from_slice(&mem.words()[r.clone()]);
+            copy.tags.copy_from_slice(&mem.tags()[r]);
+        }
+        let check = cfg!(debug_assertions).then(|| TraceKey::capture(m, argus, 0));
+        Self {
+            cycle: m.cycle(),
+            ticks,
+            core: m.capture_core(),
+            checker: argus.capture_state(),
+            pages,
+            clean_gen: m.mem_mut().memory_mut().advance_generation(),
+            check,
+        }
+    }
+
+    /// Puts the pair back at the checkpoint: each page written since the
+    /// last capture or restore gets its copy, or its load-time contents
+    /// when the no-fault run had not written it; core, caches and checker
+    /// state are restored. Returns the write generation stamped right
+    /// after, which becomes the checkpoint's `clean_gen`.
+    fn restore(&self, prog: &Program, m: &mut Machine, argus: &mut Argus) -> u64 {
+        // Seeded bug: leave one page the no-fault run wrote as the last
+        // run left it.
+        let mut skip = argus_sim::canary::enabled("canary-cursor-skips-walk-page");
+        for page in 0..m.mem().memory().page_count() {
+            if !m.mem().memory().page_dirty_since(page, self.clean_gen) {
+                continue;
+            }
+            match self.pages.get(&page) {
+                Some(_) if skip => skip = false,
+                Some(copy) => {
+                    let start = m.mem().memory().page_word_range(page).start;
+                    m.mem_mut().memory_mut().restore_words(start, &copy.words, &copy.tags);
+                }
+                None => prog.reload_page(m, page),
+            }
+        }
+        m.restore_core(&self.core);
+        argus.restore_state(&self.checker);
+        if let Some(k) = &self.check {
+            assert!(k.matches(m, argus, true), "cursor restore does not match its capture");
+        }
+        m.mem_mut().memory_mut().advance_generation()
+    }
 }
 
 impl CampaignWorkspace {
@@ -691,13 +814,7 @@ impl PreparedCampaign {
     /// over reloaded pages are re-validated like after any write. Not a
     /// snapshot restore, so [`CampaignWorkspace::stats`] is untouched.
     fn boot_into(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> u64 {
-        let kept = ws
-            .entry
-            .as_mut()
-            .filter(|e| e.campaign == self.uid && e.core.cfg == cfg.mcfg && e.acfg == cfg.acfg);
-        let pair =
-            ws.ws.pair_mut().filter(|(m, a)| m.config() == cfg.mcfg && a.config() == cfg.acfg);
-        if let (Some(e), Some((m, argus))) = (kept, pair) {
+        if let Some((e, m, argus)) = self.kept_entry(cfg, ws) {
             self.prog.reload_pages(m, e.clean_gen.unwrap_or(0));
             m.restore_core(&e.core);
             argus.restore_state(&e.checker);
@@ -719,8 +836,107 @@ impl PreparedCampaign {
             checker: argus.capture_state(),
             clean_gen: Some(clean_gen),
             fingerprint: if cfg!(debug_assertions) { combined_fingerprint(m, argus) } else { 0 },
+            cursor: None,
         });
         clean_gen
+    }
+
+    /// `ws`'s entry image and resident pair, when both were booted for
+    /// this campaign and configuration.
+    fn kept_entry<'w>(
+        &self,
+        cfg: &CampaignConfig,
+        ws: &'w mut CampaignWorkspace,
+    ) -> Option<(&'w mut EntryImage, &'w mut Machine, &'w mut Argus)> {
+        let e = ws
+            .entry
+            .as_mut()
+            .filter(|e| e.campaign == self.uid && e.core.cfg == cfg.mcfg && e.acfg == cfg.acfg)?;
+        let (m, a) =
+            ws.ws.pair_mut().filter(|(m, a)| m.config() == cfg.mcfg && a.config() == cfg.acfg)?;
+        Some((e, m, a))
+    }
+
+    /// Puts `ws`'s resident pair on the no-fault run at its last block end
+    /// at or before `arm_cycle`, through the worker's rolling golden cursor
+    /// (DESIGN.md "Rolling golden cursor"). A cursor at or before the arm
+    /// cycle is restored; otherwise the pair resets to entry. Either way
+    /// the no-fault run is then walked on to the block end and
+    /// re-checkpointed. Returns the memory write generation stamped right
+    /// after (pages not dirty since hold the no-fault run's contents) and
+    /// the watchdog ticks the no-fault run spent from entry to there.
+    /// `chaos` names an injection that panics halfway through its walk.
+    fn resume_cursor(
+        &self,
+        cfg: &CampaignConfig,
+        ws: &mut CampaignWorkspace,
+        t: &GoldenTemplate,
+        arm_cycle: u64,
+        chaos: Option<usize>,
+    ) -> (u64, u64) {
+        let target = t.walk_target(arm_cycle);
+        // Taken out for the walk: a run that panics before it is put back
+        // leaves no cursor, and the next injection resets to entry.
+        let kept = self
+            .kept_entry(cfg, ws)
+            .and_then(|(e, ..)| e.cursor.take())
+            .filter(|c| c.cycle <= arm_cycle);
+        let (pages, ticks, since) = match kept {
+            Some(c) => {
+                let (m, argus) = ws.ws.pair_mut().expect("a kept cursor has its pair");
+                let clean_gen = c.restore(&self.prog, m, argus);
+                if target <= c.cycle {
+                    let ticks = c.ticks;
+                    let e = ws.entry.as_mut().expect("a kept cursor has its entry image");
+                    e.cursor = Some(Cursor { clean_gen, ..c });
+                    return (clean_gen, ticks);
+                }
+                (c.pages, c.ticks, clean_gen)
+            }
+            None => {
+                ws.exec.cursor_resets += 1;
+                let clean_gen = self.boot_into(cfg, ws);
+                if target == 0 {
+                    return (clean_gen, 0);
+                }
+                (BTreeMap::new(), 0, clean_gen)
+            }
+        };
+        let budget = cfg.watchdog_config(self.golden_cycles);
+        let mut wd = InjectionWatchdog::new(&budget);
+        let (m, argus) = ws.ws.pair_mut().expect("restored or booted above");
+        let start = m.cycle();
+        let mut walk = |m: &mut Machine, argus: &mut Argus, to: u64| {
+            let out = faulty_loop(
+                m,
+                argus,
+                &mut FaultInjector::none(),
+                self.window,
+                self.prog.data_base,
+                &mut wd,
+                &self.invariants,
+                since,
+                Trace::Walk(to),
+            );
+            ws.exec.merge(&out.exec);
+            out.hung
+        };
+        if let Some(index) = chaos {
+            walk(m, argus, t.walk_target(start + (target - start) / 2));
+            ws.exec.cursor_walk_cycles += m.cycle() - start;
+            chaos_panic(index);
+        }
+        let hung = walk(m, argus, target);
+        if hung.is_some() || m.cycle() > arm_cycle {
+            ws.exec.cursor_overshoots += 1;
+            return (self.boot_into(cfg, ws), 0);
+        }
+        ws.exec.cursor_walk_cycles += m.cycle() - start;
+        let ticks = ticks + budget.cycle_budget - wd.remaining();
+        let cursor = Cursor::capture(m, argus, ticks, pages, since);
+        let clean_gen = cursor.clean_gen;
+        ws.entry.as_mut().expect("restored or booted above").cursor = Some(cursor);
+        (clean_gen, ticks)
     }
 
     /// Drains accumulated snapshot-corruption warnings.
@@ -772,6 +988,7 @@ impl PreparedCampaign {
         }
         if let Some(e) = ws.entry.as_mut() {
             e.clean_gen = None;
+            e.cursor = None;
         }
         let (ws, cache) = (&mut ws.ws, &mut ws.cache);
         let restored = if self.snapshot_verified[i].load(Ordering::Relaxed) {
@@ -796,8 +1013,8 @@ impl PreparedCampaign {
     /// The no-fault run, computed on first use by replaying the workload
     /// once from the entry state, on `ws`'s resident pair, through the
     /// real faulty loop (watchdog, scrub and all) with a pass-through
-    /// injector, recording reconvergence keys and each site's last
-    /// possible tap on the way.
+    /// injector, recording reconvergence keys, each site's last possible
+    /// tap and every block end on the way.
     fn golden_template(&self, cfg: &CampaignConfig, ws: &mut CampaignWorkspace) -> &GoldenTemplate {
         self.golden_template.get_or_init(|| {
             let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(self.golden_cycles));
@@ -806,6 +1023,7 @@ impl PreparedCampaign {
             let mut inj = FaultInjector::none();
             let mut keys = Vec::new();
             let mut last_tap = [0; TapSet::BITS];
+            let mut block_ends = Vec::new();
             let out = faulty_loop(
                 m,
                 argus,
@@ -815,10 +1033,15 @@ impl PreparedCampaign {
                 &mut wd,
                 &self.invariants,
                 clean_gen,
-                Trace::Record { keys: &mut keys, last_tap: &mut last_tap },
+                Trace::Record {
+                    keys: &mut keys,
+                    last_tap: &mut last_tap,
+                    block_ends: &mut block_ends,
+                },
             );
             if out.hung.is_some() {
                 keys.clear();
+                block_ends.clear();
             }
             GoldenTemplate {
                 detection: out.detection,
@@ -829,6 +1052,7 @@ impl PreparedCampaign {
                 last_tap,
                 end_budget: wd.remaining(),
                 end_cycle: m.cycle(),
+                block_ends,
             }
         })
     }
@@ -1004,7 +1228,8 @@ struct FaultyOutcome {
     exec: ExecStats,
 }
 
-/// The faulty-run step loop, shared by the cold-boot and forked paths.
+/// The faulty-run step loop, shared by the cold-boot, cursor and forked
+/// paths and by the cursor's walks.
 ///
 /// The watchdog is ticked once per iteration *before* stepping, so it
 /// bounds the loop even when a fault corrupts the cycle counter that the
@@ -1012,12 +1237,14 @@ struct FaultyOutcome {
 /// stamped when the pair was last forked or booted: pages not dirty since
 /// still hold golden-run (or load-time) content.
 ///
-/// `trace` records the golden trace (template run) or follows it: once
-/// the fault is spent — it has flipped and no fault is left live — the
-/// run is compared against each key whose cycle it stops at, and on a
-/// match it ends with the template's outcome instead of re-simulating the
-/// template's suffix. Only when the watchdog has more budget left than
-/// that suffix took, so the hung verdict cannot change.
+/// `trace` records the golden trace (template run), walks the no-fault run
+/// to a cycle (a cursor walk, with a pass-through injector), or follows
+/// the golden trace: once the fault is spent — it has flipped and no
+/// fault is left live — the run is compared against each key whose cycle
+/// it stops at, and on a match it ends with the template's outcome
+/// instead of re-simulating the template's suffix. Only when the watchdog
+/// has more budget left than that suffix took, so the hung verdict cannot
+/// change.
 #[allow(clippy::too_many_arguments)]
 fn faulty_loop(
     m: &mut Machine,
@@ -1036,8 +1263,10 @@ fn faulty_loop(
     // last iteration ended a block (where the template records).
     let mut next_key = match &trace {
         Trace::Off => u64::MAX,
-        Trace::Record { .. } => KEY_SPACING,
+        // Every iteration: each block end is recorded.
+        Trace::Record { .. } => 0,
         Trace::Follow(t, _) => t.keys.first().map_or(u64::MAX, |k| k.cycle),
+        Trace::Walk(target) => *target,
     };
     let (early, template) = match &trace {
         Trace::Follow(t, early) => (*early, Some(*t)),
@@ -1081,10 +1310,23 @@ fn faulty_loop(
         if m.cycle() >= next_key {
             match &mut trace {
                 Trace::Off => {}
-                Trace::Record { keys, .. } => {
+                Trace::Walk(_) => {
+                    return FaultyOutcome {
+                        detection: first,
+                        exercised_at: None,
+                        halted: false,
+                        digest: 0,
+                        hung: None,
+                        exec: drain_exec(m, &own),
+                    };
+                }
+                Trace::Record { keys, block_ends, .. } => {
                     if at_block_end {
-                        keys.push(TraceKey::capture(m, argus, wd.remaining()));
-                        next_key = m.cycle() + KEY_SPACING;
+                        let cycle = m.cycle();
+                        block_ends.push(cycle);
+                        if keys.last().map_or(KEY_SPACING, |k| k.cycle + KEY_SPACING) <= cycle {
+                            keys.push(TraceKey::capture(m, argus, wd.remaining()));
+                        }
                     }
                 }
                 Trace::Follow(t, _) => {
@@ -1480,7 +1722,7 @@ pub fn run_injection_in(
     index: usize,
     ws: &mut CampaignWorkspace,
 ) -> InjectionResult {
-    match run_injection_watched(prep, cfg, index, ws) {
+    match run_injection_watched(prep, cfg, index, ws, false) {
         Ok(r) => r,
         Err(cause) => panic!("injection {index} hung ({})", cause.label()),
     }
@@ -1488,12 +1730,15 @@ pub fn run_injection_in(
 
 /// [`run_injection_in`] with the watchdog verdict surfaced instead of
 /// panicking: `Err` means the run blew its budget and has no
-/// classification.
+/// classification. `chaos` makes the injection panic mid-run: halfway
+/// through its cursor walk when it walks, else just before its faulty run
+/// (or its short-cut verdict).
 fn run_injection_watched(
     prep: &PreparedCampaign,
     cfg: &CampaignConfig,
     index: usize,
     ws: &mut CampaignWorkspace,
+    chaos: bool,
 ) -> Result<InjectionResult, HangCause> {
     let point = prep.points[index];
     let mut rng = SplitMix64::stream(cfg.seed ^ INJECTION_STREAM_SALT, index as u64);
@@ -1503,10 +1748,14 @@ fn run_injection_watched(
         fault.sensitization = 0.0;
     }
     let golden = cfg.golden_shortcuts.then(|| prep.golden_template(cfg, ws));
+    let chaos = chaos.then_some(index);
     // A fault that never fires leaves the no-fault run untouched: its run
     // *is* the template's, verdict and all.
     let inert = fault.sensitization == 0.0;
     if let Some(t) = golden.filter(|t| inert || t.never_taps(&fault)) {
+        if let Some(index) = chaos {
+            chaos_panic(index);
+        }
         ws.exec.dead_site += u64::from(!inert);
         if let Some(cause) = t.hung {
             return Err(cause);
@@ -1521,18 +1770,27 @@ fn run_injection_watched(
     }
     let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
     let inv = prep.invariants.as_ref();
-    // A fork is bit-identical to a cold boot because the fault is inert
-    // before its arm cycle: `FaultInjector` passes every tap through
-    // unchanged (and keeps no internal state) until `cycle >= arm_cycle`,
-    // snapshots are taken at step boundaries, and the snapshot's cycle
-    // stamp is at or before the arm cycle.
-    let clean_gen = if prep.fork_into(arm_cycle, ws) {
-        ws.ws.clean_generation()
+    // A fork or a cursor resume is bit-identical to a cold boot because
+    // the fault is inert before its arm cycle: `FaultInjector` passes every
+    // tap through unchanged (and keeps no internal state) until
+    // `cycle >= arm_cycle`, snapshots and cursors sit on step boundaries,
+    // and their cycle is at or before the arm cycle. The cursor's watchdog
+    // is charged with the no-fault prefix's ticks, as a cold boot's is.
+    let (clean_gen, ticks) = if prep.fork_into(arm_cycle, ws) {
+        (ws.ws.clean_generation(), 0)
+    } else if let Some(t) = golden.filter(|_| cfg.snapshot_every.is_none()) {
+        prep.resume_cursor(cfg, ws, t, arm_cycle, chaos)
     } else {
-        prep.boot_into(cfg, ws)
+        (prep.boot_into(cfg, ws), 0)
     };
+    if let Some(index) = chaos {
+        chaos_panic(index);
+    }
+    let charged = wd.tick_many(ticks);
+    debug_assert_eq!(charged, None, "the no-fault prefix exhausted the watchdog");
     let (m, argus) = ws.ws.pair_mut().expect("forked or booted above");
     debug_assert!(m.cycle() <= fault.arm_cycle, "forked past the arm cycle");
+    ws.exec.prefix_cycles += arm_cycle.saturating_sub(m.cycle());
     let trace =
         golden.map_or(Trace::Off, |t| Trace::Follow(t, t.early_finish(&fault, cfg.acfg.sig_width)));
     let mut inj = FaultInjector::with_fault(fault);
@@ -1554,6 +1812,11 @@ fn run_injection_watched(
 
     let masked = out.halted && out.digest == prep.golden_digest;
     Ok(classify(point, arm_cycle, masked, out.detection, out.exercised_at))
+}
+
+/// The panic a [`ChaosConfig::panic_at`] injection raises.
+fn chaos_panic(index: usize) -> ! {
+    panic!("chaos: injected panic at injection {index}")
 }
 
 /// Table-1 classification from a run's observables.
@@ -1607,9 +1870,6 @@ pub fn run_injection_guarded_in(
     ws: &mut CampaignWorkspace,
 ) -> SupervisedOutcome {
     if let Some(chaos) = &cfg.chaos {
-        if chaos.panic_at.contains(&index) {
-            panic!("chaos: injected panic at injection {index}");
-        }
         if chaos.livelock_at.contains(&index) {
             // A real livelock, supervised by a real watchdog: spin until
             // it fires, exactly as the step loop would.
@@ -1622,7 +1882,8 @@ pub fn run_injection_guarded_in(
             }
         }
     }
-    match run_injection_watched(prep, cfg, index, ws) {
+    let panic = cfg.chaos.as_ref().is_some_and(|c| c.panic_at.contains(&index));
+    match run_injection_watched(prep, cfg, index, ws, panic) {
         Ok(r) => SupervisedOutcome::Classified(r),
         Err(cause) => SupervisedOutcome::Hung { index: index as u64, cause },
     }
@@ -1664,7 +1925,9 @@ pub fn run_injection_supervised_in(
     }
 }
 
-/// Runs a full injection campaign on one workload, serially.
+/// Runs a full injection campaign on one workload, serially, in the order
+/// the campaign engine runs a fresh one: 32-index ranges, each by arm
+/// cycle. Results are stored by index.
 ///
 /// # Panics
 ///
@@ -1672,18 +1935,28 @@ pub fn run_injection_supervised_in(
 pub fn run_campaign(w: &Workload, cfg: &CampaignConfig) -> CampaignReport {
     let cfg = &cfg.sized_for(w);
     let prep = prepare_campaign(w, cfg);
-    let mut results = Vec::with_capacity(prep.injections());
-    let mut attribution = CounterSet::new();
+    let n = prep.injections();
+    let mut results: Vec<Option<InjectionResult>> = vec![None; n];
     let mut ws = CampaignWorkspace::new();
-    for index in 0..prep.injections() {
-        let r = run_injection_in(&prep, cfg, index, &mut ws);
-        if let Some(k) = r.detector {
-            attribution.bump(&k.to_string());
+    // The engine's order: each lease-sized range by arm cycle, so the
+    // workspace's cursor walks a range's no-fault prefix once.
+    for start in (0..n).step_by(SERIAL_CHUNK) {
+        for index in prep.arm_order(cfg, start..n.min(start + SERIAL_CHUNK)) {
+            results[index] = Some(run_injection_in(&prep, cfg, index, &mut ws));
         }
-        results.push(r);
+    }
+    let results: Vec<InjectionResult> =
+        results.into_iter().map(|r| r.expect("every index ran")).collect();
+    let mut attribution = CounterSet::new();
+    for k in results.iter().filter_map(|r| r.detector) {
+        attribution.bump(&k.to_string());
     }
     CampaignReport { results, kind: cfg.kind, attribution, golden_cycles: prep.golden_cycles }
 }
+
+/// Indices per arm-ordered range in [`run_campaign`]: the campaign
+/// engine's default lease size.
+const SERIAL_CHUNK: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -2504,13 +2777,80 @@ mod tests {
             &mut wd,
             &prep.invariants,
             clean_gen,
-            Trace::Record { keys: &mut keys, last_tap: &mut last_tap },
+            Trace::Record { keys: &mut keys, last_tap: &mut last_tap, block_ends: &mut Vec::new() },
         );
         assert!(out.detection.is_some() || out.hung.is_some(), "the stall went unnoticed");
         let bit = |site| TapSet::site(site).bits().next().unwrap();
         let fetched = last_tap[bit(IF_IBUS)];
         assert!(fetched <= arm + 64, "ops kept committing after the stall armed");
         assert!(last_tap[bit(CTL_STALL_RELEASE)] > fetched, "stalled cycles were not recorded");
+    }
+
+    /// The template's block ends are strictly ascending, a walk from entry
+    /// lands exactly on each target, and the cursor resumed at rising arm
+    /// cycles puts the pair on the last block end at or before each, in
+    /// the state a step-by-step checked replay of the no-fault run holds
+    /// there.
+    #[test]
+    fn cursor_walks_land_on_golden_block_ends() {
+        let (prep, cfg, t) = stress_template(MachineConfig::default());
+        assert!(t.block_ends.len() > 100, "only {} block ends", t.block_ends.len());
+        assert!(t.block_ends.windows(2).all(|w| w[0] < w[1]), "block ends not ascending");
+        assert!(*t.block_ends.last().unwrap() <= t.end_cycle);
+        let arms: Vec<u64> = (1..=12).map(|k| prep.golden_cycles * 3 / 4 * k / 12).collect();
+        for &arm in &arms {
+            let target = t.walk_target(arm);
+            assert!(target <= arm && t.block_ends.contains(&target), "arm {arm}: {target}");
+            assert!(t.block_ends.iter().all(|&c| c <= target || c > arm), "arm {arm}");
+            let mut ws = CampaignWorkspace::new();
+            let clean_gen = prep.boot_into(&cfg, &mut ws);
+            let (m, argus) = ws.ws.pair_mut().unwrap();
+            let mut wd = InjectionWatchdog::new(&cfg.watchdog_config(prep.golden_cycles));
+            let out = faulty_loop(
+                m,
+                argus,
+                &mut FaultInjector::none(),
+                prep.window,
+                prep.prog.data_base,
+                &mut wd,
+                &prep.invariants,
+                clean_gen,
+                Trace::Walk(target),
+            );
+            assert_eq!((out.hung, m.cycle()), (None, target), "arm {arm}: the walk missed");
+        }
+
+        // The replay: one checked interpreter step at a time.
+        let (mut golden, mut golden_argus) = prep.entry_state(&cfg);
+        let mut none = FaultInjector::none();
+        let mut ws = CampaignWorkspace::new();
+        let mut ticks = 0;
+        for &arm in &arms {
+            let (clean_gen, charged) = prep.resume_cursor(&cfg, &mut ws, &t, arm, None);
+            let (m, argus) = ws.ws.pair_mut().unwrap();
+            assert_eq!(m.cycle(), t.walk_target(arm), "arm {arm}");
+            while golden.cycle() < m.cycle() {
+                let StepOutcome::Committed(rec) = golden.step(&mut none) else {
+                    panic!("the no-fault run stalled or halted")
+                };
+                assert!(golden_argus.on_commit(&rec, &mut none).is_empty());
+                ticks += 1;
+            }
+            assert_eq!(charged, ticks, "arm {arm}: the prefix's watchdog ticks");
+            assert_eq!(
+                combined_fingerprint(m, argus),
+                combined_fingerprint(&golden, &golden_argus)
+            );
+            assert_eq!(argus.capture_state(), golden_argus.capture_state());
+            let mem = m.mem().memory();
+            assert!((0..mem.page_count()).all(|p| !mem.page_dirty_since(p, clean_gen)));
+            // A faulty run writes somewhere; the next resume rewrites it.
+            m.write_data_word(prep.prog.data_base, 0xDEAD_BEEF);
+        }
+        let stats = ws.exec;
+        assert_eq!((stats.cursor_resets, stats.cursor_overshoots), (1, 0));
+        assert_eq!(stats.cursor_walk_cycles, t.walk_target(*arms.last().unwrap()));
+        assert_eq!(ws.stats(), WorkspaceStats::default(), "cursor resumes are not restores");
     }
 
     /// `retired` alone differs: no architectural effect, but the states

@@ -319,6 +319,11 @@ fn assert_campaigns_identical(w: &Workload, injections: usize, snapshot_every: u
                 "classification diverged ({ctx})"
             );
             assert_eq!(off_exec.plan_hits, 0, "plan cache leaked past the knob ({ctx})");
+            assert_eq!(
+                (on_exec.cursor_overshoots, off_exec.cursor_overshoots),
+                (0, 0),
+                "a cursor walk passed its arm cycle ({ctx})"
+            );
             armed_hits += on_exec.armed_plan_hits;
             if kind == FaultKind::Permanent {
                 tapped_hits += on_exec.tapped_block_hits;

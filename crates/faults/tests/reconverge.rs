@@ -16,7 +16,9 @@
 //! `stress` rows happen to hold no such injection. It also covers the
 //! permanent-fault early finish (checker-only sites stop at detection,
 //! bits no consumer reads stop at the first flip), which transients and
-//! runs with the short-cuts off never take.
+//! runs with the short-cuts off never take. And it covers the rolling
+//! golden cursor, which cold-boot injections resume with the short-cuts
+//! on: the cold rows must walk it, and no walk may pass its arm cycle.
 
 use argus_faults::campaign::ExecStats;
 use argus_faults::{
@@ -63,6 +65,17 @@ fn check(w: &Workload, n: usize, seed: u64, dead_sites: bool) {
                 (0, 0),
                 "{what}: short-cuts off still ended a run early"
             );
+            assert_eq!(
+                (off_stats.cursor_walk_cycles, off_stats.cursor_resets),
+                (0, 0),
+                "{what}: short-cuts off still resumed the cursor"
+            );
+            if cfg.snapshot_every.is_none() {
+                assert!(stats.cursor_walk_cycles > 0, "{what}: the cursor never walked");
+            } else {
+                assert_eq!(stats.cursor_walk_cycles, 0, "{what}: a forked campaign walked");
+            }
+            assert_eq!(stats.cursor_overshoots, 0, "{what}: a walk passed its arm cycle");
             if dead_sites {
                 assert!(stats.dead_site > 0, "{what}: no injection was on a dead site");
             }

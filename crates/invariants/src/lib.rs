@@ -938,6 +938,7 @@ pub const CANARIES: &[&str] = &[
     "canary-dead-site-first-tap",
     "canary-tapped-op-skips-draw",
     "canary-early-finish-live-bit",
+    "canary-cursor-skips-walk-page",
 ];
 
 // ---------------------------------------------------------------------------
@@ -1340,7 +1341,7 @@ mod tests {
 
     #[test]
     fn canary_list_is_stable() {
-        assert_eq!(CANARIES.len(), 12);
+        assert_eq!(CANARIES.len(), 13);
         for c in CANARIES {
             assert!(c.starts_with("canary-"), "{c} must carry the canary- prefix");
         }

@@ -484,6 +484,18 @@ pub struct ExecStats {
     pub declined_steps: u64,
     /// Of `declined_steps`, those taken after the fault's first flip.
     pub declined_flipped: u64,
+    /// Cycles the campaign engine's rolling golden cursor walked the
+    /// no-fault run forward (counted by the campaign engine).
+    pub cursor_walk_cycles: u64,
+    /// Cursor resumes that reset the resident pair to the entry state
+    /// first, because no checkpoint lay at or before the arm cycle.
+    pub cursor_resets: u64,
+    /// Cursor walks that passed their arm cycle and fell back to a cold
+    /// reset (0 whenever the walk follows the no-fault run's block ends).
+    pub cursor_overshoots: u64,
+    /// Cycles faulty runs simulated from their start (entry, fork or
+    /// cursor) to their arm cycle.
+    pub prefix_cycles: u64,
 }
 
 impl ExecStats {
@@ -506,6 +518,10 @@ impl ExecStats {
         self.masked_bits += other.masked_bits;
         self.declined_steps += other.declined_steps;
         self.declined_flipped += other.declined_flipped;
+        self.cursor_walk_cycles += other.cursor_walk_cycles;
+        self.cursor_resets += other.cursor_resets;
+        self.cursor_overshoots += other.cursor_overshoots;
+        self.prefix_cycles += other.prefix_cycles;
     }
 
     /// Whether every counter is zero.

@@ -316,6 +316,10 @@ fn exec_json(e: &ExecStats) -> Json {
         .set("masked_bits", e.masked_bits)
         .set("declined_steps", e.declined_steps)
         .set("declined_flipped", e.declined_flipped)
+        .set("cursor_walk_cycles", e.cursor_walk_cycles)
+        .set("cursor_resets", e.cursor_resets)
+        .set("cursor_overshoots", e.cursor_overshoots)
+        .set("prefix_cycles", e.prefix_cycles)
 }
 
 impl ShardedReport {

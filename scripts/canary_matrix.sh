@@ -3,7 +3,7 @@
 # registry is blind by design, campaign divergence) actually detects
 # real checker bugs — not just that it stays quiet on healthy runs.
 #
-# The `canary` cargo feature compiles ~12 deliberately seeded bugs into
+# The `canary` cargo feature compiles ~13 deliberately seeded bugs into
 # the checkers, machine, orchestrator and campaign engine, each dormant until its name is set in
 # ARGUS_CANARY. This script builds that binary once, proves it is
 # byte-identical to the clean binary while dormant, then arms each
@@ -136,6 +136,14 @@ echo "== campaign canary: early finish treats a live signature bit as masked =="
 # injections.
 check_divergence canary-early-finish-live-bit --permanent -n 200 --seed 9
 
+echo "== campaign canary: a cursor restore skips a page the no-fault run wrote =="
+# A cold-boot injection resumes the worker's rolling golden cursor, whose
+# restore rewrites every page written since the last capture or restore.
+# Leaving one page the no-fault run wrote as the last faulty run left it
+# starts later injections from a corrupted prefix. Seed 9 first shows it
+# at 120 injections.
+check_divergence canary-cursor-skips-walk-page -n 200 --seed 9
+
 echo "== orchestrator canaries: ledger-invariant detection =="
 # chunk=1 with 4 shards forces work-stealing on every injection.
 check_invariant canary-tally-drop-on-steal tally-accounts-done \
@@ -218,4 +226,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 12 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
+echo "PASS: all 13 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"

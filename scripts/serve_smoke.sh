@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Daemon smoke gate: start `argus serve`, submit two campaigns at
-# different priorities over HTTP, SIGKILL the daemon mid-run, restart it
-# on the same state dir, and require both jobs to finish with reports
+# different priorities over HTTP, hold the big one at a fixed completion
+# count with a zombie lease, SIGKILL the daemon there, restart it on the
+# same state dir, and require both jobs to finish with reports
 # byte-identical (modulo wall-clock/scheduling metadata under "run") to
 # one-shot `argus campaign --json` runs of the same specs. Finishes with
 # a SIGTERM drain that must exit 0.
@@ -17,9 +18,9 @@ fi
 
 N_BIG=20000
 N_SMALL=400
-# The daemon is killed once the big job's checkpoint records this many
-# completed injections: a cut by completion count, not by wall clock.
-KILL_AT=2000
+# Zombie leases outlive the run: the held chunk never completes before
+# the SIGKILL, however fast the host is.
+LEASE_TTL_MS=600000
 SEED_BIG=4242
 SEED_SMALL=99
 WORK="$(mktemp -d)"
@@ -45,7 +46,7 @@ EOF
 
 start_daemon() {
     "$BIN" serve --addr 127.0.0.1:0 --workers 2 --state-dir "$STATE" \
-        --checkpoint-interval-ms 20 2> "$WORK/serve.log" &
+        --checkpoint-interval-ms 20 --lease-ttl-ms "$LEASE_TTL_MS" 2> "$WORK/serve.log" &
     SERVE_PID=$!
     # The daemon prints its bound address to stderr; extract the port.
     for _ in $(seq 1 100); do
@@ -86,32 +87,48 @@ echo "== one-shot reference runs =="
 "$BIN" campaign -n "$N_SMALL" --seed "$SEED_SMALL" --shards 2 --json --quiet \
     > "$WORK/ref_small.json"
 
-echo "== start daemon, submit two campaigns at different priorities, SIGKILL the"
-echo "   daemon once the big job has checkpointed $KILL_AT injections =="
+echo "== start daemon, submit two campaigns at different priorities, hold the"
+echo "   big one with a zombie lease and SIGKILL the daemon once it has"
+echo "   checkpointed every injection but the held ones =="
 start_daemon
-# One process submits both jobs and then polls the big job's checkpoint
-# tightly, killing from the same process: the kill lands within one
-# poll of the count being reached, with no process start in between.
-python3 - "$(cat "$PORT_FILE")" "$STATE" "$SERVE_PID" "$KILL_AT" \
+# The big job is distributed with one pool worker (the small one takes
+# the other, so nothing is preempted). A zombie leases one chunk of it
+# and never completes it: the local worker runs the rest, and the job
+# then sits running at N_BIG - held. One process submits, leases, polls
+# the big job's checkpoint and kills, so nothing races the job's end.
+python3 - "$(cat "$PORT_FILE")" "$STATE" "$SERVE_PID" \
     "$N_BIG" "$SEED_BIG" "$N_SMALL" "$SEED_SMALL" > "$WORK/ids" <<'EOF'
 import http.client, json, os, signal, sys, time
-port, state, pid, kill_at = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
-n_big, seed_big, n_small, seed_small = map(int, sys.argv[5:9])
+port, state, pid = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+n_big, seed_big, n_small, seed_small = map(int, sys.argv[4:8])
+
+def post(path, body):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    conn.request("POST", path, body=json.dumps(body))
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read().decode() or "null")
 
 def submit(spec):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    conn.request("POST", "/jobs", body=json.dumps(spec))
-    resp = conn.getresponse()
-    body = resp.read().decode()
-    if resp.status != 201:
-        sys.exit(f"error: submit {spec} failed: {resp.status} {body}")
-    return json.loads(body)["id"]
+    status, doc = post("/jobs", spec)
+    if status != 201:
+        sys.exit(f"error: submit {spec} failed: {status} {doc}")
+    return doc["id"]
 
-big = submit({"n": n_big, "seed": seed_big, "priority": 1})
+big = submit({"n": n_big, "seed": seed_big, "priority": 1, "distributed": True, "budget": 1})
 small = submit({"n": n_small, "seed": seed_small, "priority": 8})
 print(big, small)
-path = os.path.join(state, f"job-{big}.ckpt.json")
 deadline = time.monotonic() + 30
+while True:
+    status, grant = post(f"/jobs/{big}/lease", {"worker": "zombie"})
+    if status == 200 and isinstance(grant, dict) and "start" in grant:
+        held = grant["end"] - grant["start"]
+        break
+    if time.monotonic() > deadline:
+        sys.exit(f"error: the zombie never leased a chunk of job {big}: {status} {grant}")
+    time.sleep(0.001)
+kill_at = n_big - held
+path = os.path.join(state, f"job-{big}.ckpt.json")
+deadline = time.monotonic() + 600
 while time.monotonic() < deadline:
     try:
         with open(path) as f:
@@ -120,16 +137,13 @@ while time.monotonic() < deadline:
         done = 0  # not written yet, or mid-rotation
     if done >= kill_at:
         os.kill(pid, signal.SIGKILL)
-        print(f"checkpoint records {done} completed injections", file=sys.stderr)
-        if done >= n_big:
-            # The job finished before the kill landed: the restart resumes
-            # nothing, so the crash-resume check below would prove nothing.
-            sys.exit(f"error: the big job had finished ({done} of {n_big} injections "
-                     "checkpointed) when the daemon was killed; the resume went "
-                     "unexercised (raise N_BIG or lower KILL_AT)")
+        print(f"checkpoint records {done} of {n_big} injections, {held} held", file=sys.stderr)
+        if done != kill_at:
+            sys.exit(f"error: the held chunk completed ({done} > {kill_at} injections "
+                     "checkpointed) before the kill; the zombie lease did not hold")
         sys.exit(0)
-    time.sleep(0.002)
-sys.exit(f"error: the checkpoint never recorded {kill_at} completed injections within 30s")
+    time.sleep(0.01)
+sys.exit(f"error: the checkpoint never recorded {kill_at} completed injections within 600s")
 EOF
 read -r BIG_ID SMALL_ID < "$WORK/ids"
 echo "submitted big=$BIG_ID (priority 1), small=$SMALL_ID (priority 8)"
