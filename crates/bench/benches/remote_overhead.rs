@@ -12,8 +12,8 @@
 //!    reported but cannot gate there.
 //! 2. **Wire overhead**: two remote single-thread workers must finish
 //!    within [`MAX_WIRE_OVERHEAD`] of the identical in-process
-//!    `run_sharded` campaign on 2 shards — manifest fetch, artifact
-//!    cold-start, JSON tallies and all.
+//!    `run_sharded` campaign on 2 shards — manifest fetch, campaign
+//!    rebuild, JSON tallies and all.
 //!
 //! The run also re-checks the identity bar: the report fetched from the
 //! daemon must match the in-process run byte for byte outside the
@@ -59,9 +59,10 @@ fn run_direct(n: usize, shards: usize) -> (f64, String) {
 
 /// The same campaign as a remote-only distributed job: daemon + `workers`
 /// single-thread `run_worker` runtimes over loopback. The clock covers
-/// the whole distributed span — submit, cold-start (manifest + artifact
-/// fetch + fingerprint check), leasing, execution, completion posts —
-/// but not daemon startup/drain, which `serve_overhead` already gates.
+/// the whole distributed span — submit, cold-start (manifest fetch,
+/// campaign rebuild, fingerprint check), leasing, execution, completion
+/// posts — but not daemon startup/drain, which `serve_overhead` already
+/// gates.
 fn run_remote(n: usize, workers: usize) -> (f64, String) {
     let state_dir =
         std::env::temp_dir().join(format!("argus-bench-remote-{}-{workers}", std::process::id()));

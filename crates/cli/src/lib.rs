@@ -649,7 +649,6 @@ pub fn cmd_worker(mut args: Args) -> Result<String, CliError> {
     if name.is_empty() || name.starts_with("local:") {
         return Err(usage("--name must be non-empty and not use the `local:` prefix"));
     }
-    let cache_dir = args.opt("--cache-dir").map(std::path::PathBuf::from);
     args.finish()?;
 
     signals::install();
@@ -659,7 +658,7 @@ pub fn cmd_worker(mut args: Args) -> Result<String, CliError> {
         poll: std::time::Duration::from_millis(poll_ms),
         job,
         name: name.clone(),
-        cache_dir,
+        cache_dir: None,
     };
     eprintln!(
         "argus worker: `{name}` connecting to http://{connect} ({workers} executor thread(s))"
@@ -670,9 +669,8 @@ pub fn cmd_worker(mut args: Args) -> Result<String, CliError> {
         eprintln!("argus worker: drained ({cause})");
     }
     Ok(format!(
-        "worker `{name}`: {} job(s), {} chunk(s) accepted ({} duplicate(s)), {} injection(s), \
-         {} artifact cache hit(s)\n",
-        summary.jobs, summary.chunks, summary.duplicates, summary.injections, summary.cache_hits
+        "worker `{name}`: {} job(s), {} chunk(s) accepted ({} duplicate(s)), {} injection(s)\n",
+        summary.jobs, summary.chunks, summary.duplicates, summary.injections
     ))
 }
 
@@ -1099,7 +1097,7 @@ pub const USAGE: &str =
               [--state-dir PATH] [--checkpoint-interval-ms MS]
               [--lease-ttl-ms MS]
   argus worker --connect HOST:PORT [--workers N] [--poll-ms MS]
-               [--job ID] [--name NAME] [--cache-dir PATH]
+               [--job ID] [--name NAME]
   argus snapshot save <file.s> --out PATH [--at-cycle C] [--two-way]
   argus snapshot pack <file.s> --out PATH [--every N] [--until-cycle C]
   argus snapshot info <PATH>
@@ -1121,8 +1119,7 @@ an ARGSTORE scratch file that is memory-mapped, so campaign RSS stays bounded
 at any machine size (in memory, with a warning, if the file cannot be made).
 snapshot save and pack write the same ARGSTORE format standalone (one
 snapshot, or one per interval; inspect either with snapshot info, restore a
-saved one); worker --cache-dir caches fetched job artifacts by content
-address so reconnects skip re-fetching and golden-run rebuilds.
+saved one).
 --invariants selects how densely the always-on invariant registry audits
 the run (off, sampled [default], full); violations land in the report
 (JSON: run.invariants) and, with --strict, abort the campaign naming the
@@ -1141,9 +1138,10 @@ checkpoint-backed preemption, and streaming progress; SIGTERM/SIGINT (or
 POST /drain) checkpoints everything and exits 0, and the next start
 resumes all unfinished jobs. See EXPERIMENTS.md for the API reference.
 worker joins a daemon's distributed jobs (submitted with
-\"distributed\":true) from any machine: it cold-starts from the job
-manifest, verifies its reconstruction against content-addressed
-snapshots, then leases chunks, runs them, and posts tallies back.
+\"distributed\":true) from any machine: it rebuilds the campaign from the
+job manifest (a snapshot job's checkpoints included), checks its golden-run
+length and entry-state fingerprint against the daemon's, then leases
+chunks, runs them, and posts tallies back.
 Results are byte-identical to a local run regardless of worker count,
 crashes, or duplicated posts.
 Exit codes (all verbs): 0 success, 1 runtime failure, 2 usage error";

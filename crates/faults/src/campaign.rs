@@ -1596,99 +1596,6 @@ pub fn prepare_campaign(w: &Workload, cfg: &CampaignConfig) -> PreparedCampaign 
     }
 }
 
-/// [`prepare_campaign`] for a process that already holds the campaign's
-/// sealed ARGSTORE — a remote worker that fetched it from the coordinator
-/// or found it in its on-disk artifact cache. The golden run is still
-/// replayed (its digest and warmed plan cache are needed), but every
-/// checkpoint capture and page intern — the expensive half at XL scale —
-/// is skipped in favor of the adopted store.
-///
-/// # Errors
-///
-/// Returns an error when the store does not plausibly describe this
-/// campaign: no snapshots, no cycle-0 checkpoint, checkpoints beyond the
-/// golden run's end, or a cycle-0 fingerprint differing from the locally
-/// reconstructed entry state. Callers fall back to [`prepare_campaign`],
-/// which rebuilds the store from scratch.
-///
-/// # Panics
-///
-/// Panics on the same configuration inconsistencies as
-/// [`prepare_campaign`].
-pub fn prepare_campaign_with_store(
-    w: &Workload,
-    cfg: &CampaignConfig,
-    store: Arc<MappedStore>,
-) -> io::Result<PreparedCampaign> {
-    assert!(cfg.mcfg.argus_mode, "campaigns run signature-embedded binaries");
-    assert!(
-        cfg.mcfg.mem.mem_bytes >= w.min_mem_bytes,
-        "{} needs at least {} bytes of main memory but the campaign machine has {}; \
-         size the configuration with CampaignConfig::sized_for",
-        w.name,
-        w.min_mem_bytes,
-        cfg.mcfg.mem.mem_bytes,
-    );
-    let prog = compile_workload(w, &cfg.ecfg);
-    let golden = golden_run(&prog, cfg.mcfg);
-    let bad = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-    if store.is_empty() {
-        return bad("adopted store holds no snapshots".into());
-    }
-    if store.cycle(0) != Some(0) {
-        return bad("adopted store is missing the cycle-0 checkpoint".into());
-    }
-    if let Some(last) = store.cycle(store.len() - 1) {
-        if last > golden.cycles {
-            return bad(format!(
-                "adopted store checkpoints cycle {last}, past this binary's golden run \
-                 ({} cycles) — version or config skew",
-                golden.cycles
-            ));
-        }
-    }
-    let entry_print = {
-        let (m, argus) = boot(&prog, cfg);
-        combined_fingerprint(&m, &argus)
-    };
-    if store.fingerprint(0) != Some(entry_print) {
-        return bad(format!(
-            "adopted store's entry fingerprint {:016x?} differs from the locally \
-             reconstructed entry state {entry_print:016x} — refusing to fork from a \
-             skewed campaign",
-            store.fingerprint(0),
-        ));
-    }
-    let window = golden.cycles * 2 + cfg.hang_slack;
-    let inventory = full_inventory();
-    let points = sample_points(&inventory, cfg.injections, cfg.seed);
-    let snapshots = Some(store);
-    let nsnaps = snapshots.as_ref().map_or(0, |s| s.len());
-    let invariants = Arc::new(InvariantEngine::new(cfg.invariants));
-    invariants.set_entry_armed(prog.entry_dcs.is_some());
-    if invariants.enabled() {
-        if let Some(store) = &snapshots {
-            invariants.run_hook(Hook::StoreOpen, &InvariantCtx::Store(store_view(store)));
-        }
-    }
-    Ok(PreparedCampaign {
-        uid: NEXT_CAMPAIGN_UID.fetch_add(1, Ordering::Relaxed),
-        prog,
-        golden_digest: golden.digest,
-        golden_cycles: golden.cycles,
-        golden_exec: golden.exec,
-        window,
-        points,
-        snapshots,
-        snapshot_verified: (0..nsnaps).map(|_| AtomicBool::new(false)).collect(),
-        snapshot_poisoned: (0..nsnaps).map(|_| AtomicBool::new(false)).collect(),
-        snapshot_fallbacks: AtomicU64::new(0),
-        snapshot_warnings: Mutex::new(Vec::new()),
-        golden_template: OnceLock::new(),
-        invariants,
-    })
-}
-
 /// Runs and classifies the `index`-th injection of a prepared campaign.
 ///
 /// All randomness for one injection comes from its own
@@ -1849,20 +1756,11 @@ fn classify(
     }
 }
 
-/// One supervised injection, *without* panic isolation: chaos hooks and
-/// the watchdog apply, but a panic propagates to the caller. This is the
-/// strict-mode path — and the body that [`run_injection_supervised`] wraps
-/// in its panic guard.
-pub fn run_injection_guarded(
-    prep: &PreparedCampaign,
-    cfg: &CampaignConfig,
-    index: usize,
-) -> SupervisedOutcome {
-    run_injection_guarded_in(prep, cfg, index, &mut CampaignWorkspace::new())
-}
-
-/// [`run_injection_guarded`] routed through a worker's reusable
-/// [`CampaignWorkspace`] (see [`run_injection_in`]).
+/// One supervised injection, *without* panic isolation, routed through a
+/// worker's reusable [`CampaignWorkspace`] (see [`run_injection_in`]):
+/// chaos hooks and the watchdog apply, but a panic propagates to the
+/// caller. This is the strict-mode path — and the body that
+/// [`run_injection_supervised_in`] wraps in its panic guard.
 pub fn run_injection_guarded_in(
     prep: &PreparedCampaign,
     cfg: &CampaignConfig,
@@ -1889,26 +1787,14 @@ pub fn run_injection_guarded_in(
     }
 }
 
-/// One fully supervised injection: chaos hooks, watchdog, and panic
-/// isolation. A panic anywhere inside the injection becomes a
+/// One fully supervised injection, routed through a worker's reusable
+/// [`CampaignWorkspace`]: chaos hooks, watchdog, and panic isolation. A
+/// panic anywhere inside the injection becomes a
 /// [`SupervisedOutcome::Quarantined`] record instead of unwinding the
-/// worker; all mutable run state is reset to the load image (or restored
-/// from an immutable snapshot) on the next call, so nothing leaks across
-/// runs.
-pub fn run_injection_supervised(
-    prep: &PreparedCampaign,
-    cfg: &CampaignConfig,
-    index: usize,
-) -> SupervisedOutcome {
-    run_injection_supervised_in(prep, cfg, index, &mut CampaignWorkspace::new())
-}
-
-/// [`run_injection_supervised`] routed through a worker's reusable
-/// [`CampaignWorkspace`]. Unwind-safe: every memory mutation is
-/// generation-stamped at write time, so a run that panics (or is
-/// abandoned) mid-flight leaves only pages the next delta restore or
-/// entry reset already knows to rewrite, and core/checker state is
-/// rewritten in full by both anyway.
+/// worker. Unwind-safe: every memory mutation is generation-stamped at
+/// write time, so a run that panics (or is abandoned) mid-flight leaves
+/// only pages the next delta restore or entry reset already knows to
+/// rewrite, and core/checker state is rewritten in full by both anyway.
 pub fn run_injection_supervised_in(
     prep: &PreparedCampaign,
     cfg: &CampaignConfig,
@@ -2071,7 +1957,8 @@ mod tests {
         assert!(map_store.path().is_some(), "the default store is file-backed");
         let image = MappedStore::from_bytes(map_store.file_bytes().to_vec()).unwrap();
         assert_eq!(image.path(), None);
-        let ram = prepare_campaign_with_store(&w, &cfg, Arc::new(image)).unwrap();
+        let mut ram = prepare_campaign(&w, &cfg);
+        ram.snapshots = Some(Arc::new(image));
         assert_eq!(ram.golden_cycles(), mapped.golden_cycles());
         let mut ram_ws = CampaignWorkspace::new();
         let mut map_ws = CampaignWorkspace::new();
@@ -2086,47 +1973,6 @@ mod tests {
         }
         assert_eq!(mapped.snapshot_fallbacks(), 0, "{:?}", mapped.take_snapshot_warnings());
         assert_eq!(ram.snapshot_fallbacks(), 0, "{:?}", ram.take_snapshot_warnings());
-    }
-
-    #[test]
-    fn adopted_store_campaign_is_bit_identical() {
-        let w = argus_workloads::stress();
-        let cfg = CampaignConfig {
-            injections: 25,
-            seed: 0xF0_0D,
-            snapshot_every: Some(500),
-            ..Default::default()
-        };
-        let fresh = prepare_campaign(&w, &cfg);
-        let store = fresh.snapshot_store().unwrap().clone();
-        let adopted = prepare_campaign_with_store(&w, &cfg, store)
-            .expect("a store from the same binary and config must adopt cleanly");
-        assert_eq!(fresh.golden_cycles(), adopted.golden_cycles());
-        let mut fresh_ws = CampaignWorkspace::new();
-        let mut adopted_ws = CampaignWorkspace::new();
-        for index in 0..fresh.injections() {
-            let a = run_injection_in(&fresh, &cfg, index, &mut fresh_ws);
-            let b = run_injection_in(&adopted, &cfg, index, &mut adopted_ws);
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "injection {index} diverged between the fresh and adopted stores"
-            );
-        }
-        assert_eq!(adopted.snapshot_fallbacks(), 0, "{:?}", adopted.take_snapshot_warnings());
-
-        // A store from a differently configured campaign must be refused
-        // up front: a narrower signature width changes the embedded image,
-        // so the cycle-0 fingerprints cannot match.
-        let other = prepare_campaign(&w, &cfg);
-        let store = other.snapshot_store().unwrap().clone();
-        let bad_cfg = CampaignConfig {
-            acfg: ArgusConfig { sig_width: 4, ..Default::default() },
-            ecfg: EmbedConfig { sig_width: 4, ..Default::default() },
-            ..cfg.clone()
-        };
-        let err = prepare_campaign_with_store(&w, &bad_cfg, store);
-        assert!(err.is_err(), "a fingerprint-skewed store must not be adopted");
     }
 
     #[test]
@@ -2162,7 +2008,7 @@ mod tests {
         let prep = prepare_campaign(&w, &cfg);
         for index in 0..prep.injections() {
             let plain = run_injection(&prep, &cfg, index);
-            match run_injection_supervised(&prep, &cfg, index) {
+            match run_injection_supervised_in(&prep, &cfg, index, &mut CampaignWorkspace::new()) {
                 SupervisedOutcome::Classified(r) => {
                     assert_eq!(format!("{plain:?}"), format!("{r:?}"), "injection {index}");
                 }
@@ -2180,7 +2026,7 @@ mod tests {
             ..Default::default()
         };
         let prep = prepare_campaign(&w, &cfg);
-        match run_injection_supervised(&prep, &cfg, 2) {
+        match run_injection_supervised_in(&prep, &cfg, 2, &mut CampaignWorkspace::new()) {
             SupervisedOutcome::Quarantined(q) => {
                 assert_eq!(q.index, 2);
                 assert_eq!(q.seed, cfg.seed);
@@ -2190,7 +2036,7 @@ mod tests {
         }
         // Neighbours are untouched.
         assert!(matches!(
-            run_injection_supervised(&prep, &cfg, 1),
+            run_injection_supervised_in(&prep, &cfg, 1, &mut CampaignWorkspace::new()),
             SupervisedOutcome::Classified(_)
         ));
     }
@@ -2204,7 +2050,7 @@ mod tests {
             ..Default::default()
         };
         let prep = prepare_campaign(&w, &cfg);
-        match run_injection_supervised(&prep, &cfg, 0) {
+        match run_injection_supervised_in(&prep, &cfg, 0, &mut CampaignWorkspace::new()) {
             SupervisedOutcome::Hung { index, cause } => {
                 assert_eq!(index, 0);
                 assert_eq!(cause, HangCause::CycleBudget);
@@ -2223,7 +2069,7 @@ mod tests {
         };
         let prep = prepare_campaign(&w, &cfg);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_injection_guarded(&prep, &cfg, 1)
+            run_injection_guarded_in(&prep, &cfg, 1, &mut CampaignWorkspace::new())
         }));
         assert!(caught.is_err(), "guarded (strict) mode must propagate panics");
     }

@@ -31,8 +31,7 @@ pub mod latency;
 pub mod sites;
 
 pub use campaign::{
-    prepare_campaign, prepare_campaign_with_store, run_campaign, run_injection,
-    run_injection_guarded, run_injection_guarded_in, run_injection_in, run_injection_supervised,
+    prepare_campaign, run_campaign, run_injection, run_injection_guarded_in, run_injection_in,
     run_injection_supervised_in, CampaignConfig, CampaignReport, CampaignWorkspace, ChaosConfig,
     InjectionResult, Outcome, PreparedCampaign, QuarantineRecord, StoreKind, SupervisedOutcome,
 };

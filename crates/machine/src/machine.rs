@@ -71,10 +71,6 @@ pub struct MachineConfig {
     /// Semantically inert (the memo always equals direct decode); exposed
     /// so identity tests can compare campaigns with it on and off.
     pub predecode: bool,
-    /// Slots in the predecode memo (power of two; see
-    /// [`crate::predecode::DEFAULT_ENTRIES`]). Purely a perf knob: the memo
-    /// is bit-identical to direct decode at every size.
-    pub predecode_entries: usize,
     /// Execute whole pre-compiled blocks (see [`crate::block`]).
     /// Semantically inert like `predecode`: block plans replay the
     /// interpreter bit for bit, the ops of a block that could tap a live
@@ -91,7 +87,6 @@ impl Default for MachineConfig {
             mul_cycles: 3,
             div_cycles: 32,
             predecode: true,
-            predecode_entries: crate::predecode::DEFAULT_ENTRIES,
             block_exec: true,
         }
     }
@@ -174,7 +169,7 @@ impl Machine {
             delay_slot: false,
             block_bits: BitStream::new(),
             halted: false,
-            predecode: Predecode::with_entries(cfg.predecode_entries),
+            predecode: Predecode::new(),
             plans: crate::block::PlanCache::new(),
         }
     }

@@ -20,16 +20,15 @@
 //! path, so `ID_OPC_*` injection behaves bit-identically with the memo on
 //! or off.
 //!
-//! The table size is a [`crate::machine::MachineConfig::predecode_entries`]
-//! knob (default [`DEFAULT_ENTRIES`]); hit/miss counters make cache sizing
-//! observable in campaign reports instead of guessed.
+//! The table holds [`DEFAULT_ENTRIES`] slots; hit/miss counters make its
+//! sizing observable in campaign reports instead of guessed.
 
 use argus_isa::decode::decode;
 use argus_isa::encode::embedded_bits_of;
 use argus_isa::instr::Instr;
 use argus_sim::bitstream::PackedBits;
 
-/// Default entry count for the direct-mapped table. 512 covers every
+/// Entry count of the direct-mapped table. 512 covers every
 /// workload in the suite (at 4 bytes/instruction that is 2KB of code per
 /// conflict-free residency) while keeping the table itself small enough to
 /// stay cached.
@@ -72,10 +71,10 @@ impl Predecode {
     ///
     /// Panics unless `entries` is a power of two (the index is a masked
     /// multiplicative hash).
-    pub fn with_entries(entries: usize) -> Self {
+    fn with_entries(entries: usize) -> Self {
         assert!(
             entries.is_power_of_two() && (2..=1 << 30).contains(&entries),
-            "predecode_entries must be a power of two in [2, 2^30] (got {entries})"
+            "the predecode table size must be a power of two in [2, 2^30] (got {entries})"
         );
         let instr = decode(0);
         let entry = Entry { word: 0, instr, embedded: embedded_bits_of(&instr, 0) };

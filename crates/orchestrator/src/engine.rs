@@ -250,11 +250,6 @@ pub struct RemoteRunStats {
     pub duplicate_completes: u64,
     /// Manifests served to cold-starting workers.
     pub manifest_fetches: u64,
-    /// Artifact bodies served to cold-starting workers.
-    pub artifact_fetches: u64,
-    /// Artifact bodies workers resolved from their on-disk CRC-keyed
-    /// caches instead of re-fetching (reported on completion posts).
-    pub artifact_cache_hits: u64,
 }
 
 impl RemoteRunStats {
@@ -267,8 +262,6 @@ impl RemoteRunStats {
             .set("expired_leases", self.expired_leases)
             .set("duplicate_completes", self.duplicate_completes)
             .set("manifest_fetches", self.manifest_fetches)
-            .set("artifact_fetches", self.artifact_fetches)
-            .set("artifact_cache_hits", self.artifact_cache_hits)
     }
 }
 

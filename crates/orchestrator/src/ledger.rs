@@ -231,18 +231,6 @@ impl Ledger {
         self.lock().stats.manifest_fetches += 1;
     }
 
-    /// Records artifact bodies served to cold-starting workers.
-    pub fn note_artifact_fetch(&self) {
-        self.lock().stats.artifact_fetches += 1;
-    }
-
-    /// Records artifact bodies a worker resolved from its on-disk cache
-    /// instead of fetching. Reported on the worker's first accepted
-    /// completion of a job, so duplicates never double-count.
-    pub fn note_artifact_cache_hits(&self, n: u64) {
-        self.lock().stats.artifact_cache_hits += n;
-    }
-
     /// Current run accounting.
     pub fn stats(&self) -> RemoteRunStats {
         self.lock().stats.clone()

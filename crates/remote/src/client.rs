@@ -1,10 +1,7 @@
-//! A minimal, binary-safe HTTP/1.1 client (std only).
+//! A minimal HTTP/1.1 client for the worker's JSON requests (std only).
 //!
-//! The daemon's own test client reads replies as UTF-8 text, which is
-//! fine for JSON but corrupts binary ARGSTORE artifact bodies. This one treats
-//! every body as bytes and trusts `Content-Length` when present (the
-//! daemon always sends it), falling back to read-to-EOF under
-//! `Connection: close`.
+//! It trusts `Content-Length` when present (the daemon always sends it),
+//! falling back to read-to-EOF under `Connection: close`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -19,15 +16,15 @@ fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned())
 }
 
-/// Issues one request; returns `(status, body bytes)`. `body` is sent
-/// as `application/json` (the only request content type the protocol
-/// uses).
-pub fn fetch(
+/// Issues one request; returns `(status, body)` with the body decoded as
+/// UTF-8. `body` is sent as `application/json` (the only content type the
+/// protocol uses).
+pub fn fetch_text(
     addr: SocketAddr,
     method: &str,
     path_and_query: &str,
     body: Option<&str>,
-) -> std::io::Result<(u16, Vec<u8>)> {
+) -> std::io::Result<(u16, String)> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -75,17 +72,6 @@ pub fn fetch(
             buf
         }
     };
-    Ok((status, payload))
-}
-
-/// [`fetch`] with the body decoded as UTF-8 (JSON endpoints).
-pub fn fetch_text(
-    addr: SocketAddr,
-    method: &str,
-    path_and_query: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let (status, bytes) = fetch(addr, method, path_and_query, body)?;
-    let text = String::from_utf8(bytes).map_err(|_| bad("reply is not UTF-8"))?;
+    let text = String::from_utf8(payload).map_err(|_| bad("reply is not UTF-8"))?;
     Ok((status, text))
 }

@@ -26,10 +26,10 @@
 //!   (local, remote, duplicate, stale) crosses under one lock, wrapped
 //!   here in a [`share::CampaignShare`] with what remote workers need;
 //! * a fingerprinted manifest ([`protocol::Manifest`]) — workers
-//!   cold-start from a URL and check the fingerprint of their rebuilt
-//!   entry state against the coordinator's `entry_fingerprint` before
-//!   running anything; a snapshot campaign's store rides along as a
-//!   content-addressed artifact ([`protocol::ArtifactRef`]).
+//!   cold-start from a URL, rebuild the campaign (a snapshot campaign's
+//!   store included) and check their golden-run length and entry-state
+//!   fingerprint against the coordinator's before running anything. No
+//!   campaign state crosses the wire.
 //!
 //! The result: a distributed run's report is byte-identical to one-shot
 //! `argus campaign --json` modulo the volatile `"run"` section, which
@@ -43,8 +43,6 @@ pub mod share;
 pub mod worker;
 
 pub use coordinator::{open_share, DistributedConfig};
-pub use protocol::{
-    ArtifactRef, CompleteReply, CompleteRequest, LeaseReply, Manifest, PROTOCOL_VERSION,
-};
+pub use protocol::{CompleteReply, CompleteRequest, LeaseReply, Manifest, PROTOCOL_VERSION};
 pub use share::CampaignShare;
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};

@@ -1,12 +1,11 @@
 //! Wire messages of the distributed lease protocol.
 //!
-//! Everything except artifact bodies travels as hand-rolled JSON (the
-//! repo's `argus_orchestrator::Json`, no external parsers). The manifest
-//! carries the fingerprint of the campaign's entry state, so a worker
-//! proves its reconstruction without fetching any state. The only
-//! artifact left is a snapshot campaign's `store`: a raw ARGSTORE image —
-//! a CRC-carrying binary envelope of its own — addressed by the CRC-32 of
-//! the whole body, so the URL *is* the integrity check.
+//! Every message travels as hand-rolled JSON (the repo's
+//! `argus_orchestrator::Json`, no external parsers). No campaign state
+//! crosses the wire: the manifest carries the golden-run length and the
+//! fingerprint of the campaign's entry state, and a worker rebuilds the
+//! campaign itself — snapshot store included, which is a deterministic
+//! function of what those two prove — and checks both before it leases.
 //!
 //! The protocol, all rooted under the daemon's `/jobs/<id>` tree:
 //!
@@ -14,7 +13,6 @@
 //! |------|------|--------------|
 //! | GET  | `/work` | — → `{"jobs":[id,…]}` (running distributed jobs) |
 //! | GET  | `/jobs/<id>/manifest` | — → [`Manifest`] |
-//! | GET  | `/jobs/<id>/artifacts/<crc-hex>` | — → raw ARGSTORE bytes |
 //! | POST | `/jobs/<id>/lease` | `{"worker":w}` → [`LeaseReply`] |
 //! | POST | `/jobs/<id>/complete` | [`CompleteRequest`] → [`CompleteReply`] |
 //! | POST | `/jobs/<id>/heartbeat` | `{"worker":w,"chunks":[…]}` → `{"renewed":k,"ttl_ms":t}` |
@@ -25,27 +23,15 @@ use argus_sim::fault::FaultKind;
 use std::ops::Range;
 
 /// Protocol revision. A worker refuses a manifest whose version it does
-/// not speak rather than silently misinterpreting chunk boundaries or
-/// artifact bodies. v3: the manifest carries `entry_fingerprint` in place
-/// of the `entry` artifact.
-pub const PROTOCOL_VERSION: u64 = 3;
-
-/// One content-addressed artifact a cold-starting worker must fetch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArtifactRef {
-    /// Role of the artifact: `"store"` (the campaign's snapshot store, for
-    /// snapshot campaigns).
-    pub name: String,
-    /// CRC-32 (IEEE) of the whole body — also its address in the URL.
-    pub crc32: u32,
-    /// Body length in bytes, so the client can sanity-check truncation.
-    pub len: usize,
-}
+/// not speak rather than silently misinterpreting it. v3: the manifest
+/// carries `entry_fingerprint` in place of the `entry` artifact. v4: no
+/// artifacts at all; a snapshot campaign's worker captures its own store.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Everything a worker needs to reconstruct the campaign from nothing
 /// but a URL: the workload by name (workloads are compiled into every
-/// binary), the campaign spec, the fingerprints to verify the
-/// reconstruction against, and the artifact list.
+/// binary), the campaign spec, and the fingerprints to verify the
+/// reconstruction against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     pub version: u64,
@@ -73,7 +59,6 @@ pub struct Manifest {
     /// is a 16-digit hex string: JSON numbers here are `f64`, which cannot
     /// carry 64 bits.
     pub entry_fingerprint: u64,
-    pub artifacts: Vec<ArtifactRef>,
 }
 
 impl Manifest {
@@ -90,20 +75,6 @@ impl Manifest {
             .set("lease_ttl_ms", self.lease_ttl_ms)
             .set("invariants", self.invariants.label())
             .set("entry_fingerprint", format!("{:016x}", self.entry_fingerprint).as_str())
-            .set(
-                "artifacts",
-                Json::Arr(
-                    self.artifacts
-                        .iter()
-                        .map(|a| {
-                            Json::obj()
-                                .set("name", a.name.as_str())
-                                .set("crc32", format!("{:08x}", a.crc32).as_str())
-                                .set("len", a.len)
-                        })
-                        .collect(),
-                ),
-            )
     }
 
     pub fn from_json(doc: &Json) -> Result<Self, String> {
@@ -151,16 +122,6 @@ impl Manifest {
             .ok_or("manifest missing entry_fingerprint")?;
         let entry_fingerprint = u64::from_str_radix(hex, 16)
             .map_err(|_| format!("manifest entry_fingerprint `{hex}` is not hex"))?;
-        let mut artifacts = Vec::new();
-        for a in doc.get("artifacts").and_then(Json::as_arr).ok_or("manifest missing artifacts")? {
-            let name =
-                a.get("name").and_then(Json::as_str).ok_or("artifact missing name")?.to_owned();
-            let crc_hex = a.get("crc32").and_then(Json::as_str).ok_or("artifact missing crc32")?;
-            let crc32 = u32::from_str_radix(crc_hex, 16)
-                .map_err(|_| format!("artifact crc32 `{crc_hex}` is not hex"))?;
-            let len = a.get("len").and_then(Json::as_u64).ok_or("artifact missing len")? as usize;
-            artifacts.push(ArtifactRef { name, crc32, len });
-        }
         Ok(Self {
             version,
             job,
@@ -173,7 +134,6 @@ impl Manifest {
             lease_ttl_ms,
             invariants,
             entry_fingerprint,
-            artifacts,
         })
     }
 }
@@ -307,11 +267,6 @@ pub struct CompleteRequest {
     /// accepted posts so remote violations surface in the final report
     /// exactly like local ones.
     pub invariants: InvariantStats,
-    /// Artifact bodies this worker resolved from its on-disk CRC cache
-    /// when it joined the job (zero once reported — it rides the first
-    /// completion post only, so retries and later chunks never
-    /// double-count).
-    pub artifact_cache_hits: u64,
 }
 
 impl CompleteRequest {
@@ -324,9 +279,6 @@ impl CompleteRequest {
             .set("tally", tally_to_json(&self.tally));
         if !self.invariants.is_empty() {
             doc = doc.set("invariants", invariant_stats_to_json(&self.invariants));
-        }
-        if self.artifact_cache_hits > 0 {
-            doc = doc.set("artifact_cache_hits", self.artifact_cache_hits);
         }
         doc
     }
@@ -352,9 +304,7 @@ impl CompleteRequest {
             None | Some(Json::Null) => InvariantStats::default(),
             Some(v) => invariant_stats_from_json(v).map_err(|e| format!("complete: {e}"))?,
         };
-        let artifact_cache_hits =
-            doc.get("artifact_cache_hits").and_then(Json::as_u64).unwrap_or(0);
-        Ok(Self { worker, chunk, range: start..end, tally, invariants, artifact_cache_hits })
+        Ok(Self { worker, chunk, range: start..end, tally, invariants })
     }
 }
 
@@ -406,7 +356,6 @@ mod tests {
             lease_ttl_ms: 10_000,
             invariants: InvariantMode::Full,
             entry_fingerprint: 0x0123_4567_89ab_cdef,
-            artifacts: vec![ArtifactRef { name: "store".into(), crc32: 0xdead_beef, len: 4096 }],
         }
     }
 
@@ -456,6 +405,16 @@ mod tests {
         assert!(Manifest::from_json(&bad).is_err(), "a number is not the wire form");
     }
 
+    /// A v3 coordinator listed a snapshot campaign's store under
+    /// `artifacts`; a v4 worker refuses its manifest instead of ignoring
+    /// the list.
+    #[test]
+    fn manifest_rejects_v3() {
+        let v3 = manifest().to_json().set("version", 3u64).set("artifacts", Json::Arr(vec![]));
+        let err = Manifest::from_json(&v3).unwrap_err();
+        assert!(err.contains("v3") && err.contains("v4"), "{err}");
+    }
+
     #[test]
     fn lease_reply_roundtrips() {
         let grant = LeaseReply::Grant {
@@ -487,13 +446,11 @@ mod tests {
             range: 0..1,
             tally,
             invariants: stats.clone(),
-            artifact_cache_hits: 3,
         };
         let back = CompleteRequest::from_json(&req.to_json()).unwrap();
         assert_eq!(back.range, 0..1);
         assert_eq!(back.tally.hung, 1);
         assert_eq!(back.invariants, stats, "invariant delta survives the wire");
-        assert_eq!(back.artifact_cache_hits, 3, "cache-hit count survives the wire");
         // A tally accounting fewer injections than the range is a
         // protocol violation, not a partial credit.
         let bad = req.to_json().set("end", 5u64);

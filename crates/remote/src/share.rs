@@ -1,6 +1,5 @@
 //! The coordinator-side face of a distributed campaign: the engine's
-//! [`Ledger`] plus what a cold-starting worker needs — the manifest and,
-//! for snapshot campaigns, the content-addressed store body.
+//! [`Ledger`] plus what a cold-starting worker needs — the manifest.
 //!
 //! This is what a daemon job *is* while its pool is open: HTTP handler
 //! threads call [`CampaignShare::lease`] and the ledger's `complete` /
@@ -21,29 +20,19 @@ use std::time::Instant;
 pub struct CampaignShare {
     /// The manifest served to cold-starting workers.
     pub manifest: Manifest,
-    /// Content-addressed artifact bodies: `(crc32, ARGSTORE bytes)`.
-    artifacts: Vec<(u32, Vec<u8>)>,
     /// The campaign's ledger, shared with the engine.
     pub ledger: Arc<Ledger>,
 }
 
 impl CampaignShare {
-    pub fn new(manifest: Manifest, artifacts: Vec<(u32, Vec<u8>)>, ledger: Arc<Ledger>) -> Self {
-        Self { manifest, artifacts, ledger }
+    pub fn new(manifest: Manifest, ledger: Arc<Ledger>) -> Self {
+        Self { manifest, ledger }
     }
 
     /// Serves the manifest to a cold-starting worker.
     pub fn serve_manifest(&self) -> Json {
         self.ledger.note_manifest_fetch();
         self.manifest.to_json()
-    }
-
-    /// Serves an artifact body by its CRC-32 hex address.
-    pub fn artifact(&self, crc_hex: &str) -> Option<Vec<u8>> {
-        let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-        let body = self.artifacts.iter().find(|(c, _)| *c == crc).map(|(_, b)| b.clone())?;
-        self.ledger.note_artifact_fetch();
-        Some(body)
     }
 
     /// Grants a lease to remote `worker` (no home region: first fit).
@@ -98,7 +87,6 @@ mod tests {
             lease_ttl_ms: 10_000,
             invariants: Default::default(),
             entry_fingerprint: 0,
-            artifacts: vec![],
         }
     }
 
@@ -106,7 +94,7 @@ mod tests {
         let pool = LeasePool::new(vec![0..n], 4, 0, Some(Duration::from_secs(10)));
         let inv = Arc::new(InvariantEngine::new(InvariantMode::Off));
         let ledger = Ledger::new(pool, Vec::new(), CampaignTally::empty(), n, inv);
-        CampaignShare::new(manifest(n), vec![], Arc::new(ledger))
+        CampaignShare::new(manifest(n), Arc::new(ledger))
     }
 
     fn chunk_tally(len: usize) -> CampaignTally {

@@ -8,7 +8,9 @@
 //! `golden_cycles` and its entry state must hash to the manifest's
 //! `entry_fingerprint`. Only then does it start leasing chunks. A
 //! mismatch — skewed binary, different config defaults — is a hard error
-//! before a single injection runs against the wrong campaign.
+//! before a single injection runs against the wrong campaign. A snapshot
+//! campaign's store is captured here too, during the same golden run: it
+//! is a deterministic function of what those two checks prove.
 //!
 //! Fault model: the daemon may restart, the network may drop, this
 //! process may be SIGKILLed. The first two are handled by
@@ -17,22 +19,20 @@
 //! and its chunks re-run elsewhere. SIGTERM is the graceful path: stop
 //! taking new leases, finish and post the chunks in flight, exit.
 
-use crate::client::{fetch, fetch_text};
+use crate::client::fetch_text;
 use crate::protocol::{CompleteRequest, LeaseReply, Manifest};
 use argus_faults::campaign::{
-    prepare_campaign, prepare_campaign_with_store, run_injection_supervised_in, CampaignConfig,
-    CampaignWorkspace, PreparedCampaign, SupervisedOutcome,
+    prepare_campaign, run_injection_supervised_in, CampaignConfig, CampaignWorkspace,
+    PreparedCampaign, SupervisedOutcome,
 };
 use argus_invariants::InvariantStats;
 use argus_orchestrator::{CampaignTally, Json, LOCAL_PREFIX};
-use argus_sim::crc::crc32;
-use argus_snapshot::MappedStore;
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Worker process configuration (`argus worker` flags).
@@ -49,11 +49,10 @@ pub struct WorkerConfig {
     /// Wire identity. Must be process-unique or lease renewal
     /// misattributes chunks; the CLI defaults it to `w<pid>`.
     pub name: String,
-    /// On-disk artifact cache keyed by CRC-32. Artifacts are
-    /// content-addressed, so a cached body that still passes its
-    /// length + CRC check is served locally instead of re-fetched —
-    /// reconnect after a drop costs no artifact bytes. `None`
-    /// disables caching.
+    /// Read by nothing: a worker fetches no state to cache. Set only by
+    /// the frozen `perf/` benchmark, which names it in a struct literal.
+    /// Delete with the next benchmark change.
+    #[doc(hidden)]
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -69,8 +68,6 @@ pub struct WorkerSummary {
     pub duplicates: u64,
     /// Injections executed.
     pub injections: u64,
-    /// Artifacts served from the on-disk cache instead of the wire.
-    pub cache_hits: u64,
 }
 
 fn err_other(msg: String) -> io::Error {
@@ -192,19 +189,7 @@ fn serve_job(
     cfg.seed = manifest.seed;
     cfg.invariants = manifest.invariants;
     let cfg = cfg.sized_for(&workload);
-    // Artifacts come first: they are content-addressed, so integrity
-    // needs no campaign state, and a fetched snapshot store lets the
-    // campaign rebuild skip its capture half entirely.
-    let fetched = fetch_artifacts(wcfg, job, &manifest)?;
-    summary.cache_hits += fetched.cache_hits;
-    let prep = match adopt_store(&fetched) {
-        Some(store) => prepare_campaign_with_store(&workload, &cfg, store)
-            // Any adoption failure (stale cache entry from an older
-            // format, skewed capture cadence) falls back to the local
-            // rebuild, which is bit-identical by construction.
-            .unwrap_or_else(|_| prepare_campaign(&workload, &cfg)),
-        None => prepare_campaign(&workload, &cfg),
-    };
+    let prep = prepare_campaign(&workload, &cfg);
     if prep.golden_cycles() != manifest.golden_cycles {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -217,8 +202,6 @@ fn serve_job(
         ));
     }
     check_entry_fingerprint(&prep, &cfg, manifest.entry_fingerprint)?;
-    let cache_hits_unreported = AtomicU64::new(fetched.cache_hits);
-    drop(fetched);
 
     // The lease/execute pool, plus a heartbeat thread renewing every
     // held chunk at a third of the TTL.
@@ -247,7 +230,6 @@ fn serve_job(
             let injections = &injections;
             let wire_error = &wire_error;
             let inv_sent = &inv_sent;
-            let cache_hits_unreported = &cache_hits_unreported;
             scope.spawn(move || {
                 let mut ws = CampaignWorkspace::new();
                 loop {
@@ -304,13 +286,6 @@ fn serve_job(
                                 range: range.clone(),
                                 tally,
                                 invariants: inv_delta,
-                                // Cache-hit accounting rides the first
-                                // completion of the job (best effort: a
-                                // post lost to a dying job drops it from
-                                // the daemon's stats, never the local
-                                // summary).
-                                artifact_cache_hits: cache_hits_unreported
-                                    .swap(0, Ordering::Relaxed),
                             };
                             match post_complete(wcfg, job, &req, stop) {
                                 Ok(Some(reply)) => {
@@ -446,105 +421,6 @@ fn post_complete(
         }
     }
     unreachable!("retry loop returns")
-}
-
-/// One CRC-verified manifest artifact, with the on-disk location it
-/// was cached at (when a cache directory is configured).
-struct FetchedArtifact {
-    name: String,
-    body: Vec<u8>,
-    cached_path: Option<PathBuf>,
-}
-
-/// Every manifest artifact, fetched and envelope-checked.
-struct FetchedArtifacts {
-    artifacts: Vec<FetchedArtifact>,
-    /// How many came from the disk cache instead of the wire.
-    cache_hits: u64,
-}
-
-/// Resolves one artifact: disk cache first (re-verifying its length
-/// and CRC — a corrupt cache entry is treated as a miss, re-fetched,
-/// and overwritten), then the wire. Either way the returned body has
-/// passed its content-address check.
-fn fetch_one_artifact(
-    wcfg: &WorkerConfig,
-    job: u64,
-    art: &crate::protocol::ArtifactRef,
-) -> io::Result<(Vec<u8>, Option<PathBuf>, bool)> {
-    let cached = wcfg.cache_dir.as_ref().map(|dir| dir.join(format!("{:08x}.bin", art.crc32)));
-    if let Some(path) = &cached {
-        if let Ok(body) = std::fs::read(path) {
-            if body.len() == art.len && crc32(&body) == art.crc32 {
-                return Ok((body, cached, true));
-            }
-        }
-    }
-    let path = format!("/jobs/{job}/artifacts/{:08x}", art.crc32);
-    let (status, body) = fetch(wcfg.connect, "GET", &path, None)?;
-    if status != 200 {
-        return Err(err_other(format!("artifact {} fetch: HTTP {status}", art.name)));
-    }
-    if body.len() != art.len || crc32(&body) != art.crc32 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("artifact {} failed its content address check", art.name),
-        ));
-    }
-    // Populate the cache atomically (temp + rename) so a concurrent
-    // worker process never reads a half-written body. Cache writes are
-    // best effort: a full disk degrades to re-fetching.
-    let written = cached.filter(|path| write_cache_entry(path, &body, &wcfg.name).is_ok());
-    Ok((body, written, false))
-}
-
-fn write_cache_entry(path: &Path, body: &[u8], name: &str) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!("tmp-{}-{name}", std::process::id()));
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
-/// Fetches every manifest artifact and checks its CRC envelope.
-fn fetch_artifacts(
-    wcfg: &WorkerConfig,
-    job: u64,
-    manifest: &Manifest,
-) -> io::Result<FetchedArtifacts> {
-    let mut out = FetchedArtifacts { artifacts: Vec::new(), cache_hits: 0 };
-    for art in &manifest.artifacts {
-        let (body, cached_path, hit) = fetch_one_artifact(wcfg, job, art)?;
-        out.cache_hits += u64::from(hit);
-        out.artifacts.push(FetchedArtifact { name: art.name.clone(), body, cached_path });
-    }
-    Ok(out)
-}
-
-/// Maps the coordinator's snapshot store, if the manifest shipped one.
-/// The mapping is backed by the cache file when one exists; otherwise
-/// the body is spilled to a scratch file that is unlinked once mapped,
-/// so the worker never holds the store in its heap either way. Any
-/// failure returns `None` — the caller rebuilds the store locally.
-fn adopt_store(fetched: &FetchedArtifacts) -> Option<Arc<MappedStore>> {
-    let art = fetched.artifacts.iter().find(|a| a.name == "store")?;
-    if let Some(path) = &art.cached_path {
-        if let Ok(store) = MappedStore::open(path) {
-            return Some(Arc::new(store));
-        }
-    }
-    let scratch = std::env::temp_dir().join(format!(
-        "argus-store-{}-{:08x}.bin",
-        std::process::id(),
-        crc32(&art.body)
-    ));
-    std::fs::write(&scratch, &art.body).ok()?;
-    let store = MappedStore::open(&scratch);
-    let _ = std::fs::remove_file(&scratch);
-    store.ok().map(Arc::new)
 }
 
 /// Compares the fingerprint of the locally rebuilt entry state with the

@@ -70,13 +70,12 @@ fn fresh_share(open: bool) -> (CampaignShare, Arc<InvariantEngine>) {
         lease_ttl_ms: TTL.as_millis() as u64,
         invariants: Default::default(),
         entry_fingerprint: 0,
-        artifacts: vec![],
     };
     let whole = 0..N;
     let pool = LeasePool::new(vec![whole], 3, WORKERS.len() - REMOTE, open.then_some(TTL));
     let inv = Arc::new(InvariantEngine::new(InvariantMode::Full));
     let ledger = Ledger::new(pool, Vec::new(), CampaignTally::empty(), N, Arc::clone(&inv));
-    (CampaignShare::new(manifest, vec![], Arc::new(ledger)), inv)
+    (CampaignShare::new(manifest, Arc::new(ledger)), inv)
 }
 
 /// Leases one chunk for worker `w`: remote workers over the share's wire

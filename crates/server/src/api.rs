@@ -21,7 +21,6 @@
 //! |--------|-------------------------------|-------------------------------------|
 //! | GET    | `/work`                       | leasable distributed job ids        |
 //! | GET    | `/jobs/<id>/manifest`         | campaign manifest for cold start    |
-//! | GET    | `/jobs/<id>/artifacts/<crc>`  | raw ARGSTORE artifact body          |
 //! | POST   | `/jobs/<id>/lease`            | lease one injection chunk           |
 //! | POST   | `/jobs/<id>/complete`         | post a chunk's merged tally         |
 //! | POST   | `/jobs/<id>/heartbeat`        | renew held leases                   |
@@ -33,6 +32,10 @@ use argus_orchestrator::{CompleteVerdict, Json, LOCAL_PREFIX};
 use argus_remote::{CampaignShare, CompleteRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The last segment of every `/jobs/<id>/<leaf>` route.
+const JOB_LEAVES: [&str; 7] =
+    ["events", "report", "cancel", "manifest", "lease", "complete", "heartbeat"];
 
 /// Longest long-poll wait the server honours, however large `wait_ms` is.
 const MAX_WAIT: Duration = Duration::from_secs(10);
@@ -66,12 +69,14 @@ fn route(daemon: &Arc<Daemon>, req: &Request) -> Response {
         ("POST", ["drain"]) => drain(daemon),
         ("GET", ["work"]) => work(daemon),
         ("GET", ["jobs", id, "manifest"]) => with_id(id, |id| manifest(daemon, id)),
-        ("GET", ["jobs", id, "artifacts", hash]) => with_id(id, |id| artifact(daemon, id, hash)),
         ("POST", ["jobs", id, "lease"]) => with_id(id, |id| lease(daemon, id, req)),
         ("POST", ["jobs", id, "complete"]) => with_id(id, |id| complete(daemon, id, req)),
         ("POST", ["jobs", id, "heartbeat"]) => with_id(id, |id| heartbeat(daemon, id, req)),
         // Known paths with the wrong verb are 405, everything else 404.
-        (_, ["healthz" | "status" | "jobs" | "drain" | "work", ..]) => {
+        (_, ["healthz" | "status" | "jobs" | "drain" | "work"] | ["jobs", _]) => {
+            error(405, "method not allowed for this path")
+        }
+        (_, ["jobs", _, leaf]) if JOB_LEAVES.contains(leaf) => {
             error(405, "method not allowed for this path")
         }
         _ => error(404, "no such endpoint"),
@@ -277,17 +282,6 @@ fn manifest(daemon: &Arc<Daemon>, id: JobId) -> Response {
     }
 }
 
-fn artifact(daemon: &Arc<Daemon>, id: JobId, hash: &str) -> Response {
-    let share = match open_share(daemon, id) {
-        Ok(s) => s,
-        Err(resp) => return resp,
-    };
-    match share.artifact(hash) {
-        Some(bytes) => Response::bytes(200, "application/octet-stream", bytes),
-        None => error(404, "no artifact with that hash"),
-    }
-}
-
 fn lease(daemon: &Arc<Daemon>, id: JobId, req: &Request) -> Response {
     let share = match open_share(daemon, id) {
         Ok(s) => s,
@@ -323,7 +317,6 @@ fn complete(daemon: &Arc<Daemon>, id: JobId, req: &Request) -> Response {
     // duplicate post's checks already counted when it first landed.
     if matches!(verdict, CompleteVerdict::Accepted { .. }) {
         share.ledger.absorb_invariants(&post.invariants);
-        share.ledger.note_artifact_cache_hits(post.artifact_cache_hits);
     }
     daemon.wake.notify_all();
     match CampaignShare::reply_for(&verdict) {

@@ -202,7 +202,7 @@ pub struct Daemon {
     /// Runner thread handles, joined on drain.
     runners: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Live distributed campaigns, keyed by job id: the HTTP handlers
-    /// route lease/complete/heartbeat/artifact calls through this. A
+    /// route manifest/lease/complete/heartbeat calls through this. A
     /// job registers when its pool opens and deregisters when its run
     /// settles; a request for an absent id answers 409.
     remote: Mutex<HashMap<JobId, Arc<CampaignShare>>>,

@@ -82,7 +82,7 @@ impl Response {
         }
     }
 
-    /// A raw byte-body response (artifact downloads).
+    /// A response whose body is already bytes (stored report files).
     pub fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
         Self { status, content_type, headers: Vec::new(), body }
     }

@@ -95,8 +95,8 @@ fn wait_leasable(addr: SocketAddr, id: u64, timeout: Duration) {
     }
 }
 
-fn one_shot_payload(n: usize, seed: u64) -> String {
-    let mut cfg = CampaignConfig { injections: n, ..Default::default() };
+fn one_shot_payload(n: usize, seed: u64, snapshot_every: Option<u64>) -> String {
+    let mut cfg = CampaignConfig { injections: n, snapshot_every, ..Default::default() };
     cfg.seed = seed;
     let ocfg = OrchestratorConfig { shards: 1, ..Default::default() };
     let progress = Progress::new(1);
@@ -193,7 +193,7 @@ fn hybrid_run_with_zombie_worker_matches_one_shot() {
 
     let report = fetch_report(addr, id);
     let doc = Json::parse(&report).unwrap();
-    assert_eq!(doc.clone().without("run").to_string_compact(), one_shot_payload(n, seed));
+    assert_eq!(doc.clone().without("run").to_string_compact(), one_shot_payload(n, seed, None));
 
     // The volatile section carries the distributed accounting.
     let remote = doc.get("run").and_then(|r| r.get("remote")).expect("run.remote present");
@@ -201,10 +201,8 @@ fn hybrid_run_with_zombie_worker_matches_one_shot() {
     assert!(stat("workers_seen") >= 3, "alpha, beta, zombie: {remote:?}");
     assert!(stat("expired_leases") >= 1, "zombie lease must expire: {remote:?}");
     assert!(stat("remote_chunks") >= 1, "{remote:?}");
-    // Both live workers cold-start from the manifest alone: a cold-boot
-    // campaign ships no artifact body.
+    // Both live workers cold-start from the manifest alone.
     assert!(stat("manifest_fetches") >= 2, "both live workers cold-start: {remote:?}");
-    assert_eq!(stat("artifact_fetches"), 0, "no entry body crosses the wire: {remote:?}");
 
     // The event stream, published from the engine's ticks, tells the
     // whole story.
@@ -241,7 +239,7 @@ fn remote_only_job_runs_with_zero_local_workers() {
     assert!(summary.injections >= n as u64, "solo worker ran everything: {summary:?}");
 
     let doc = Json::parse(&fetch_report(addr, id)).unwrap();
-    assert_eq!(doc.clone().without("run").to_string_compact(), one_shot_payload(n, seed));
+    assert_eq!(doc.clone().without("run").to_string_compact(), one_shot_payload(n, seed, None));
     let remote = doc.get("run").and_then(|r| r.get("remote")).expect("run.remote present");
     assert_eq!(remote.get("local_chunks").and_then(Json::as_u64), Some(0));
 
@@ -249,10 +247,49 @@ fn remote_only_job_runs_with_zero_local_workers() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Wire surface: manifest and content-addressed artifacts round-trip,
-/// wrong hashes 404, unknown jobs 404, non-distributed jobs 409.
+/// A remote-only snapshot campaign: the worker captures its own store
+/// from the manifest (no state crosses the wire) and every injection
+/// forks from it, so the report still matches a one-shot run with the
+/// same snapshot interval.
 #[test]
-fn manifest_and_artifact_endpoints() {
+fn remote_snapshot_job_matches_one_shot() {
+    static STOP: AtomicBool = AtomicBool::new(false);
+    let (n, seed, every) = (40usize, 11u64, 500u64);
+    let (mut server, addr, dir) = start("remote-snapshot", 1);
+    let spec = Json::obj()
+        .set("n", n)
+        .set("seed", seed)
+        .set("distributed", true)
+        .set("budget", 0u64)
+        .set("snapshot_every", every);
+    let id = submit(addr, &spec.to_string_compact());
+    wait_leasable(addr, id, Duration::from_secs(120));
+    let (status, man) = get(addr, &format!("/jobs/{id}/manifest"));
+    assert_eq!(status, 200, "{man:?}");
+    assert_eq!(man.get("snapshot_every").and_then(Json::as_u64), Some(every));
+
+    let w = spawn_worker(addr, id, "snap", &STOP);
+    wait_for_state(addr, id, "done", Duration::from_secs(300));
+    let summary = w.join().unwrap();
+    assert!(summary.injections >= n as u64, "the worker ran everything: {summary:?}");
+
+    let doc = Json::parse(&fetch_report(addr, id)).unwrap();
+    assert_eq!(
+        doc.clone().without("run").to_string_compact(),
+        one_shot_payload(n, seed, Some(every))
+    );
+    let remote = doc.get("run").and_then(|r| r.get("remote")).expect("run.remote present");
+    assert_eq!(remote.get("local_chunks").and_then(Json::as_u64), Some(0));
+
+    server.drain();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Wire surface: the manifest carries the spec and the entry-state
+/// fingerprint and nothing else to fetch; unknown jobs 404, non-distributed
+/// jobs 409.
+#[test]
+fn manifest_endpoint() {
     static STOP: AtomicBool = AtomicBool::new(false);
     let (mut server, addr, dir) = start("wire", 1);
     let id = submit(addr, r#"{"n": 16, "seed": 5, "distributed": true, "budget": 0}"#);
@@ -264,35 +301,12 @@ fn manifest_and_artifact_endpoints() {
     assert_eq!(man.get("workload").and_then(Json::as_str), Some("stress"));
     assert_eq!(man.get("n").and_then(Json::as_u64), Some(16));
 
-    // The entry state travels as its fingerprint, 16 hex digits, and a
-    // cold-boot campaign ships no artifact body at all.
+    // The entry state travels as its fingerprint, 16 hex digits, and no
+    // campaign state is served at all.
     let fp = man.get("entry_fingerprint").and_then(Json::as_str).unwrap();
     assert!(fp.len() == 16 && u64::from_str_radix(fp, 16).is_ok(), "{man:?}");
-    assert_eq!(man.get("artifacts").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
-
-    // A snapshot campaign advertises its store. Every advertised artifact
-    // is fetchable at its hash, and the body checks out against the
-    // advertised length.
-    let snap = submit(
-        addr,
-        r#"{"n": 16, "seed": 5, "distributed": true, "budget": 0, "snapshot_every": 500}"#,
-    );
-    wait_leasable(addr, snap, Duration::from_secs(120));
-    let (status, man) = get(addr, &format!("/jobs/{snap}/manifest"));
-    assert_eq!(status, 200, "{man:?}");
-    let artifacts = man.get("artifacts").and_then(Json::as_arr).unwrap();
-    assert_eq!(artifacts.len(), 1, "the store: {man:?}");
-    // Artifact bodies are binary ARGSTORE images, so this goes through
-    // the worker's binary-safe client, not the text-only test helper.
-    for a in artifacts {
-        let crc = a.get("crc32").and_then(Json::as_str).unwrap();
-        let len = a.get("len").and_then(Json::as_u64).unwrap();
-        let path = format!("/jobs/{snap}/artifacts/{crc}");
-        let (status, body) = argus_remote::client::fetch(addr, "GET", &path, None).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body.len() as u64, len);
-    }
-    let (status, _) = get(addr, &format!("/jobs/{snap}/artifacts/00000000"));
+    assert!(man.get("artifacts").is_none(), "{man:?}");
+    let (status, _) = get(addr, &format!("/jobs/{id}/artifacts/00000000"));
     assert_eq!(status, 404);
 
     // Unknown job vs. known-but-not-leasable job.
@@ -306,12 +320,10 @@ fn manifest_and_artifact_endpoints() {
     let (status, _) = post(addr, &format!("/jobs/{id}/lease"), r#"{"worker":"local:9"}"#);
     assert_eq!(status, 400);
 
-    // Drain the distributed jobs so shutdown is clean.
-    for job in [id, snap] {
-        let w = spawn_worker(addr, job, "finisher", &STOP);
-        wait_for_state(addr, job, "done", Duration::from_secs(300));
-        w.join().unwrap();
-    }
+    // Drain the distributed job so shutdown is clean.
+    let w = spawn_worker(addr, id, "finisher", &STOP);
+    wait_for_state(addr, id, "done", Duration::from_secs(300));
+    w.join().unwrap();
     server.drain();
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -7,6 +7,7 @@
 use argus_core::config::{CheckerKind, DetectionEvent};
 use argus_core::{ArgusConfig, ArgusState};
 use argus_machine::machine::MachineConfig;
+use argus_machine::predecode::DEFAULT_ENTRIES;
 use argus_machine::snapshot::CoreState;
 use argus_mem::{CacheConfig, CacheState, CachesState, LineState, MemConfig};
 use std::io::{self, Read, Write};
@@ -83,42 +84,45 @@ pub(crate) fn put_machine_config(w: &mut dyn Write, c: &MachineConfig) -> io::Re
     put_u32(w, c.mem.writeback_penalty)?;
     put_u8(w, c.argus_mode as u8)?;
     put_u8(w, c.predecode as u8)?;
-    put_u64(w, c.predecode_entries as u64)?;
+    put_u64(w, DEFAULT_ENTRIES as u64)?;
     put_u8(w, c.block_exec as u8)?;
     put_u32(w, c.mul_cycles)?;
     put_u32(w, c.div_cycles)
 }
 
 pub(crate) fn get_machine_config(r: &mut dyn Read) -> io::Result<MachineConfig> {
+    let mem = MemConfig {
+        icache: get_cache_config(r)?,
+        dcache: get_cache_config(r)?,
+        mem_bytes: get_u32(r)?,
+        hit_cycles: get_u32(r)?,
+        miss_penalty: get_u32(r)?,
+        writeback_penalty: get_u32(r)?,
+    };
+    let argus_mode = get_bool(r)?;
+    let predecode = get_bool(r)?;
+    check_predecode_entries(r)?;
     Ok(MachineConfig {
-        mem: MemConfig {
-            icache: get_cache_config(r)?,
-            dcache: get_cache_config(r)?,
-            mem_bytes: get_u32(r)?,
-            hit_cycles: get_u32(r)?,
-            miss_penalty: get_u32(r)?,
-            writeback_penalty: get_u32(r)?,
-        },
-        argus_mode: get_bool(r)?,
-        predecode: get_bool(r)?,
-        predecode_entries: get_predecode_entries(r)?,
+        mem,
+        argus_mode,
+        predecode,
         block_exec: get_bool(r)?,
         mul_cycles: get_u32(r)?,
         div_cycles: get_u32(r)?,
     })
 }
 
-/// Reads the predecode table size, rejecting crafted headers that would
-/// panic `Predecode::with_entries` (must be a power of two in [2, 2^30]).
-fn get_predecode_entries(r: &mut dyn Read) -> io::Result<usize> {
+/// Reads the predecode table size the header still carries and refuses
+/// any value but the one the machine uses ([`DEFAULT_ENTRIES`]).
+fn check_predecode_entries(r: &mut dyn Read) -> io::Result<()> {
     let n = get_u64(r)?;
-    if !n.is_power_of_two() || !(2..=1 << 30).contains(&n) {
+    if n != DEFAULT_ENTRIES as u64 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("invalid predecode_entries in snapshot: {n}"),
+            format!("predecode_entries in snapshot is {n}, not {DEFAULT_ENTRIES}"),
         ));
     }
-    Ok(n as usize)
+    Ok(())
 }
 
 pub(crate) fn put_argus_config(w: &mut dyn Write, c: &ArgusConfig) -> io::Result<()> {

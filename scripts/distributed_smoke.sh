@@ -4,8 +4,10 @@
 # loopback, SIGKILL one of them mid-run, and require the finished report
 # to be byte-identical (modulo wall-clock/scheduling metadata under
 # "run") to a one-shot `argus campaign --json` run of the same spec.
-# The surviving workers drain on SIGTERM and must exit 0, as must the
-# daemon.
+# The survivors then serve a snapshot campaign (`snapshot_every`), whose
+# store each worker captures itself, and its report must match
+# `argus campaign --snapshot-every` the same way. The surviving workers
+# drain on SIGTERM and must exit 0, as must the daemon.
 #
 # Usage: scripts/distributed_smoke.sh [path-to-argus-binary]
 set -euo pipefail
@@ -18,6 +20,9 @@ fi
 
 N=6000
 SEED=7171
+SNAP_N=1500
+SNAP_SEED=7272
+SNAP_EVERY=500
 WORK="$(mktemp -d)"
 STATE="$WORK/state"
 PORT_FILE="$WORK/port"
@@ -68,6 +73,8 @@ wait_state() { # wait_state ID WANT TRIES
 
 echo "== one-shot reference run =="
 "$BIN" campaign -n "$N" --seed "$SEED" --shards 2 --json --quiet > "$WORK/ref.json"
+"$BIN" campaign -n "$SNAP_N" --seed "$SNAP_SEED" --snapshot-every "$SNAP_EVERY" \
+    --shards 2 --json --quiet > "$WORK/snap_ref.json"
 
 echo "== start daemon, submit a remote-only distributed campaign =="
 # Short lease TTL so the SIGKILLed worker's chunks reissue quickly.
@@ -147,6 +154,34 @@ if remote.get("workers_seen", 0) < 3:
     print(f"MISMATCH run.remote.workers_seen: want >= 3, got {remote.get('workers_seen')!r}")
     sys.exit(1)
 print(f"remote accounting: {remote}")
+EOF
+
+echo "== survivors serve a snapshot campaign, capturing their own store =="
+out="$(api POST /jobs "{\"n\": $SNAP_N, \"seed\": $SNAP_SEED, \"distributed\": true, \"budget\": 0, \"snapshot_every\": $SNAP_EVERY}")"
+[[ "$(head -n1 <<<"$out")" == 201 ]] || { echo "submit failed: $out" >&2; exit 1; }
+SNAP_ID="$(tail -n1 <<<"$out" | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')"
+wait_state "$SNAP_ID" done 3000
+api GET "/jobs/$SNAP_ID/report" | tail -n +2 > "$WORK/snap_got.json"
+python3 - "$WORK/snap_ref.json" "$WORK/snap_got.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    ref = json.load(f)
+with open(sys.argv[2]) as f:
+    got = json.load(f)
+
+remote = got.get("run", {}).get("remote", {})
+ref.pop("run", None)
+got.pop("run", None)
+if ref != got:
+    for key in sorted(set(ref) | set(got)):
+        if ref.get(key) != got.get(key):
+            print(f"MISMATCH {key}: one-shot={ref.get(key)!r} distributed={got.get(key)!r}")
+    sys.exit(1)
+if remote.get("local_chunks", 0) != 0 or remote.get("remote_chunks", 0) < 1:
+    print(f"MISMATCH run.remote: want remote chunks only, got {remote!r}")
+    sys.exit(1)
+print("snapshot job report identical to one-shot --snapshot-every run")
 EOF
 
 echo "== surviving workers drain on SIGTERM and exit 0 =="
