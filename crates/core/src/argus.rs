@@ -531,8 +531,8 @@ impl Argus {
     ///   (`gate.armed` holds no foreign site): the per-commit checks tap the
     ///   checker's own sites on every op, which a batch cannot replay. A
     ///   fault armed on a machine site is fine as long as no op of the block
-    ///   can tap it (`gate.tapped` empty): a block that interprets some of
-    ///   its ops is left to the per-commit checker;
+    ///   can tap it (`gate.tapped` empty): a block with tapped ops is left
+    ///   to the per-commit checker;
     /// * the plan is canonical (`argus_simple`: one CTI right before the
     ///   delay slot, or none), so the slot-parse order is static. A plan
     ///   with a store may still bail mid-block after storing over one of

@@ -1361,7 +1361,8 @@ fn faulty_loop(
         // iteration when every gate passes. `plan_block` refuses unless the
         // block provably finishes inside `window` and no live fault armed
         // by its end sits on a site every op taps; ops that can tap a live
-        // fault's site (`gate.tapped`) are interpreted inside the block.
+        // fault's site (`gate.tapped`) run from the plan with the live
+        // set's taps inline.
         // The checker — while still live — additionally requires a block
         // it can verify as one batch (`block_ready`: pristine run, no armed
         // checker-site fault, no tapped op, simple block, watchdog checker

@@ -218,73 +218,223 @@ fn interpret_to(m: &mut Machine, inj: &mut FaultInjector, bound: u64) {
     }
 }
 
-/// Blocks run under a live fault on a site some of their ops tap, which
-/// they interpret op by op: for every suite workload and one permanent
-/// fault on each machine site outside the every-op set, at sensitization
-/// 1.0 and 0.5, armed at cycle 0 and mid-run, the run equals the one-step
-/// interpreter in state, cycle, retired count and every flip.
+/// Runs a clone of `start` to `bound` under `faults` twice, with blocks and
+/// on the one-step interpreter, and requires the two runs to agree in
+/// cycle, retired count, architectural and microarchitectural state, tags,
+/// flips and first flip cycle. Returns the block run's exec stats and its
+/// flip count.
+fn assert_tapped_run_matches(
+    start: &Machine,
+    faults: &[Fault],
+    bound: u64,
+    what: &str,
+) -> (ExecStats, u64) {
+    let (mut on, mut off) = (start.clone(), start.clone());
+    let mut inj_on = FaultInjector::with_faults(faults.to_vec());
+    let mut inj_off = FaultInjector::with_faults(faults.to_vec());
+    on.take_exec_stats();
+    let res_on = on.run_to_halt(&mut inj_on, bound);
+    interpret_to(&mut off, &mut inj_off, bound);
+    assert_eq!(res_on, off.run_result(), "{what}: cycle or retired count diverged");
+    // The fingerprint's terms, with the tags compared as slices:
+    // architectural, microarchitectural, tags.
+    assert_eq!(on.state_digest_cached(), off.state_digest_cached(), "{what}");
+    assert_eq!(on.microarch_digest(), off.microarch_digest(), "{what}");
+    assert!(on.mem().memory().tags() == off.mem().memory().tags(), "{what}");
+    assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "{what}: flips");
+    assert_eq!(inj_on.first_flip_cycle(), inj_off.first_flip_cycle(), "{what}: first flip");
+    (on.take_exec_stats(), inj_on.flip_count())
+}
+
+/// `w`'s program loaded on a fresh machine and the same machine run
+/// fault-free for a few windows, with their page-hash caches warm: each
+/// run from a clone then rehashes only the pages it writes.
+fn tapped_starts(prog: &Program) -> [Machine; 2] {
+    let mut boot = Machine::new(mcfg(true));
+    prog.load(&mut boot);
+    let mut mid = boot.clone();
+    mid.run_to_halt(&mut FaultInjector::none(), 3 * TAPPED_WINDOW);
+    boot.state_digest_cached();
+    mid.state_digest_cached();
+    [boot, mid]
+}
+
+/// A fault on `site` at `bit`, armed at `arm_cycle`.
+fn fault_on(
+    site: &argus_sim::fault::SiteDesc,
+    bit: u8,
+    kind: FaultKind,
+    arm_cycle: u64,
+    sensitization: f64,
+) -> Fault {
+    Fault {
+        site: site.name,
+        bit: bit % site.width,
+        kind,
+        arm_cycle,
+        flavor: site.flavor,
+        width: site.width,
+        sensitization,
+    }
+}
+
+/// Arm a few cycles past the start: mid-block once running.
+fn tapped_arm_cycle(start: &Machine) -> u64 {
+    if start.cycle() == 0 {
+        0
+    } else {
+        start.cycle() + 7
+    }
+}
+
+/// Blocks run under a live fault on a site some of their ops tap, running
+/// those ops as tapped ops: for every suite workload and one fault on each
+/// machine site outside the every-op set, in both flavors (the double-bit
+/// operand, result and load/store buses and register cells included),
+/// permanent at sensitization 1.0 and 0.5 and transient at 1.0 and 0.5
+/// (expiring inside a tapped op; a cell's upset persisting), armed at
+/// cycle 0 and mid-block, the run equals the one-step interpreter in state,
+/// cycle, retired count and every flip.
 #[test]
 fn tapped_op_blocks_match_the_interpreter_on_every_site() {
     let mut sites: Vec<_> = argus_machine::sites::core_sites()
         .into_iter()
-        .filter(|s| s.flavor == SiteFlavor::Single)
         .filter(|s| !TapSet::EVERY_OP.intersects(TapSet::site(s.name)))
         .collect();
-    sites.sort_by_key(|s| s.name);
-    sites.dedup_by_key(|s| s.name);
-    assert_eq!(sites.len(), 26 + 32, "every scalar site off the every-op set and every cell");
+    sites.sort_by_key(|s| (s.name, s.flavor == SiteFlavor::Double));
+    sites.dedup_by_key(|s| (s.name, s.flavor));
+    let doubles = sites.iter().filter(|s| s.flavor == SiteFlavor::Double).count();
+    assert_eq!(
+        sites.len() - doubles,
+        26 + 32,
+        "every scalar site off the every-op set and every cell"
+    );
+    assert_eq!(doubles, 5 + 32, "the five double-bit buses and every cell");
+    let (mut transient_flips, mut cell_upsets) = (0, 0);
     for w in &all_workloads() {
         let prog = build(w);
-        let mut boot = Machine::new(mcfg(true));
-        prog.load(&mut boot);
-        let mut mid = boot.clone();
-        mid.run_to_halt(&mut FaultInjector::none(), 3 * TAPPED_WINDOW);
-        // Warm the page-hash caches the clones inherit: each run then
-        // rehashes only the pages it writes.
-        boot.state_digest_cached();
-        mid.state_digest_cached();
         let mut tapped_hits = 0;
-        for start in [&boot, &mid] {
-            // Arm a few cycles past the start: mid-block once running.
-            let arm_cycle = if start.cycle() == 0 { 0 } else { start.cycle() + 7 };
+        for start in &tapped_starts(&prog) {
+            let arm_cycle = tapped_arm_cycle(start);
             let bound = start.cycle() + TAPPED_WINDOW;
             for site in &sites {
-                for sensitization in [1.0, 0.5] {
-                    let fault = Fault {
-                        site: site.name,
-                        bit: 3 % site.width,
-                        kind: FaultKind::Permanent,
-                        arm_cycle,
-                        flavor: SiteFlavor::Single,
-                        width: site.width,
-                        sensitization,
-                    };
-                    let what =
-                        format!("{} {} p={sensitization} arm={arm_cycle}", w.name, site.name);
-                    let (mut on, mut off) = (start.clone(), start.clone());
-                    let mut inj_on = FaultInjector::with_fault(fault.clone());
-                    let mut inj_off = FaultInjector::with_fault(fault);
-                    on.take_exec_stats();
-                    let res_on = on.run_to_halt(&mut inj_on, bound);
-                    interpret_to(&mut off, &mut inj_off, bound);
-                    assert_eq!(res_on, off.run_result(), "{what}: cycle or retired count diverged");
-                    // The fingerprint's terms, with the tags compared as
-                    // slices: architectural, microarchitectural, tags.
-                    assert_eq!(on.state_digest_cached(), off.state_digest_cached(), "{what}");
-                    assert_eq!(on.microarch_digest(), off.microarch_digest(), "{what}");
-                    assert!(on.mem().memory().tags() == off.mem().memory().tags(), "{what}");
-                    assert_eq!(inj_on.flip_count(), inj_off.flip_count(), "{what}: flips");
-                    assert_eq!(
-                        inj_on.first_flip_cycle(),
-                        inj_off.first_flip_cycle(),
-                        "{what}: first flip"
-                    );
-                    tapped_hits += on.take_exec_stats().tapped_block_hits;
+                for kind in [FaultKind::Permanent, FaultKind::Transient] {
+                    for sensitization in [1.0, 0.5] {
+                        let fault = fault_on(site, 3, kind, arm_cycle, sensitization);
+                        let what = format!(
+                            "{} {} {:?} {kind:?} p={sensitization} arm={arm_cycle}",
+                            w.name, site.name, site.flavor
+                        );
+                        let (stats, flips) =
+                            assert_tapped_run_matches(start, &[fault], bound, &what);
+                        tapped_hits += stats.tapped_block_hits;
+                        if kind == FaultKind::Transient && flips > 0 && stats.tapped_ops > 0 {
+                            transient_flips += 1;
+                            cell_upsets += site.name.starts_with("rf_cell_") as u32;
+                        }
+                    }
                 }
             }
         }
-        assert!(tapped_hits > 0, "{}: no block interpreted a tapped op", w.name);
+        assert!(tapped_hits > 0, "{}: no block ran a tapped op", w.name);
     }
+    assert!(transient_flips > 0, "no transient fired in a run with tapped ops");
+    assert!(cell_upsets > 0, "no cell transient fired in a run with tapped ops");
+}
+
+/// Two live faults in one block: a read-address fault that sends a port
+/// to a register the program never names, paired with a fault (permanent
+/// or transient) on that register's cell; and a result-bus fault paired
+/// with a write-address fault. Every such run equals the one-step
+/// interpreter, and the first pair does reach the unnamed cell.
+#[test]
+fn tapped_op_blocks_match_the_interpreter_under_two_faults() {
+    use argus_isa::instr::Instr;
+    let inventory = argus_machine::sites::core_sites();
+    let site = |name: &str, flavor: SiteFlavor| {
+        *inventory.iter().find(|s| s.name == name && s.flavor == flavor).expect("inventory site")
+    };
+    let mut reached = 0;
+    for w in &all_workloads() {
+        let prog = build(w);
+        // Registers no instruction of the program names.
+        let mut named = [false; 32];
+        for &word in &prog.code {
+            let instr = decode(word);
+            for r in instr.sources().iter() {
+                named[usize::from(*r)] = true;
+            }
+            match instr {
+                Instr::Alu { rd, .. }
+                | Instr::AluImm { rd, .. }
+                | Instr::ShiftImm { rd, .. }
+                | Instr::Ext { rd, .. }
+                | Instr::Movhi { rd, .. }
+                | Instr::MulDiv { rd, .. }
+                | Instr::Load { rd, .. } => named[usize::from(rd)] = true,
+                Instr::Jump { link: true, .. } | Instr::JumpReg { link: true, .. } => {
+                    named[usize::from(argus_isa::reg::Reg::LR)] = true
+                }
+                _ => {}
+            }
+        }
+        let unnamed: Vec<usize> = (1..32).filter(|&r| !named[r]).collect();
+        assert!(!unnamed.is_empty(), "{}: the program names every register", w.name);
+        for start in &tapped_starts(&prog) {
+            let arm_cycle = tapped_arm_cycle(start);
+            let bound = start.cycle() + TAPPED_WINDOW;
+            let mut pairs = Vec::new();
+            for port in [argus_machine::sites::RF_RADDR_A, argus_machine::sites::RF_RADDR_B] {
+                for bit in 0..5 {
+                    for &cell in unnamed.iter().take(2) {
+                        for kind in [FaultKind::Permanent, FaultKind::Transient] {
+                            let raddr = fault_on(
+                                &site(port, SiteFlavor::Single),
+                                bit,
+                                FaultKind::Permanent,
+                                arm_cycle,
+                                1.0,
+                            );
+                            let cell_site = site(
+                                argus_machine::machine::RF_CELL_SITES[cell],
+                                SiteFlavor::Single,
+                            );
+                            pairs.push((raddr, fault_on(&cell_site, 4, kind, arm_cycle, 1.0)));
+                        }
+                    }
+                }
+            }
+            for flavor in [SiteFlavor::Single, SiteFlavor::Double] {
+                for sensitization in [1.0, 0.5] {
+                    for kind in [FaultKind::Permanent, FaultKind::Transient] {
+                        let bus = site(argus_machine::sites::EX_RESULT_BUS, flavor);
+                        let waddr = site(argus_machine::sites::RF_WADDR, SiteFlavor::Single);
+                        pairs.push((
+                            fault_on(&bus, 3, kind, arm_cycle, sensitization),
+                            fault_on(&waddr, 1, FaultKind::Permanent, arm_cycle, sensitization),
+                        ));
+                    }
+                }
+            }
+            for (a, b) in pairs {
+                let what = format!(
+                    "{}: {} {:?} {:?} + {} {:?} p={} arm={arm_cycle}",
+                    w.name, a.site, a.flavor, a.kind, b.site, b.kind, a.sensitization
+                );
+                let cell_pair = b.site.starts_with("rf_cell_");
+                let (stats, flips) =
+                    assert_tapped_run_matches(start, &[a.clone(), b], bound, &what);
+                if cell_pair && stats.tapped_ops > 0 {
+                    // Until the cell fault fires, the pair's run is the
+                    // address fault's run alone: a different flip count
+                    // means it fired.
+                    let (_, alone) = assert_tapped_run_matches(start, &[a], bound, &what);
+                    reached += (flips != alone) as u32;
+                }
+            }
+        }
+    }
+    assert!(reached > 0, "no read-address fault reached an unnamed cell in a tapped op");
 }
 
 /// Runs `w`'s campaign with the block engine on and off and requires

@@ -939,6 +939,7 @@ pub const CANARIES: &[&str] = &[
     "canary-tapped-op-skips-draw",
     "canary-early-finish-live-bit",
     "canary-cursor-skips-walk-page",
+    "canary-tapped-op-stale-cycle",
 ];
 
 // ---------------------------------------------------------------------------
@@ -1341,7 +1342,7 @@ mod tests {
 
     #[test]
     fn canary_list_is_stable() {
-        assert_eq!(CANARIES.len(), 13);
+        assert_eq!(CANARIES.len(), 14);
         for c in CANARIES {
             assert!(c.starts_with("canary-"), "{c} must carry the canary- prefix");
         }

@@ -6,8 +6,9 @@
 //! already works in — into pre-decoded straight-line *plans* and executes
 //! a whole plan per dispatch whenever it is provably safe to do so: on
 //! golden runs, before a fault arms, while a fault is armed on a site the
-//! block never taps, and — interpreting just the ops that can tap it —
-//! while a fault is armed on a site some of the block's ops tap.
+//! block never taps, and — running just the ops that can tap it with their
+//! live taps inline — while a fault is armed on a site some of the block's
+//! ops tap.
 //!
 //! # Plans are a pure function of program bytes
 //!
@@ -54,41 +55,58 @@
 //!   the run stops at the exact same cycle under either engine;
 //! - no live fault that arms at or before that worst-case end sits on a
 //!   site every op taps ([`TapSet::EVERY_OP`]: stall release, fetch, the
-//!   decode trunk and its branches, next-PC). Past the injector's
-//!   [`FaultInjector::quiescent_horizon`] the gate resolves each live
-//!   fault's site to its [`TapSet`] bit, once per injector, and intersects
-//!   those *armed* sites with the plan's tap set: the gate's `tapped` set.
+//!   decode trunk and its branches, next-PC).
+//!
+//! Past the injector's [`FaultInjector::quiescent_horizon`] the gate
+//! resolves each such fault's site to its [`TapSet`] bit, once per
+//! injector. Their union is the block's *live* set ([`BlockGate::armed`]);
+//! its meet with the plan's tap set is the `tapped` set, which says which
+//! ops can reach a live fault. Every plan's tap set holds every every-op
+//! site, so a block the gate accepts has none of them live: no stall, no
+//! decode change and no next-PC change can happen inside it.
 //!
 //! # Tapped ops
 //!
 //! A fault draws (its masking decision, a flip, a transient's expiry) only
 //! on a tap of its own site, and an op's static tap set
-//! ([`Machine::op_taps`]) holds every site a step of it can tap. So every
-//! op whose set misses `tapped` would tap nothing but identity functions
-//! that leave the injector untouched, and runs straight from the plan. An
-//! op whose set meets `tapped` goes through [`Machine::step`] itself, at its
-//! own PC and cycle, with the signature-bit accumulator holding what the
-//! interpreter's would (a linking op reads it). Interpreting every such op,
-//! in order, keeps every draw; every other tap is the identity.
+//! ([`Machine::op_taps`]) holds every site a step of it can tap. So an op
+//! whose set misses `tapped` would tap nothing but identity functions that
+//! leave the injector untouched. An op whose set meets `tapped` is a
+//! *tapped op*. Both run from their [`PlanOp`] through one plan-op
+//! executor, generic over how a tap resolves:
+//!
+//! - an untapped op takes every tap as the identity;
+//! - a tapped op first sets the injector's cycle to its own start cycle,
+//!   as [`Machine::step`] would, then sends each tap whose site is in the
+//!   live set to the injector, in the interpreter's order, and takes every
+//!   other tap as the identity.
+//!
+//! The gate is the live set, not `tapped`: a flipped read address can make
+//! an op read a register cell outside the plan's tap set, and a live
+//! fault on that cell must still draw. Taps whose value nothing reads
+//! (`MUL_HI`, `DIV_R`) are still drawn, since each draw advances the
+//! fault's exposure count. A linking op takes the plan's link value unless
+//! a link-DCS site is live; then it taps the plan's DCS slot as the
+//! interpreter taps the one it extracts from the signature bits, which
+//! are the same bits. Every every-op tap is the identity, so the fetched
+//! word is the plan's word, its decode the plan's op, and the next PC the
+//! plan's next op; a tapped op cannot leave the plan. The signature-bit
+//! accumulator is untouched until a bail, which pushes the bits of the ops
+//! that ran.
 //!
 //! A complete plan execution is therefore bit-identical to the interpreter
 //! — same registers, parity, flag, memory, cache timing state, cycle
 //! count, PC and injector state — which the equivalence suite
 //! (`argus-faults/tests/block_equiv.rs`) checks over every suite workload,
-//! fault-free, under one permanent fault per tapped site, and under armed
-//! campaigns. Stalls and decode changes come only from faults on
-//! every-op sites, which the gate excludes, so a block never replaces a
-//! stalled interpreter iteration and an interpreted op decodes to its plan
-//! op. Should an interpreted op still leave the plan (an unexpected next
-//! PC or block end), the block ends there, incomplete, like a
-//! self-modifying store's bail.
+//! fault-free, under one permanent fault per tapped site, under transients
+//! armed mid-block, under two-fault injectors, and under armed campaigns.
 
 use crate::exec;
-use crate::machine::{Machine, StepOutcome};
-use crate::sites::TapSet;
+use crate::machine::{Machine, RF_CELL_SITES};
+use crate::sites::{self, TapSet};
 use argus_isa::decode::decode;
 use argus_isa::encode::embedded_bits_packed;
-use argus_isa::instr::{Instr, MemSize, MulDivOp};
+use argus_isa::instr::{AluOp, Instr, MemSize, MulDivOp};
 use argus_isa::reg::Reg;
 use argus_isa::{pack_indirect_target, split_indirect_target, INDIRECT_ADDR_MASK};
 use argus_mem::{MainMemory, MemorySystem, DIRTY_PAGE_WORDS};
@@ -118,8 +136,8 @@ struct PlanOp {
     /// reads the DCS slot from the live signature bit stream, which a plan
     /// knows statically. Zero for non-linking ops.
     link_value: u32,
-    /// [`Machine::op_taps`] of the op: it is interpreted when a live fault
-    /// sits on one of these sites.
+    /// [`Machine::op_taps`] of the op: it runs as a tapped op (see the
+    /// module docs) when a live fault sits on one of these sites.
     taps: TapSet,
 }
 
@@ -371,16 +389,17 @@ pub struct BlockGate {
     pub max_op_stall: u32,
     /// Checker-side memo key (with `addr`).
     pub words_hash: u64,
-    /// The sites of every live fault that arms at or before the block's
-    /// worst-case end (empty while the injector is quiescent throughout).
-    /// May hold the foreign bit: a fault on a site only the checker taps.
+    /// The block's live set: the sites of every live fault that arms at or
+    /// before the block's worst-case end (empty while the injector is
+    /// quiescent throughout). A tapped op sends exactly the taps on these
+    /// sites to the injector. May hold the foreign bit (a fault on a site
+    /// only the checker taps); never holds an every-op site.
     pub armed: TapSet,
     /// The plan's tap set: every site the interpreter could tap running
     /// the whole block.
     pub taps: TapSet,
     /// `armed ∩ taps`: the live sites some op of the block can tap. Ops
-    /// whose tap set meets it are interpreted (see the module docs); never
-    /// holds an every-op site.
+    /// whose tap set meets it run as tapped ops (see the module docs).
     pub tapped: TapSet,
 }
 
@@ -445,15 +464,15 @@ pub struct ExecStats {
     /// Of `plan_hits`, those executed while a live fault was armed: how
     /// often the tap-set gate engages.
     pub armed_plan_hits: u64,
-    /// Of `armed_plan_hits`, those that interpreted at least one op because
-    /// it could tap a live fault's site.
+    /// Of `armed_plan_hits`, those that ran at least one tapped op.
     pub tapped_block_hits: u64,
-    /// Ops interpreted inside blocks because they could tap the site of a
-    /// live fault arming by the block's end (those run once it has armed
-    /// are also counted in `armed_steps`).
+    /// Tapped ops: ops run inside blocks with their live taps inline,
+    /// because their tap set holds the site of a live fault arming by the
+    /// block's end (see the module docs). Those that start once the fault
+    /// has armed are also counted in `armed_steps`.
     pub tapped_ops: u64,
-    /// Interpreter steps taken while a fault was live (armed and not
-    /// expired), whether alone or as a tapped op inside a block.
+    /// Ops executed while a fault was live (armed and not expired):
+    /// interpreter steps, and tapped ops inside blocks.
     pub armed_steps: u64,
     /// Block plans (re)built.
     pub plan_misses: u64,
@@ -547,7 +566,8 @@ pub(crate) struct PlanCache {
     armed_hits: u64,
     tapped_hits: u64,
     tapped_ops: u64,
-    /// Interpreter steps under a live fault, counted by [`Machine::step`].
+    /// Ops under a live fault, counted by [`Machine::step`] and by each
+    /// tapped op.
     pub(crate) armed_steps: u64,
     misses: u64,
     evictions: u64,
@@ -713,7 +733,7 @@ impl Machine {
             return None;
         }
         let tapped_before = self.plans.tapped_ops;
-        let commit = self.exec_plan_ops(&plan, inj, gate.tapped);
+        let commit = self.exec_plan_ops(&plan, inj, gate);
         if commit.complete {
             self.plans.hits += 1;
             if !gate.armed.is_empty() {
@@ -765,109 +785,49 @@ impl Machine {
         }
     }
 
-    /// The straight-line executor: an unrolled, tap-free rendition of
-    /// [`Machine::step`] for every op whose tap set misses `tapped`, and
-    /// `step` itself for the others (see the module docs). The plan matched
-    /// memory at entry, so only an in-block store can make an upcoming word
-    /// stale; one that does ends the plan early, as does an interpreted op
-    /// that leaves the plan.
+    /// The straight-line executor: every op runs from its [`PlanOp`]
+    /// through [`Machine::exec_plan_op`], a tapped op (its tap set meets
+    /// `gate.tapped`) with the live set's taps inline, every other op with
+    /// identity taps (see the module docs). The plan matched memory at
+    /// entry, so only an in-block store can make an upcoming word stale;
+    /// one that does ends the plan early.
     fn exec_plan_ops(
         &mut self,
         plan: &BlockPlan,
         inj: &mut FaultInjector,
-        tapped: TapSet,
+        gate: &BlockGate,
     ) -> BlockCommit {
+        debug_assert!(
+            !gate.armed.intersects(TapSet::EVERY_OP),
+            "the gate let an every-op site go live inside a block"
+        );
         let mut pc = self.pc;
         let mut last_pc = pc;
-        let mut cti_flag = None;
-        let mut indirect_dcs = None;
-        let mut oob_loads: Vec<OobLoad> = Vec::new();
-        // `block_bits` holds the signature bits of ops `..pushed`. The clean
-        // path never touches it: the interpreter pushes each op's bits and
-        // clears them at block end, a net no-op on the empty accumulator a
-        // block starts from. Bits are caught up only where an interpreted
-        // op or a bail needs them.
-        let mut pushed = 0;
+        let mut out = OpOut { cti_flag: None, indirect_dcs: None, oob_loads: Vec::new() };
         let mut executed = plan.ops.len();
         let mut complete = true;
         let mut skip_canary = argus_sim::canary::enabled("canary-tapped-op-skips-draw");
+        let stale_cycle_canary = argus_sim::canary::enabled("canary-tapped-op-stale-cycle");
         for (k, op) in plan.ops.iter().enumerate() {
-            let mut interpret = op.taps.intersects(tapped);
-            if interpret && skip_canary {
+            let mut tapped = op.taps.intersects(gate.tapped);
+            if tapped && skip_canary {
                 skip_canary = false;
-                interpret = false;
+                tapped = false;
             }
-            if interpret {
-                for done in &plan.ops[pushed..k] {
-                    self.block_bits.push_packed(done.embedded);
-                }
-                pushed = k;
+            let next = if tapped {
                 self.plans.tapped_ops += 1;
-                self.pc = pc;
-                let left = match self.step(inj) {
-                    StepOutcome::Committed(rec) => {
-                        pushed = k + 1;
-                        if let Some(b) = &rec.branch {
-                            if b.conditional {
-                                cti_flag = b.flag_used;
-                            }
-                            if matches!(op.instr, Instr::JumpReg { .. }) {
-                                indirect_dcs = b.indirect_dcs;
-                            }
-                        }
-                        if let Some(m) = rec.mem.filter(|m| !m.is_store) {
-                            if self.mem.memory().read(m.word_addr_row).is_err() {
-                                oob_loads.push(OobLoad {
-                                    pc,
-                                    end_cycle: self.cycle,
-                                    parity_ok: m.parity_ok,
-                                });
-                            }
-                        }
-                        let last = k + 1 == plan.ops.len();
-                        if rec.block_end != last || (!last && self.pc != pc.wrapping_add(4)) {
-                            Some(k + 1)
-                        } else {
-                            None
-                        }
-                    }
-                    // Unreachable under the gate: only an every-op site
-                    // stalls the pipeline.
-                    StepOutcome::Stalled | StepOutcome::Halted => Some(k),
-                };
-                last_pc = pc;
-                pc = self.pc;
-                if let Some(n) = left {
-                    (executed, complete) = (n, false);
-                    break;
+                if !stale_cycle_canary {
+                    inj.set_cycle(self.cycle);
                 }
+                if !inj.is_quiescent() {
+                    self.plans.armed_steps += 1;
+                }
+                self.exec_plan_op(op, pc, &mut LiveTaps { inj, live: gate.armed }, &mut out)
             } else {
-                let (_, fetch_cycles) = self.mem.fetch(pc);
-                let in_delay = self.delay_slot;
-                self.delay_slot = false;
-                let oob_before = oob_loads.len();
-                let (mem_cycles, extra_cycles, new_pending) = self.exec_op_quiescent(
-                    op.instr,
-                    pc,
-                    op.link_value,
-                    &mut cti_flag,
-                    &mut indirect_dcs,
-                    &mut oob_loads,
-                );
-                let seq = pc.wrapping_add(4);
-                let next = if in_delay { self.pending_branch.take().unwrap_or(seq) } else { seq };
-                if op.instr.is_cti() {
-                    self.pending_branch = new_pending;
-                    self.delay_slot = true;
-                }
-                last_pc = pc;
-                pc = next & !3;
-                self.cycle += (fetch_cycles + mem_cycles + extra_cycles) as u64;
-                self.retired += 1;
-                for e in &mut oob_loads[oob_before..] {
-                    e.end_cycle = self.cycle;
-                }
-            }
+                self.exec_plan_op(op, pc, &mut IdentityTaps, &mut out)
+            };
+            last_pc = pc;
+            pc = next;
             if matches!(op.instr, Instr::Store { .. })
                 && !plan.pages_clean(self.mem.memory())
                 && !plan.words_match_from(self.mem.memory(), k + 1)
@@ -880,14 +840,12 @@ impl Machine {
             }
         }
         self.pc = pc;
-        if complete {
-            if pushed > 0 {
-                self.block_bits.clear();
-            }
-        } else {
+        if !complete {
             // Stopped mid-block: hold the signature bits the interpreter
-            // would.
-            for done in &plan.ops[pushed..executed] {
+            // would. A complete block leaves the accumulator as it found
+            // it, empty: the interpreter pushes each op's bits and clears
+            // them at block end.
+            for done in &plan.ops[..executed] {
                 self.block_bits.push_packed(done.embedded);
             }
         }
@@ -898,140 +856,163 @@ impl Machine {
             last_pc,
             end_cycle: self.cycle,
             ended_by_cti: complete && plan.ends_with_cti,
-            cti_flag,
-            indirect_dcs,
+            cti_flag: out.cti_flag,
+            indirect_dcs: out.indirect_dcs,
             halted: self.halted,
             flag_after: self.flag,
-            oob_loads,
+            oob_loads: out.oob_loads,
         }
     }
 
-    /// Executes one decoded instruction with identity-tap semantics: the
-    /// exact state updates of [`Machine::step`] minus the fault taps,
-    /// commit-record plumbing and fetch (already done by the caller).
-    /// `link_value` is the plan's precomputed link-register value (the
-    /// plan path never materializes signature bits). Returns
-    /// `(mem_cycles, extra_cycles, new_pending_branch)`.
-    fn exec_op_quiescent(
+    /// Runs one plan op at `pc` with the exact state updates of
+    /// [`Machine::step`]: the I-cache fetch, the op's semantics, the next
+    /// PC and the cycles charged. Each fault tap resolves through `taps`;
+    /// the every-op taps (stall release, fetch, decode, next PC) are the
+    /// identity under the gate and are not made. The commit-record
+    /// plumbing is skipped and the signature bits are left to the caller.
+    /// Returns the next PC.
+    #[inline(always)]
+    fn exec_plan_op<T: Taps>(
         &mut self,
-        instr: Instr,
+        op: &PlanOp,
         pc: u32,
-        link_value: u32,
-        cti_flag: &mut Option<bool>,
-        indirect_dcs: &mut Option<u32>,
-        oob_loads: &mut Vec<OobLoad>,
-    ) -> (u32, u32, Option<u32>) {
+        taps: &mut T,
+        out: &mut OpOut,
+    ) -> u32 {
+        let (_, fetch_cycles) = self.mem.fetch(pc);
+        let in_delay = self.delay_slot;
+        self.delay_slot = false;
         let argus = self.cfg.argus_mode;
         let mut mem_cycles = 0u32;
         let mut extra_cycles = 0u32;
         let mut new_pending: Option<u32> = None;
-        match instr {
+        let mut oob_load = None;
+        match op.instr {
             Instr::Alu { op, rd, ra, rb } => {
-                let r = exec::alu(op, self.regs[usize::from(ra)], self.regs[usize::from(rb)]);
-                self.set_reg(rd, r);
+                let (a, _) = self.read_port(0, ra, taps);
+                let (b, _) = self.read_port(1, rb, taps);
+                let r = taps.tap32(alu_unit(op), exec::alu(op, a, b));
+                self.write_back(RESULT_BUS, rd, r, taps);
             }
             Instr::AluImm { op, rd, ra, imm } => {
-                let r = exec::alu(
-                    exec::alu_imm_base(op),
-                    self.regs[usize::from(ra)],
-                    exec::alu_imm_operand(op, imm),
-                );
-                self.set_reg(rd, r);
+                let (a, _) = self.read_port(0, ra, taps);
+                let base = exec::alu_imm_base(op);
+                let r =
+                    taps.tap32(alu_unit(base), exec::alu(base, a, exec::alu_imm_operand(op, imm)));
+                self.write_back(RESULT_BUS, rd, r, taps);
             }
             Instr::ShiftImm { op, rd, ra, sh } => {
-                let r = exec::shift_imm(op, self.regs[usize::from(ra)], sh);
-                self.set_reg(rd, r);
+                let (a, _) = self.read_port(0, ra, taps);
+                let r = taps.tap32(SHIFT, exec::shift_imm(op, a, sh));
+                self.write_back(RESULT_BUS, rd, r, taps);
             }
             Instr::Ext { kind, rd, ra } => {
-                let r = exec::extend(kind, self.regs[usize::from(ra)]);
-                self.set_reg(rd, r);
+                let (a, _) = self.read_port(0, ra, taps);
+                let r = taps.tap32(SHIFT, exec::extend(kind, a));
+                self.write_back(RESULT_BUS, rd, r, taps);
             }
             Instr::Movhi { rd, imm } => {
-                self.set_reg(rd, (imm as u32) << 16);
+                self.write_back(RESULT_BUS, rd, (imm as u32) << 16, taps);
             }
             Instr::MulDiv { op, rd, ra, rb } => {
-                let a = self.regs[usize::from(ra)];
-                let b = self.regs[usize::from(rb)];
+                let (a, _) = self.read_port(0, ra, taps);
+                let (b, _) = self.read_port(1, rb, taps);
+                // The high word and the remainder feed only the checker,
+                // but their taps still draw.
                 let v = match op {
                     MulDivOp::Mul | MulDivOp::Mulu => {
                         extra_cycles = self.cfg.mul_cycles.saturating_sub(1);
-                        exec::multiply(op, a, b).0
+                        let (lo, hi) = exec::multiply(op, a, b);
+                        let lo = taps.tap32(MUL_LO, lo);
+                        taps.tap32(MUL_HI, hi);
+                        lo
                     }
                     MulDivOp::Div | MulDivOp::Divu => {
                         extra_cycles = self.cfg.div_cycles.saturating_sub(1);
-                        exec::divide(op, a, b).0
+                        let (q, r) = exec::divide(op, a, b);
+                        let q = taps.tap32(DIV_Q, q);
+                        taps.tap32(DIV_R, r);
+                        q
                     }
                 };
-                self.set_reg(rd, v);
+                self.write_back(RESULT_BUS, rd, v, taps);
             }
             Instr::SetFlag { cond, ra, rb } => {
-                self.flag = cond.eval(self.regs[usize::from(ra)], self.regs[usize::from(rb)]);
+                let (a, _) = self.read_port(0, ra, taps);
+                let (b, _) = self.read_port(1, rb, taps);
+                self.flag = taps.tap1(CMP_FLAG_OUT, cond.eval(a, b));
             }
             Instr::SetFlagImm { cond, ra, imm } => {
+                let (a, _) = self.read_port(0, ra, taps);
                 let b = argus_sim::bits::sign_extend(imm as u32, 16);
-                self.flag = cond.eval(self.regs[usize::from(ra)], b);
+                self.flag = taps.tap1(CMP_FLAG_OUT, cond.eval(a, b));
             }
             Instr::Branch { taken_if, off } => {
-                let f = self.flag;
-                *cti_flag = Some(f);
-                new_pending = (f == taken_if).then(|| pc.wrapping_add((off as u32) << 2));
+                let f = taps.tap1(FLAG_READ, self.flag);
+                out.cti_flag = Some(f);
+                let taken = taps.tap1(BR_TAKEN, f == taken_if);
+                new_pending =
+                    taken.then(|| taps.tap32(BR_TARGET, pc.wrapping_add((off as u32) << 2)));
             }
             Instr::Jump { link, off } => {
-                new_pending = Some(pc.wrapping_add((off as u32) << 2));
+                new_pending = Some(taps.tap32(BR_TARGET, pc.wrapping_add((off as u32) << 2)));
                 if link {
-                    self.set_reg(Reg::LR, link_value);
+                    let v = self.plan_link_value(op, pc, taps);
+                    self.write_back(RESULT_BUS, Reg::LR, v, taps);
                 }
             }
             Instr::JumpReg { link, rb } => {
-                let v = self.regs[usize::from(rb)];
+                let (v, _) = self.read_port(0, rb, taps);
                 let (addr, dcs) = if argus { split_indirect_target(v) } else { (v, 0) };
-                new_pending = Some(addr);
+                new_pending = Some(taps.tap32(BR_TARGET, addr));
                 if link {
-                    self.set_reg(Reg::LR, link_value);
+                    let v = self.plan_link_value(op, pc, taps);
+                    self.write_back(RESULT_BUS, Reg::LR, v, taps);
                 }
-                *indirect_dcs = argus.then_some(dcs);
+                out.indirect_dcs = argus.then_some(dcs);
             }
             Instr::Load { size, signed, off, rd, ra } => {
-                let base = self.regs[usize::from(ra)];
-                let addr = base.wrapping_add(off as i32 as u32);
+                let (base, _) = self.read_port(0, ra, taps);
+                let addr = self.effective_addr(base, off, taps);
                 let ali = exec::align_addr(addr, size);
                 let word_addr = ali & !3;
+                let a_xor = if argus { taps.tap32(ADDR_XOR, word_addr) } else { word_addr };
+                let a_row = taps.tap32(ROW_ADDR, word_addr);
                 let fallback = self.cfg.mem.hit_cycles + self.cfg.mem.miss_penalty;
-                let loaded = self.mem.load_word(word_addr);
+                let loaded = self.mem.load_word(a_row);
                 let oob = loaded.is_err();
-                let (payload, _tag, lat) = loaded.unwrap_or((u32::MAX, false, fallback));
-                let d = if argus { payload ^ word_addr } else { payload };
+                let (payload, tag, lat) = loaded.unwrap_or((u32::MAX, false, fallback));
+                let d = if argus { payload ^ a_xor } else { payload };
                 if oob {
-                    // end_cycle is patched by the caller once the op's
-                    // cycles are charged. The fallback tag is clear.
-                    let parity_ok = !argus || !parity32(d);
-                    oob_loads.push(OobLoad { pc, end_cycle: 0, parity_ok });
+                    oob_load = Some(!argus || parity32(d) == tag);
                 }
-                let v = exec::align_load(d, ali & 3, size, signed);
+                let v = taps.tap32(ALIGN_OUT, exec::align_load(d, ali & 3, size, signed));
                 mem_cycles = lat.saturating_sub(1);
-                self.set_reg(rd, v);
+                self.write_back(LOAD_BUS, rd, v, taps);
             }
             Instr::Store { size, off, ra, rb } => {
-                let base = self.regs[usize::from(ra)];
-                let data = self.regs[usize::from(rb)];
-                let addr = base.wrapping_add(off as i32 as u32);
+                let (base, _) = self.read_port(0, ra, taps);
+                let (data, carried_parity) = self.read_port(1, rb, taps);
+                let addr = self.effective_addr(base, off, taps);
                 let ali = exec::align_addr(addr, size);
                 let word_addr = ali & !3;
+                let a_xor = if argus { taps.tap32(ADDR_XOR, word_addr) } else { word_addr };
+                let a_row = taps.tap32(ROW_ADDR, word_addr);
+                let data = taps.tap32(STORE_BUS, data);
                 let (payload, tag) = if matches!(size, MemSize::Word) {
-                    let payload = if argus { data ^ word_addr } else { data };
+                    let payload = if argus { data ^ a_xor } else { data };
                     // Word stores carry the operand's parity tag through
                     // (the paper's end-to-end register→memory protection).
-                    let tag = if argus { self.parity[usize::from(rb)] } else { parity32(data) };
-                    (payload, tag)
+                    (payload, if argus { carried_parity } else { parity32(data) })
                 } else {
-                    let (oldp, _t) = self.mem.memory().read(word_addr).unwrap_or((0, false));
-                    let old_d = if argus { oldp ^ word_addr } else { oldp };
-                    let merged = exec::merge_store(old_d, ali & 3, size, data);
-                    let payload = if argus { merged ^ word_addr } else { merged };
-                    (payload, parity32(merged))
+                    let (oldp, _t) = self.mem.memory().read(a_row).unwrap_or((0, false));
+                    let old_d = if argus { oldp ^ a_xor } else { oldp };
+                    let merged =
+                        taps.tap32(STORE_MERGE, exec::merge_store(old_d, ali & 3, size, data));
+                    (if argus { merged ^ a_xor } else { merged }, parity32(merged))
                 };
                 let fallback = self.cfg.mem.hit_cycles + self.cfg.mem.miss_penalty;
-                let lat = self.mem.store_word_tagged(word_addr, payload, tag).unwrap_or(fallback);
+                let lat = self.mem.store_word_tagged(a_row, payload, tag).unwrap_or(fallback);
                 mem_cycles = lat.saturating_sub(1);
             }
             Instr::Nop | Instr::Sig { .. } => {}
@@ -1039,7 +1020,201 @@ impl Machine {
                 self.halted = true;
             }
         }
-        (mem_cycles, extra_cycles, new_pending)
+        let seq = pc.wrapping_add(4);
+        let next = if in_delay { self.pending_branch.take().unwrap_or(seq) } else { seq };
+        if op.instr.is_cti() {
+            self.pending_branch = new_pending;
+            self.delay_slot = true;
+        }
+        self.cycle += (fetch_cycles + mem_cycles + extra_cycles) as u64;
+        self.retired += 1;
+        if let Some(parity_ok) = oob_load {
+            out.oob_loads.push(OobLoad { pc, end_cycle: self.cycle, parity_ok });
+        }
+        next & !3
+    }
+
+    /// Reads register `r` on read port `port` (0 = A, 1 = B) as
+    /// [`Machine::step`] does: address, storage cell, operand bus. A
+    /// flipped address reads (and taps) another register's cell, and a
+    /// transient upset of a cell persists until overwritten. Returns the
+    /// operand value and the parity bit stored with it.
+    #[inline(always)]
+    fn read_port<T: Taps>(&mut self, port: usize, r: Reg, taps: &mut T) -> (u32, bool) {
+        let idx = Reg::from_field(taps.tap32(READ_ADDR[port], r.index() as u32));
+        let i = usize::from(idx);
+        let stored = self.regs[i];
+        let cell = Site { bit: TapSet::cell(idx.index()), name: RF_CELL_SITES[i] };
+        let was_transient = taps.has_transient_on(cell);
+        let v = taps.tap32(cell, stored);
+        if v != stored && was_transient && idx != Reg::ZERO {
+            self.regs[i] = v;
+        }
+        (taps.tap32(OPERAND_BUS[port], v), self.parity[i])
+    }
+
+    /// Writes `v` to `rd` over the writeback bus `bus` and the write-port
+    /// address, with the parity of the value as it left its unit.
+    #[inline(always)]
+    fn write_back<T: Taps>(&mut self, bus: Site, rd: Reg, v: u32, taps: &mut T) {
+        let parity = parity32(v);
+        let v = taps.tap32(bus, v);
+        let rd = Reg::from_field(taps.tap32(WRITE_ADDR, rd.index() as u32));
+        if rd != Reg::ZERO {
+            self.regs[usize::from(rd)] = v;
+            self.parity[usize::from(rd)] = parity;
+        }
+    }
+
+    /// A load or store address from the shared ALU adder.
+    #[inline(always)]
+    fn effective_addr<T: Taps>(&mut self, base: u32, off: i16, taps: &mut T) -> u32 {
+        let sum = taps.tap32(ADDER, base.wrapping_add(off as i32 as u32));
+        taps.tap32(LSU_ADDR, sum)
+    }
+
+    /// A linking op's link-register value: the plan's, unless a link-DCS
+    /// site is live, when the plan's DCS slot goes through the two taps the
+    /// interpreter puts on the slot it extracts from the same signature
+    /// bits.
+    #[inline(always)]
+    fn plan_link_value<T: Taps>(&self, op: &PlanOp, pc: u32, taps: &mut T) -> u32 {
+        if !(self.cfg.argus_mode && taps.live(LINK_DCS)) {
+            return op.link_value;
+        }
+        let (_, slot) = split_indirect_target(op.link_value);
+        let dcs = taps.tap32(LNK_DCS_MUX, slot) & 31;
+        let dcs = taps.tap32(SIG_EXTRACT, dcs) & 31;
+        pack_indirect_target(pc.wrapping_add(8) & INDIRECT_ADDR_MASK, dcs)
+    }
+}
+
+/// What a block's ops report to its [`BlockCommit`].
+struct OpOut {
+    cti_flag: Option<bool>,
+    indirect_dcs: Option<u32>,
+    oob_loads: Vec<OobLoad>,
+}
+
+/// A fault site as a plan op taps it: its [`TapSet`] bit and its name.
+#[derive(Clone, Copy)]
+struct Site {
+    bit: TapSet,
+    name: &'static str,
+}
+
+impl Site {
+    const fn of(name: &'static str) -> Site {
+        Site { bit: TapSet::site(name), name }
+    }
+}
+
+const READ_ADDR: [Site; 2] = [Site::of(sites::RF_RADDR_A), Site::of(sites::RF_RADDR_B)];
+const OPERAND_BUS: [Site; 2] = [Site::of(sites::EX_OPA_BUS), Site::of(sites::EX_OPB_BUS)];
+const WRITE_ADDR: Site = Site::of(sites::RF_WADDR);
+const RESULT_BUS: Site = Site::of(sites::EX_RESULT_BUS);
+const ADDER: Site = Site::of(sites::ALU_ADDER_OUT);
+const LOGIC: Site = Site::of(sites::ALU_LOGIC_OUT);
+const SHIFT: Site = Site::of(sites::ALU_SHIFT_OUT);
+const MUL_LO: Site = Site::of(sites::MUL_LO);
+const MUL_HI: Site = Site::of(sites::MUL_HI);
+const DIV_Q: Site = Site::of(sites::DIV_Q);
+const DIV_R: Site = Site::of(sites::DIV_R);
+const CMP_FLAG_OUT: Site = Site::of(sites::CMP_FLAG_OUT);
+const FLAG_READ: Site = Site::of(sites::FLAG_READ);
+const BR_TAKEN: Site = Site::of(sites::BR_TAKEN);
+const BR_TARGET: Site = Site::of(sites::BR_TARGET);
+const LNK_DCS_MUX: Site = Site::of(sites::LNK_DCS_MUX);
+const SIG_EXTRACT: Site = Site::of(sites::SIG_EXTRACT);
+const LINK_DCS: TapSet = LNK_DCS_MUX.bit.union(SIG_EXTRACT.bit);
+/// The ALU sub-unit whose output `op` taps.
+const fn alu_unit(op: AluOp) -> Site {
+    match op {
+        AluOp::Add | AluOp::Sub => ADDER,
+        AluOp::And | AluOp::Or | AluOp::Xor => LOGIC,
+        AluOp::Sll | AluOp::Srl | AluOp::Sra => SHIFT,
+    }
+}
+const LSU_ADDR: Site = Site::of(sites::LSU_ADDR);
+const ADDR_XOR: Site = Site::of(sites::LSU_ADDR_XOR);
+const ROW_ADDR: Site = Site::of(sites::DMEM_ROW_ADDR);
+const ALIGN_OUT: Site = Site::of(sites::LSU_ALIGN_OUT);
+const LOAD_BUS: Site = Site::of(sites::LSU_LD_BUS);
+const STORE_BUS: Site = Site::of(sites::LSU_ST_BUS);
+const STORE_MERGE: Site = Site::of(sites::LSU_ST_MERGE);
+
+/// How a plan op's fault taps resolve: the tap policy
+/// [`Machine::exec_plan_op`] is generic over.
+trait Taps {
+    /// Whether a fault on one of `sites` can fire during this op.
+    fn live(&self, sites: TapSet) -> bool;
+    /// Taps a multi-bit signal.
+    fn tap32(&mut self, site: Site, v: u32) -> u32;
+    /// Taps a single-bit signal.
+    fn tap1(&mut self, site: Site, v: bool) -> bool;
+    /// [`FaultInjector::has_transient_on`] for `site`.
+    fn has_transient_on(&self, site: Site) -> bool;
+}
+
+/// Every tap is the identity: an op whose tap set misses every live site.
+struct IdentityTaps;
+
+impl Taps for IdentityTaps {
+    #[inline(always)]
+    fn live(&self, _: TapSet) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn tap32(&mut self, _: Site, v: u32) -> u32 {
+        v
+    }
+
+    #[inline(always)]
+    fn tap1(&mut self, _: Site, v: bool) -> bool {
+        v
+    }
+
+    #[inline(always)]
+    fn has_transient_on(&self, _: Site) -> bool {
+        false
+    }
+}
+
+/// A tapped op's taps: those on a site in `live` (the block's live set)
+/// go to the injector, the rest are the identity.
+struct LiveTaps<'a> {
+    inj: &'a mut FaultInjector,
+    live: TapSet,
+}
+
+impl Taps for LiveTaps<'_> {
+    #[inline(always)]
+    fn live(&self, sites: TapSet) -> bool {
+        self.live.intersects(sites)
+    }
+
+    #[inline(always)]
+    fn tap32(&mut self, site: Site, v: u32) -> u32 {
+        if self.live(site.bit) {
+            self.inj.tap32(site.name, v)
+        } else {
+            v
+        }
+    }
+
+    #[inline(always)]
+    fn tap1(&mut self, site: Site, v: bool) -> bool {
+        if self.live(site.bit) {
+            self.inj.tap1(site.name, v)
+        } else {
+            v
+        }
+    }
+
+    #[inline(always)]
+    fn has_transient_on(&self, site: Site) -> bool {
+        self.live(site.bit) && self.inj.has_transient_on(site.name)
     }
 }
 
@@ -1223,9 +1398,9 @@ mod tests {
         }
     }
 
-    /// A tapped-op block interprets only the ops whose tap set holds the
-    /// live site: the loop block's one `add` for a fault on the adder's
-    /// second operand cell, not its other four ops.
+    /// A tapped-op block runs as tapped ops only the ops whose tap set
+    /// holds the live site: the loop block's one `add` for a fault on the
+    /// adder's second operand cell, not its other four ops.
     #[test]
     fn tapped_blocks_interpret_only_the_ops_that_tap_the_site() {
         use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
@@ -1261,6 +1436,63 @@ mod tests {
         assert_eq!(stats.tapped_block_hits, 6, "{stats:?}");
         assert_eq!(stats.tapped_ops, 6, "{stats:?}");
         assert_eq!(stats.armed_steps, stats.tapped_ops, "{stats:?}");
+    }
+
+    /// A tapped op sends the taps of the whole live set to the injector,
+    /// not just those of the sites its block names: a flipped read address
+    /// makes the block's `add` read `r5`, whose cell carries a live fault
+    /// though no op of the block names `r5`. The run equals the
+    /// interpreter; gating the taps by `gate.tapped` instead would skip the
+    /// cell's flip and diverge.
+    #[test]
+    fn tapped_ops_tap_live_cells_outside_the_plan() {
+        use argus_sim::fault::{Fault, FaultKind, SiteFlavor};
+        let words: Vec<u32> =
+            [Instr::Alu { op: AluOp::Add, rd: r(3), ra: r(1), rb: r(2) }, Instr::Halt]
+                .iter()
+                .map(encode)
+                .collect();
+        let fault = |site, bit| Fault {
+            site,
+            bit,
+            kind: FaultKind::Permanent,
+            arm_cycle: 0,
+            flavor: SiteFlavor::Single,
+            width: 32,
+            sensitization: 1.0,
+        };
+        // Port A's address bit 2 turns r1 into r5; r5's cell flips bit 4.
+        let faults =
+            vec![fault(crate::sites::RF_RADDR_A, 2), fault(crate::machine::RF_CELL_SITES[5], 4)];
+        let setup = |block_exec| {
+            let mut m = machine(block_exec, true, &words);
+            for (reg, v) in [(1, 10), (2, 20), (5, 7)] {
+                m.set_reg(r(reg), v);
+            }
+            m
+        };
+        let mut off = setup(false);
+        let mut inj_off = FaultInjector::with_faults(faults.clone());
+        off.run_to_halt(&mut inj_off, 1_000);
+        assert_eq!(off.reg(r(3)), (7 ^ 16) + 20, "the interpreter reads r5's flipped cell");
+
+        for live_set in ["armed", "tapped"] {
+            let mut on = setup(true);
+            let mut inj = FaultInjector::with_faults(faults.clone());
+            let mut gate = on.plan_block(&inj, u64::MAX).expect("the block plans");
+            assert!(!gate.taps.intersects(TapSet::cell(5)), "no op of the block names r5");
+            assert!(gate.armed.intersects(TapSet::cell(5)));
+            if live_set == "tapped" {
+                gate.armed = gate.tapped;
+            }
+            let commit = on.exec_block(&mut inj, &gate).expect("gated");
+            assert!(commit.complete && commit.halted, "{live_set}");
+            assert_eq!(on.run_result(), off.run_result(), "{live_set}");
+            assert_eq!(on.take_exec_stats().tapped_ops, 1, "{live_set}");
+            let same =
+                on.state_digest() == off.state_digest() && inj.flip_count() == inj_off.flip_count();
+            assert_eq!(same, live_set == "armed", "{live_set}: r3 = {}", on.reg(r(3)));
+        }
     }
 
     /// A live fault on a site every op taps keeps every block on the

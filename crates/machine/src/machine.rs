@@ -74,8 +74,9 @@ pub struct MachineConfig {
     /// Execute whole pre-compiled blocks (see [`crate::block`]).
     /// Semantically inert like `predecode`: block plans replay the
     /// interpreter bit for bit, the ops of a block that could tap a live
-    /// fault's site are interpreted, and a live fault on a site every op
-    /// taps keeps the whole block on the interpreter.
+    /// fault's site send the taps of live sites to the injector, and a live
+    /// fault on a site every op taps keeps the whole block on the
+    /// interpreter.
     pub block_exec: bool,
 }
 

@@ -3,7 +3,7 @@
 # registry is blind by design, campaign divergence) actually detects
 # real checker bugs — not just that it stays quiet on healthy runs.
 #
-# The `canary` cargo feature compiles ~13 deliberately seeded bugs into
+# The `canary` cargo feature compiles 14 deliberately seeded bugs into
 # the checkers, machine, orchestrator and campaign engine, each dormant until its name is set in
 # ARGUS_CANARY. This script builds that binary once, proves it is
 # byte-identical to the clean binary while dormant, then arms each
@@ -122,11 +122,21 @@ echo "== campaign canary: dead-site record keeps each site's first tap =="
 check_divergence canary-dead-site-first-tap -n 60 --seed 9
 
 echo "== machine canary: a tapped op inside a block skips its fault draw =="
-# Blocks run under a live permanent fault, interpreting only the ops that
-# can tap its site. Running the first such op of a block from the plan
-# skips that op's masking draw and flip, which changes how post-detection
-# runs end. Seed 9 first shows it at 120 permanent injections.
+# Blocks run under a live permanent fault, running the ops that can tap
+# its site with their live taps inline. Running the first such op of a
+# block with identity taps skips that op's masking draw and flip, which
+# changes how post-detection runs end. Seed 9 first shows it at 120
+# permanent injections.
 check_divergence canary-tapped-op-skips-draw --permanent -n 200 --seed 9
+
+echo "== machine canary: a tapped op inside a block draws on a stale cycle =="
+# A tapped op runs from its plan with its live taps inline, after setting
+# the injector's cycle to its own start cycle. Skipping that set keys the
+# op's masking draws on the cycle last set (the block's start), which
+# moves a post-detection run between masked and unmasked. Only faults of
+# sensitization below 1 draw, so the effect is rare: seed 6 first shows it
+# between 500 and 510 permanent injections.
+check_divergence canary-tapped-op-stale-cycle --permanent -n 1000 --seed 6
 
 echo "== campaign canary: early finish treats a live signature bit as masked =="
 # A permanent fault whose flipped bits no consumer reads stops at its
@@ -226,4 +236,4 @@ if [[ "${#FAILED[@]}" -gt 0 ]]; then
     printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-echo "PASS: all 13 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
+echo "PASS: all 14 canaries detected, lease-double-complete in one-shot and daemon runs (dormant build payload-identical)"
